@@ -7,23 +7,22 @@ available), 3 numerical non-convergence (a partial report is still emitted).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import warnings
 from fractions import Fraction
-
-import numpy as np
 
 from . import report as rep
 from .discs import (DiscClass, FiberPoint, SingularFiberError, WindingError,
                     disc_area, index_two_classes)
 from .floer import (HolonomyVector, UnsupportedRegimeError,
                     UnsupportedRegimeWarning, balanced_fibers_novikov,
-                    delta2_point, describe_balanced, hf_rank, holonomy_search)
+                    check_partition_scale, delta2_point, delta2_vanishes,
+                    describe_balanced, hf_rank, holonomy_search)
 from .lattice import (FanError, PolytopeError, normal_fan, parse_polytope)
 from .mirror import (OverflowGuardError, build_superpotential,
                      check_delta2_equals_gradW, check_o_equals_W,
                      critical_points)
+from .solve import circ_dist
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -138,8 +137,7 @@ def cmd_hf(args) -> tuple[int, dict]:
         "holonomy": None if nu is None else [float(x) for x in nu.nu],
         "coefficients": args.coefficients,
         "delta2_terms": terms,
-        "delta2_vanishes": d2.is_zero() if args.coefficients == "novikov"
-        else bool(np.linalg.norm(d2.specialize()) <= 1e-10),
+        "delta2_vanishes": delta2_vanishes(p, fiber, d2, args.coefficients),
         "rank": rank,
         "discs": discs,
     }
@@ -188,6 +186,8 @@ def cmd_critical(args) -> tuple[int, dict]:
     fan = normal_fan(p)
     r = rep.base_report("critical", p, fan)
     w = build_superpotential(p)
+    if not args.no_match:
+        check_partition_scale(p.num_facets)
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
         cps = critical_points(w, p, fan)
@@ -199,7 +199,7 @@ def cmd_critical(args) -> tuple[int, dict]:
         for i, s in enumerate(balanced):
             da = max(abs(a - b) for a, b in
                      zip(cp.point.fiber, s.point.as_floats()))
-            dn = max(_circ(a, b) for a, b in zip(cp.point.holonomy, s.nu.nu))
+            dn = circ_dist(cp.point.holonomy, s.nu.nu).max()
             if max(da, dn) < 1e-6:
                 matched = i
                 break
@@ -224,11 +224,6 @@ def cmd_critical(args) -> tuple[int, dict]:
     if not cps:
         raise NonConvergence("no critical point converged", r)
     return EXIT_OK, r
-
-
-def _circ(x: float, y: float) -> float:
-    d = abs(x - y) % (2 * math.pi)
-    return min(d, 2 * math.pi - d)
 
 
 def _print_human(r: dict, out) -> None:

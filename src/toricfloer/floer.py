@@ -17,11 +17,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from . import _exact
 from .discs import FiberPoint
-from .lattice import Fan, Polytope, is_fano, is_smooth, normal_fan
+from .lattice import (Fan, Polytope, PolytopeError, is_fano, is_smooth,
+                      normal_fan)
+from .solve import dedup_mod_2pi, least_squares, wrap_angle
 
 MAX_FACETS_FOR_PARTITIONS = 12
 
@@ -196,20 +197,26 @@ def _warn_non_fano(p: Polytope, fan: Fan | None) -> Fan:
     return fan
 
 
+def delta2_vanishes(p: Polytope, a: FiberPoint, d2: NovikovVector,
+                    coefficients: str = "novikov", tol: float = 1e-10
+                    ) -> bool:
+    """Whether delta_2<pt> = d2 at fiber a vanishes: per area level over the
+    Novikov ring, or at T^{2pi} = e^{-1} ("exp") up to tol times the total
+    weight max(1, sum_j e^{-ell_j})."""
+    if coefficients == "novikov":
+        return d2.is_zero(tol)
+    if coefficients != "exp":
+        raise ValueError(f"unknown coefficient mode {coefficients!r}")
+    scale = sum(math.exp(-float(l)) for l in a.ell(p))
+    return bool(np.linalg.norm(d2.specialize()) <= tol * max(1.0, scale))
+
+
 def hf_rank(p: Polytope, a: FiberPoint, nu: HolonomyVector | None = None,
             coefficients: str = "novikov", fan: Fan | None = None,
             tol: float = 1e-10) -> int:
     """Floer cohomology rank: 2^n when delta_2<pt> vanishes, else 0."""
     _require_fano(p, fan)
-    if coefficients not in ("novikov", "exp"):
-        raise ValueError(f"unknown coefficient mode {coefficients!r}")
-    d2 = delta2_point(p, a, nu)
-    if coefficients == "novikov":
-        vanish = d2.is_zero(tol)
-    else:
-        scale = sum(math.exp(-float(l)) for l in
-                    (Fraction(x) if a.exact else float(x) for x in a.ell(p)))
-        vanish = bool(np.linalg.norm(d2.specialize()) <= tol * max(1.0, scale))
+    vanish = delta2_vanishes(p, a, delta2_point(p, a, nu), coefficients, tol)
     return 2 ** p.dim if vanish else 0
 
 
@@ -250,11 +257,13 @@ def delta_k_vanishing(k: int) -> bool:
 # partition machinery
 
 
-def _check_partition_scale(n_facets: int) -> None:
+def check_partition_scale(n_facets: int) -> None:
+    """Input error when set-partition enumeration would blow up."""
     if n_facets > MAX_FACETS_FOR_PARTITIONS:
-        raise ValueError(
-            f"partition enumeration capped at {MAX_FACETS_FOR_PARTITIONS} "
-            f"facets, got {n_facets}")
+        raise PolytopeError(
+            f"balanced-fiber search enumerates facet partitions and is "
+            f"limited to {MAX_FACETS_FOR_PARTITIONS} facets; this polytope "
+            f"has {n_facets}")
 
 
 def _zero_sum_subsets(gens) -> list[frozenset]:
@@ -365,7 +374,7 @@ def balanced_fibers_novikov(p: Polytope, fan: Fan | None = None
     must sum to zero.
     """
     _warn_non_fano(p, fan)
-    _check_partition_scale(p.num_facets)
+    check_partition_scale(p.num_facets)
     gens = p.normals
     subsets = _zero_sum_subsets(gens)
     found: dict[tuple, BalancedSolution] = {}
@@ -387,22 +396,24 @@ def balanced_fibers_novikov(p: Polytope, fan: Fan | None = None
 
 
 def _holonomy_residual(p: Polytope, blocks, vfloat, lam):
+    """Row-wise residuals of the equal-area and per-block balancing
+    equations at points x = (A, nu), one point per row."""
     n = p.dim
 
     def fun(x):
-        a, nu = x[:n], x[n:]
-        ell = vfloat @ a - lam
-        res = []
+        a, nu = x[:, :n], x[:, n:]
+        ell = a @ vfloat.T - lam
+        phase = np.exp(1j * (nu @ vfloat.T))
+        cols = []
         for block in blocks:
             i0 = block[0]
             for i in block[1:]:
-                res.append(ell[i0] - ell[i])
-            s = np.zeros(n, dtype=complex)
-            for j in block:
-                s += cmath.exp(1j * float(nu @ vfloat[j])) * vfloat[j]
-            res.extend(s.real)
-            res.extend(s.imag)
-        return np.array(res)
+                cols.append(ell[:, i0] - ell[:, i])
+            idx = list(block)
+            s = phase[:, idx] @ vfloat[idx]
+            cols.extend(s.real.T)
+            cols.extend(s.imag.T)
+        return np.column_stack(cols)
 
     return fun
 
@@ -414,10 +425,10 @@ def holonomy_search(p: Polytope, fan: Fan | None = None, grid: int = 6,
 
     Candidate partitions come from unit-feasibility pruning; the equal-area
     part is solved exactly and the holonomy equations by damped least
-    squares from a 2 pi / grid lattice of starts.
+    squares from a 2 pi / grid lattice of starts, one batch per partition.
     """
     _warn_non_fano(p, fan)
-    _check_partition_scale(p.num_facets)
+    check_partition_scale(p.num_facets)
     n = p.dim
     gens = p.normals
     vfloat = np.array(gens, dtype=float)
@@ -426,9 +437,10 @@ def holonomy_search(p: Polytope, fan: Fan | None = None, grid: int = 6,
     centroid = np.array(
         [float(sum(v[i] for v in verts)) / len(verts) for i in range(n)])
 
-    solutions: list[BalancedSolution] = []
+    found = []  # (a, nu, residual) in partition order, then start order
     diagnostics: list[PartitionDiagnostic] = []
     nu_axis = [2 * math.pi * k / grid for k in range(grid)]
+    nu_starts = np.array(list(itertools.product(nu_axis, repeat=n)))
     for blocks in _covers(p.num_facets, _unit_feasible_subsets(gens)):
         sol, violations = equal_area_certificate(p, blocks)
         if violations:
@@ -438,47 +450,31 @@ def holonomy_search(p: Polytope, fan: Fan | None = None, grid: int = 6,
             continue
         a_start = (np.array([float(x) for x in sol.particular])
                    if sol.unique else centroid)
-        fun = _holonomy_residual(p, blocks, vfloat, lam)
+        x0 = np.hstack([np.tile(a_start, (len(nu_starts), 1)), nu_starts])
+        x, resid = least_squares(_holonomy_residual(p, blocks, vfloat, lam),
+                                 x0)
         converged = 0
-        for nus in itertools.product(nu_axis, repeat=n):
-            x0 = np.concatenate([a_start, np.array(nus)])
-            fit = least_squares(fun, x0, method="lm", xtol=1e-15, ftol=1e-15,
-                                gtol=1e-15, max_nfev=200 * (2 * n + 2))
-            resid = float(np.linalg.norm(fun(fit.x)))
-            if resid > residual_tol:
-                continue
-            a_sol, nu_sol = fit.x[:n], np.mod(fit.x[n:], 2 * math.pi)
-            nu_sol[nu_sol > 2 * math.pi - 1e-9] = 0.0
-            point = FiberPoint(tuple(float(v) for v in a_sol), exact=False)
-            if any(float(l) <= 0 for l in point.ell(p)):
+        for row in np.flatnonzero(resid <= residual_tol):
+            a_sol = tuple(float(v) for v in x[row, :n])
+            if any(float(l) <= 0 for l in p.ell(a_sol)):
                 continue
             converged += 1
-            if not _is_duplicate(solutions, a_sol, nu_sol, dedup_tol):
-                solutions.append(BalancedSolution(
-                    point, HolonomyVector(tuple(float(v) for v in nu_sol)),
-                    _level_partition(p, point, tol=1e-7), resid))
+            found.append((a_sol, wrap_angle(x[row, n:]), float(resid[row])))
         diagnostics.append(PartitionDiagnostic(
             blocks, True, sol.unique,
             tuple(sol.particular) if sol.unique else None, (), converged,
             "" if converged else "no start converged to a balanced solution"))
+    solutions = []
+    if found:
+        a_all, nu_all, _ = zip(*found)
+        for i in dedup_mod_2pi(a_all, nu_all, dedup_tol):
+            a_sol, nu_sol, resid = found[i]
+            point = FiberPoint(a_sol, exact=False)
+            solutions.append(BalancedSolution(
+                point, HolonomyVector(tuple(float(v) for v in nu_sol)),
+                _level_partition(p, point, tol=1e-7), resid))
     solutions.sort(key=lambda s: (s.point.coords, s.nu.nu))
     return HolonomySearchResult(tuple(solutions), tuple(diagnostics))
-
-
-def _is_duplicate(solutions, a_sol, nu_sol, tol) -> bool:
-    for s in solutions:
-        da = max(abs(float(x) - float(y))
-                 for x, y in zip(s.point.coords, a_sol))
-        dn = max(_circ_dist(float(x), float(y))
-                 for x, y in zip(s.nu.nu, nu_sol))
-        if da <= tol and dn <= tol:
-            return True
-    return False
-
-
-def _circ_dist(x: float, y: float) -> float:
-    d = abs(x - y) % (2 * math.pi)
-    return min(d, 2 * math.pi - d)
 
 
 def balanced_fibers_with_holonomy(p: Polytope, fan: Fan | None = None,

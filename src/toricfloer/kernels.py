@@ -1,98 +1,12 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
-
-Backend selection: TORIC_FLOER_BACKEND=numpy forces the fallback; anything
-else (or unset) uses numba when it imports. TORIC_FLOER_THREADS caps the
-numba thread count.
-"""
+"""The grid oracle's hot kernel: a chunked, vectorized numpy scan."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FORCED = os.environ.get("TORIC_FLOER_BACKEND", "").strip().lower()
-
-try:
-    if _FORCED == "numpy":
-        raise ImportError
-    import numba
-    from numba import njit, prange
-
-    _threads = os.environ.get("TORIC_FLOER_THREADS")
-    if _threads:
-        numba.set_num_threads(max(1, min(int(_threads),
-                                         numba.config.NUMBA_NUM_THREADS)))
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-
-def backend_name() -> str:
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-def _grid_min_residual_np(ell, p_re, p_im, v, t):
-    """Fallback: chunked vectorized scan over the fiber grid."""
-    ma = ell.shape[0]
-    minres = np.empty(ma)
-    argnu = np.empty(ma, dtype=np.int64)
-    phases = p_re + 1j * p_im  # (Mnu, N)
-    chunk = max(1, int(2e7 // max(1, p_re.shape[0] * v.shape[1])))
-    for lo in range(0, ma, chunk):
-        hi = min(lo + chunk, ma)
-        worst = None
-        for tk in t:
-            w = tk ** ell[lo:hi]  # (c, N)
-            wv = w[:, None, :] * v.T[None, :, :]      # (c, n, N)
-            s = wv @ phases.T                         # (c, n, Mnu)
-            r2 = (s.real ** 2 + s.imag ** 2).sum(axis=1)  # (c, Mnu)
-            worst = r2 if worst is None else np.maximum(worst, r2)
-        idx = worst.argmin(axis=1)
-        minres[lo:hi] = np.sqrt(worst[np.arange(hi - lo), idx])
-        argnu[lo:hi] = idx
-    return minres, argnu
-
-
-if HAVE_NUMBA:
-
-    @njit(parallel=True, cache=True)
-    def _grid_min_residual_nb(ell, p_re, p_im, v, t):  # pragma: no cover
-        ma, nfac = ell.shape
-        mnu = p_re.shape[0]
-        kk = t.shape[0]
-        n = v.shape[1]
-        minres = np.empty(ma)
-        argnu = np.empty(ma, np.int64)
-        for a in prange(ma):
-            w = np.empty((kk, nfac))
-            for k in range(kk):
-                for j in range(nfac):
-                    w[k, j] = t[k] ** ell[a, j]
-            best = 1e300
-            bi = 0
-            for b in range(mnu):
-                worst = 0.0
-                for k in range(kk):
-                    tot = 0.0
-                    for al in range(n):
-                        sre = 0.0
-                        sim = 0.0
-                        for j in range(nfac):
-                            wv = w[k, j] * v[j, al]
-                            sre += wv * p_re[b, j]
-                            sim += wv * p_im[b, j]
-                        tot += sre * sre + sim * sim
-                    if tot > worst:
-                        worst = tot
-                    if worst >= best:
-                        break
-                if worst < best:
-                    best = worst
-                    bi = b
-            minres[a] = np.sqrt(best)
-            argnu[a] = bi
-        return minres, argnu
+# complex entries in each chunk temporary (chunk rows * n * M_nu), about
+# 8 MB; much larger chunks spend their time faulting in fresh pages
+CHUNK_ENTRIES = 500_000
 
 
 def grid_min_residual(ell, p_re, p_im, v, t):
@@ -103,11 +17,23 @@ def grid_min_residual(ell, p_re, p_im, v, t):
     factors; v: (N, n) generators; t: (K,) probe values in (0, 1).
     Returns (min_residual[M_A], argmin_nu[M_A]).
     """
-    ell = np.ascontiguousarray(ell, dtype=np.float64)
-    p_re = np.ascontiguousarray(p_re, dtype=np.float64)
-    p_im = np.ascontiguousarray(p_im, dtype=np.float64)
-    v = np.ascontiguousarray(v, dtype=np.float64)
-    t = np.ascontiguousarray(t, dtype=np.float64)
-    if HAVE_NUMBA:
-        return _grid_min_residual_nb(ell, p_re, p_im, v, t)
-    return _grid_min_residual_np(ell, p_re, p_im, v, t)
+    ell = np.asarray(ell, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    ma = ell.shape[0]
+    minres = np.empty(ma)
+    argnu = np.empty(ma, dtype=np.int64)
+    phases = np.asarray(p_re) + 1j * np.asarray(p_im)  # (Mnu, N)
+    chunk = max(1, CHUNK_ENTRIES // max(1, phases.shape[0] * v.shape[1]))
+    for lo in range(0, ma, chunk):
+        hi = min(lo + chunk, ma)
+        worst = None
+        for tk in np.asarray(t, dtype=np.float64):
+            w = tk ** ell[lo:hi]  # (c, N)
+            wv = w[:, None, :] * v.T[None, :, :]      # (c, n, N)
+            s = wv @ phases.T                         # (c, n, Mnu)
+            r2 = (s.real ** 2 + s.imag ** 2).sum(axis=1)  # (c, Mnu)
+            worst = r2 if worst is None else np.maximum(worst, r2)
+        idx = worst.argmin(axis=1)
+        minres[lo:hi] = np.sqrt(worst[np.arange(hi - lo), idx])
+        argnu[lo:hi] = idx
+    return minres, argnu

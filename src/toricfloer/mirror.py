@@ -17,6 +17,7 @@ import numpy as np
 from .discs import FiberPoint
 from .floer import HolonomyVector, NovikovTerm, NovikovVector, delta2_point
 from .lattice import Fan, KernelLattice, Polytope, euler_characteristic
+from .solve import dedup_mod_2pi, wrap_angle
 
 EXP_CLAMP = 700.0
 
@@ -129,8 +130,9 @@ def critical_points(w: Superpotential, p: Polytope, fan: Fan | None = None,
 
     Multistart Newton: real parts on a grid over the polytope bounding box
     inflated by 1, imaginary parts on a 2 pi / grid_im lattice; converged
-    points deduplicated mod 2 pi i. The count is compared against the Euler
-    characteristic with a warning on mismatch.
+    points deduplicated mod 2 pi i, keeping the smallest gradient. The
+    count is compared against the Euler characteristic with a warning on
+    mismatch.
     """
     n = w.dim
     verts = p.vertices()
@@ -178,30 +180,16 @@ def critical_points(w: Superpotential, p: Polytope, fan: Fan | None = None,
     g, _ = batch_grad_hess(z)
     resid = np.linalg.norm(g, axis=1)
     order = np.argsort(resid)
+    order = order[resid[order] <= residual_tol]
+    re, im = z.real[order], wrap_angle(-z.imag[order])
     found: list[CriticalPoint] = []
-    for s in order:
-        if resid[s] > residual_tol:
-            break
-        zi = z[s].copy()
-        im = np.mod(-zi.imag, 2 * math.pi)
-        im[im > 2 * math.pi - 1e-9] = 0.0
-        zi = zi.real - 1j * im
-        dup = False
-        for cp in found:
-            prev = np.array(cp.point.theta)
-            dre = np.max(np.abs(prev.real - zi.real))
-            dim_ = np.max([min(d, 2 * math.pi - d) for d in
-                           np.abs(np.mod(prev.imag - zi.imag, 2 * math.pi))])
-            if max(dre, dim_) <= dedup_tol:
-                dup = True
-                break
-        if dup:
-            continue
+    for i in dedup_mod_2pi(re, im, dedup_tol):
+        zi = re[i] - 1j * im[i]
         hess = w.hessian(zi)
         sv = np.linalg.svd(hess, compute_uv=False)
         cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
         found.append(CriticalPoint(
-            MirrorPoint(tuple(zi)), float(resid[s]), cond,
+            MirrorPoint(tuple(zi)), float(resid[order[i]]), cond,
             bool(sv[-1] <= 1e-8 * sv[0])))
     found.sort(key=lambda cp: (tuple(t.real for t in cp.point.theta),
                                tuple(t.imag for t in cp.point.theta)))

@@ -13,10 +13,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .kernels import grid_min_residual
 from .lattice import Polytope
+from .solve import dedup_mod_2pi, least_squares, wrap_angle
 
 # probe values separating the area filtration levels: vanishing of the
 # residual at several generic t in (0,1) forces per-level vanishing
@@ -31,20 +31,21 @@ class OracleCandidate:
 
 
 def _residual_fun(p: Polytope):
+    """Row-wise balanced residuals at every probe t, one point (A, nu) per
+    row."""
     v = np.array(p.normals, dtype=float)
     lam = np.array([float(l) for l in p.offsets])
     n = p.dim
 
     def fun(x):
-        a, nu = x[:n], x[n:]
-        ell = v @ a - lam
+        a, nu = x[:, :n], x[:, n:]
+        ell = a @ v.T - lam
+        phase = np.exp(1j * (nu @ v.T))
         out = []
         for t in PROBE_T:
-            w = t ** ell
-            s = (w * np.exp(1j * (v @ nu))) @ v
-            out.extend(s.real)
-            out.extend(s.imag)
-        return np.array(out)
+            s = (t ** ell * phase) @ v
+            out.extend((s.real, s.imag))
+        return np.hstack(out)
 
     return fun
 
@@ -87,7 +88,6 @@ def balanced_oracle(p: Polytope, n_a: int | None = None,
     """Balanced candidates from a grid scan plus local polishing."""
     a_grid, nu_best, minres = grid_scan(p, n_a, n_nu)
     order = np.argsort(minres)
-    fun = _residual_fun(p)
     seeds = []
     for s in order[:10 * polish_top]:
         a = a_grid[s]
@@ -96,43 +96,25 @@ def balanced_oracle(p: Polytope, n_a: int | None = None,
         seeds.append((tuple(a), tuple(nu_best[s])))
         if len(seeds) >= polish_top:
             break
-    out: list[OracleCandidate] = []
     # per-coordinate holonomy restart offsets so mixed holonomies such as
     # (0, pi) are reachable from any seed cell
     offs = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
+    shifts = [shift for shift in itertools.product(offs, repeat=p.dim)
+              if any(shift)]
+    starts = []
     for a, nu in seeds:
-        starts = [nu] + [
-            tuple((x + o) % (2 * math.pi) for x, o in zip(nu, shift))
-            for shift in itertools.product(offs, repeat=p.dim)
-            if any(shift)]
-        for nu0 in starts:
-            x0 = np.concatenate([np.array(a), np.array(nu0)])
-            fit = least_squares(fun, x0, method="lm", xtol=1e-15,
-                                ftol=1e-15, gtol=1e-15)
-            resid = float(np.linalg.norm(fun(fit.x)))
-            if resid > accept_tol:
-                continue
-            a_sol = fit.x[:p.dim]
-            nu_sol = np.mod(fit.x[p.dim:], 2 * math.pi)
-            nu_sol[nu_sol > 2 * math.pi - 1e-9] = 0.0
-            ell = np.array([float(l) for l in p.ell(a_sol)])
-            if (ell <= 1e-9).any():
-                continue
-            dup = False
-            for cand in out:
-                da = np.max(np.abs(np.array(cand.point) - a_sol))
-                dn = max(_circ(x, y) for x, y in zip(cand.nu, nu_sol))
-                if max(da, dn) < 1e-4:
-                    dup = True
-                    break
-            if not dup:
-                out.append(OracleCandidate(
-                    tuple(float(x) for x in a_sol),
-                    tuple(float(x) for x in nu_sol), resid))
+        starts.append(a + nu)
+        starts += [a + tuple((x + o) % (2 * math.pi)
+                             for x, o in zip(nu, shift))
+                   for shift in shifts]
+    x, resid = least_squares(_residual_fun(p),
+                             np.array(starts).reshape(-1, 2 * p.dim))
+    found = [row for row in np.flatnonzero(resid <= accept_tol)
+             if all(float(l) > 1e-9 for l in p.ell(x[row, :p.dim]))]
+    a_found, nu_found = x[found, :p.dim], wrap_angle(x[found, p.dim:])
+    out = [OracleCandidate(tuple(float(c) for c in a_found[i]),
+                           tuple(float(c) for c in nu_found[i]),
+                           float(resid[found[i]]))
+           for i in dedup_mod_2pi(a_found, nu_found, 1e-4)]
     out.sort(key=lambda c: (c.point, c.nu))
     return out
-
-
-def _circ(x: float, y: float) -> float:
-    d = abs(x - y) % (2 * math.pi)
-    return min(d, 2 * math.pi - d)

@@ -58,6 +58,22 @@ class TestExitCodes:
             ["hf", poly_path("p2"), "--fiber", "1"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("args", (["balanced"],
+                                      ["balanced", "--mode", "holonomy"],
+                                      ["critical"]))
+    def test_partition_limit(self, args, tmp_path, capsys):
+        # P^12 has 13 facets, one more than set-partition enumeration takes
+        lines = ["dim 12"]
+        for i in range(12):
+            lines.append("normal " + " ".join(
+                "1" if j == i else "0" for j in range(12)) + " offset 0")
+        lines.append("normal " + " ".join(["-1"] * 12) + " offset -13")
+        big = tmp_path / "p12.poly"
+        big.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli([args[0], str(big), *args[1:]], capsys)
+        assert code == 2
+        assert "limited to 12 facets" in err and "has 13" in err
+
 
 class TestCommands:
     def test_hf_rank_line(self, capsys):
@@ -146,20 +162,73 @@ class TestJson:
         assert rep.format_rational(Fraction(-7, 2)) == "-7/2"
 
 
+# exact rational fibers for the hf goldens: the vertex centroid of each
+# corpus polytope
+HF_FIBERS = {"p1": "1", "p2": "3,3", "p3": "1,1,1", "p1xp1": "1,1",
+             "f1": "0,0", "f2": "3/2,1", "f3": "2,1"}
+
+
+def golden(name: str) -> str:
+    return (resources.files("toricfloer") / "data" / "golden"
+            / f"{name}.json").read_text()
+
+
+def assert_report_close(got, want, path="$"):
+    """Equal structure, strings, flags and nulls; numbers within 1e-9,
+    which keeps counts and indices exact."""
+    if isinstance(want, (int, float)) and not isinstance(want, bool):
+        assert isinstance(got, (int, float)) and not isinstance(got, bool), \
+            path
+        assert abs(got - want) <= 1e-9, (path, got, want)
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_report_close(g, w, f"{path}[{i}]")
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want), path
+        for k in want:
+            assert_report_close(got[k], want[k], f"{path}.{k}")
+    else:
+        assert got == want, (path, got, want)
+
+
 class TestGolden:
     @pytest.mark.parametrize("name", CORPUS)
     def test_analyze_golden(self, name, capsys):
-        golden = (resources.files("toricfloer") / "data" / "golden"
-                  / f"{name}_analyze.json").read_text()
         code, out, _ = run_cli(["analyze", poly_path(name), "--json"], capsys)
         assert code == 0
-        assert out == golden
+        assert out == golden(name + "_analyze")
 
     @pytest.mark.parametrize("name", ("p2", "p1xp1", "f1"))
     def test_balanced_golden(self, name, capsys):
-        golden = (resources.files("toricfloer") / "data" / "golden"
-                  / f"{name}_balanced.json").read_text()
         code, out, _ = run_cli(["balanced", poly_path(name), "--json"],
                                capsys)
         assert code == 0
-        assert out == golden
+        assert out == golden(name + "_balanced")
+
+    @pytest.mark.parametrize("coefficients", ("novikov", "exp"))
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_hf_golden(self, name, coefficients, capsys):
+        code, out, _ = run_cli(
+            ["hf", poly_path(name), "--fiber", HF_FIBERS[name],
+             "--coefficients", coefficients, "--json"], capsys)
+        assert code == 0
+        suffix = "_hf" if coefficients == "novikov" else "_hf_exp"
+        assert out == golden(name + suffix)
+
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_holonomy_golden(self, name, capsys):
+        code, out, _ = run_cli(
+            ["balanced", poly_path(name), "--mode", "holonomy", "--json"],
+            capsys)
+        assert code == 0
+        assert_report_close(json.loads(out),
+                            json.loads(golden(name + "_holonomy")))
+
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_critical_golden(self, name, capsys):
+        code, out, _ = run_cli(["critical", poly_path(name), "--json"],
+                               capsys)
+        assert code == 0
+        assert_report_close(json.loads(out),
+                            json.loads(golden(name + "_critical")))

@@ -10,8 +10,8 @@ from conftest import corpus_polytope
 
 
 def _reference(ell, p_re, p_im, v, t):
-    """Slow direct evaluation of the grid residual, independent of both
-    production kernels."""
+    """Slow direct evaluation of the grid residual, independent of the
+    production kernel."""
     phases = p_re + 1j * p_im
     minres = np.empty(ell.shape[0])
     argnu = np.empty(ell.shape[0], dtype=np.int64)
@@ -43,23 +43,24 @@ def small_problem():
 
 def test_fallback_matches_reference(small_problem):
     ell, p_re, p_im, v, t = small_problem
-    got = kernels._grid_min_residual_np(ell, p_re, p_im, v, t)
+    got = kernels.grid_min_residual(ell, p_re, p_im, v, t)
     want = _reference(ell, p_re, p_im, v, t)
     assert np.allclose(got[0], want[0])
     assert np.array_equal(got[1], want[1])
 
 
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba backend disabled")
-def test_numba_matches_fallback(small_problem):
+def test_kernel_chunks_match_reference(small_problem, monkeypatch):
     ell, p_re, p_im, v, t = small_problem
-    fast = kernels._grid_min_residual_nb(ell, p_re, p_im, v, t)
-    slow = kernels._grid_min_residual_np(ell, p_re, p_im, v, t)
-    assert np.allclose(fast[0], slow[0])
-    assert np.array_equal(fast[1], slow[1])
-
-
-def test_backend_name():
-    assert kernels.backend_name() in ("numpy", "numba")
+    whole = kernels.grid_min_residual(ell, p_re, p_im, v, t)
+    # three fiber rows per chunk: 17 rows run in six chunks, the last short
+    monkeypatch.setattr(kernels, "CHUNK_ENTRIES",
+                        3 * p_re.shape[0] * v.shape[1])
+    got = kernels.grid_min_residual(ell, p_re, p_im, v, t)
+    want = _reference(ell, p_re, p_im, v, t)
+    assert np.allclose(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    assert np.array_equal(got[0], whole[0])
+    assert np.array_equal(got[1], whole[1])
 
 
 def test_grid_scan_finds_p2_center():
