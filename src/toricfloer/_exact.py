@@ -8,7 +8,6 @@ for numpy object arrays.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 
 Row = list[Fraction]
@@ -180,9 +179,6 @@ def integer_kernel(rows) -> list[list[int]]:
     for c in range(ncols):
         if all(m[i][c] == 0 for i in range(nrows)):
             vec = [u[i][c] for i in range(ncols)]
-            g = 0
-            for v in vec:
-                g = gcd(g, v)
             lead = next((v for v in vec if v != 0), 1)
             if lead < 0:
                 vec = [-v for v in vec]

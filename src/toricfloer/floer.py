@@ -22,7 +22,7 @@ from . import _exact
 from .discs import FiberPoint
 from .lattice import (Fan, Polytope, PolytopeError, is_fano, is_smooth,
                       normal_fan)
-from .solve import dedup_mod_2pi, least_squares, wrap_angle
+from .solve import dedup_mod_2pi, least_squares, sort_key, wrap_angle
 
 MAX_FACETS_FOR_PARTITIONS = 12
 
@@ -473,7 +473,8 @@ def holonomy_search(p: Polytope, fan: Fan | None = None, grid: int = 6,
             solutions.append(BalancedSolution(
                 point, HolonomyVector(tuple(float(v) for v in nu_sol)),
                 _level_partition(p, point, tol=1e-7), resid))
-    solutions.sort(key=lambda s: (s.point.coords, s.nu.nu))
+    solutions.sort(key=lambda s: sort_key(s.point.coords + s.nu.nu,
+                                          dedup_tol))
     return HolonomySearchResult(tuple(solutions), tuple(diagnostics))
 
 

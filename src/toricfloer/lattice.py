@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import gcd
 
@@ -54,8 +55,15 @@ class Polytope:
         return [sum(xi * vi for xi, vi in zip(x, v)) - lam
                 for v, lam in self.facets]
 
+    @cached_property
+    def vertex_facets(self) -> tuple[tuple[tuple[Fraction, ...],
+                                           tuple[int, ...]], ...]:
+        """Sorted vertices, each with its active facet indices; enumerated
+        once per instance."""
+        return _enumerate_vertices(self)
+
     def vertices(self) -> list[tuple[Fraction, ...]]:
-        return _vertices(self)
+        return [x for x, _ in self.vertex_facets]
 
     def contains_interior(self, x) -> bool:
         return all(l > 0 for l in self.ell(x))
@@ -154,8 +162,9 @@ def parse_polytope(text: str) -> Polytope:
     if len(facets) < dim + 1:
         raise PolytopeError(f"need at least {dim + 1} facets, got {len(facets)}")
     p = Polytope(dim, tuple(facets))
-    _validate_bounded(p)
-    verts = _vertices(p)
+    if _exact.rank(p.normals) < dim:
+        raise PolytopeError("unbounded polytope (normals do not span)")
+    verts = p.vertices()
     if not verts:
         raise PolytopeError("polytope has empty interior")
     centroid = [sum(v[i] for v in verts) / len(verts) for i in range(dim)]
@@ -171,78 +180,39 @@ def serialize_polytope(p: Polytope) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _validate_bounded(p: Polytope) -> None:
-    # Bounded iff the recession cone {x : <x, v_j> >= 0 for all j} is {0}.
-    # A line in the cone forces rank(V) < n; otherwise the cone is pointed
-    # and a nonzero cone has an extreme ray cut out by n-1 of the normals.
+def _enumerate_vertices(p: Polytope):
+    # One pass over the n-subsets of facets. A subset whose normals form a
+    # basis B and whose solution x satisfies every facet is a vertex. Each
+    # column d of B^-1 points along an edge of the basis cone at x; when
+    # <d, v_j> >= 0 for every facet, d is a nonzero recession direction.
+    # Every edge at a vertex is such a column for some feasible basis, and
+    # a nonempty pointed polyhedron is unbounded iff some vertex has an
+    # unbounded edge, so this pass also decides boundedness.
     n, normals = p.dim, p.normals
-    if _exact.rank(normals) < n:
-        raise PolytopeError("unbounded polytope (normals do not span)")
-    for subset in itertools.combinations(range(len(normals)), n - 1):
-        rows = [normals[j] for j in subset]
-        if rows and _exact.rank(rows) < n - 1:
-            continue
-        sol = _exact.solve(rows, [0] * len(rows)) if rows else None
-        if rows:
-            if len(sol.free) != 1:
-                continue
-            d = [Fraction(0)] * n
-            d[sol.free[0]] = Fraction(1)
-            # back-substitute the free coordinate through the solved rows
-            d = _ray_direction(rows, sol.free[0], n)
-        else:
-            d = [Fraction(1)]
-        for s in (d, [-x for x in d]):
-            if all(sum(si * vi for si, vi in zip(s, v)) >= 0 for v in normals):
-                raise PolytopeError("unbounded polytope")
-
-
-def _ray_direction(rows, free_col: int, n: int):
-    # one-dimensional kernel of `rows`, normalized so entry free_col == 1
-    aug = [[Fraction(x) for x in row] for row in rows]
-    d = [Fraction(0)] * n
-    d[free_col] = Fraction(1)
-    cols = [c for c in range(n) if c != free_col]
-    rhs = [-row[free_col] for row in aug]
-    sub = [[row[c] for c in cols] for row in aug]
-    sol = _exact.solve(sub, rhs)
-    for c, val in zip(cols, sol.particular):
-        d[c] = val
-    return d
-
-
-def _vertices(p: Polytope) -> list[tuple[Fraction, ...]]:
-    n = p.dim
-    seen = set()
-    verts = []
+    found = {}
     for subset in itertools.combinations(range(p.num_facets), n):
-        rows = [p.normals[j] for j in subset]
-        if _exact.rank(rows) < n:
-            continue
+        rows = [normals[j] for j in subset]
         sol = _exact.solve(rows, [p.offsets[j] for j in subset])
-        x = tuple(sol.particular)
-        if any(l < 0 for l in p.ell(x)):
+        if not sol.unique:
             continue
-        if x not in seen:
-            seen.add(x)
-            verts.append(x)
-    return sorted(verts)
-
-
-def _active_sets(p: Polytope):
-    out = []
-    for x in _vertices(p):
+        x = tuple(sol.particular)
         ell = p.ell(x)
-        out.append((x, tuple(j for j, l in enumerate(ell) if l == 0)))
-    return out
+        if any(l < 0 for l in ell):
+            continue
+        inv = _exact.inverse(rows)
+        for c in range(n):
+            if all(sum(inv[i][c] * v[i] for i in range(n)) >= 0
+                   for v in normals):
+                raise PolytopeError("unbounded polytope")
+        found.setdefault(x, tuple(j for j, l in enumerate(ell) if l == 0))
+    return tuple(sorted(found.items()))
 
 
 def normal_fan(p: Polytope) -> Fan:
     """Fan whose k-cones are spanned by the normals active on codim-k faces."""
-    active = _active_sets(p)
     touched = set()
     max_sets = []
-    for x, act in active:
+    for x, act in p.vertex_facets:
         if len(act) != p.dim:
             raise FanError(
                 f"polytope is not simple at vertex {x} (facets {act})")

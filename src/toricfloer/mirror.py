@@ -16,10 +16,14 @@ import numpy as np
 
 from .discs import FiberPoint
 from .floer import HolonomyVector, NovikovTerm, NovikovVector, delta2_point
-from .lattice import Fan, KernelLattice, Polytope, euler_characteristic
-from .solve import dedup_mod_2pi, wrap_angle
+from .lattice import (Fan, KernelLattice, Polytope, PolytopeError,
+                      euler_characteristic)
+from .solve import dedup_mod_2pi, sort_key, wrap_angle
 
 EXP_CLAMP = 700.0
+# the Newton search holds all its starts at once; dimension 4 at the
+# default grids (5^4 x 8^4 starts) is the largest it takes
+MAX_NEWTON_STARTS = 40 ** 4
 
 
 class OverflowGuardError(OverflowError):
@@ -132,9 +136,14 @@ def critical_points(w: Superpotential, p: Polytope, fan: Fan | None = None,
     inflated by 1, imaginary parts on a 2 pi / grid_im lattice; converged
     points deduplicated mod 2 pi i, keeping the smallest gradient. The
     count is compared against the Euler characteristic with a warning on
-    mismatch.
+    mismatch. More than MAX_NEWTON_STARTS starts raise PolytopeError.
     """
     n = w.dim
+    n_starts = grid_re ** n * grid_im ** n
+    if n_starts > MAX_NEWTON_STARTS:
+        raise PolytopeError(
+            f"critical point search is limited to {MAX_NEWTON_STARTS} "
+            f"Newton starts, dimension {n} needs {n_starts}")
     verts = p.vertices()
     lo = [min(float(v[i]) for v in verts) - 1.0 for i in range(n)]
     hi = [max(float(v[i]) for v in verts) + 1.0 for i in range(n)]
@@ -191,8 +200,9 @@ def critical_points(w: Superpotential, p: Polytope, fan: Fan | None = None,
         found.append(CriticalPoint(
             MirrorPoint(tuple(zi)), float(resid[order[i]]), cond,
             bool(sv[-1] <= 1e-8 * sv[0])))
-    found.sort(key=lambda cp: (tuple(t.real for t in cp.point.theta),
-                               tuple(t.imag for t in cp.point.theta)))
+    found.sort(key=lambda cp: sort_key(
+        [t.real for t in cp.point.theta] + [t.imag for t in cp.point.theta],
+        dedup_tol))
     if fan is not None:
         chi = euler_characteristic(fan)
         if len(found) != chi:

@@ -16,11 +16,13 @@ import numpy as np
 
 from .kernels import grid_min_residual
 from .lattice import Polytope
-from .solve import dedup_mod_2pi, least_squares, wrap_angle
+from .solve import dedup_mod_2pi, least_squares, sort_key, wrap_angle
 
 # probe values separating the area filtration levels: vanishing of the
 # residual at several generic t in (0,1) forces per-level vanishing
 PROBE_T = (0.31830988618379067, 0.5641895835477563, 0.7853981633974483)
+# candidates closer than this in every coordinate are one candidate
+DEDUP_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -115,6 +117,6 @@ def balanced_oracle(p: Polytope, n_a: int | None = None,
     out = [OracleCandidate(tuple(float(c) for c in a_found[i]),
                            tuple(float(c) for c in nu_found[i]),
                            float(resid[found[i]]))
-           for i in dedup_mod_2pi(a_found, nu_found, 1e-4)]
-    out.sort(key=lambda c: (c.point, c.nu))
+           for i in dedup_mod_2pi(a_found, nu_found, DEDUP_TOL)]
+    out.sort(key=lambda c: sort_key(c.point + c.nu, DEDUP_TOL))
     return out

@@ -1,5 +1,6 @@
 """Numerics shared by the three searches: batched least squares, the angle
-wrap, the circle distance and deduplication modulo 2 pi.
+wrap, the circle distance, deduplication modulo 2 pi and the sort key of
+their results.
 
 `least_squares` is Levenberg-Marquardt with a forward-difference Jacobian
 and Marquardt's scaling by the running maximum of the squared Jacobian
@@ -130,3 +131,9 @@ def dedup_mod_2pi(lin, ang, tol: float) -> np.ndarray:
         if not near[i, kept].any():
             kept.append(i)
     return lead[kept]
+
+
+def sort_key(x, tol: float) -> tuple[float, ...]:
+    """Coordinates rounded to the tol grid, so that a result's place in a
+    sorted list does not hang on the last bit of a coordinate."""
+    return tuple(np.round(np.asarray(x, dtype=float) / tol).tolist())

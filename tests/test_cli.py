@@ -7,6 +7,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from toricfloer import lattice
 from toricfloer import report as rep
 from toricfloer.cli import main
 
@@ -73,6 +74,34 @@ class TestExitCodes:
         code, _, err = run_cli([args[0], str(big), *args[1:]], capsys)
         assert code == 2
         assert "limited to 12 facets" in err and "has 13" in err
+
+    @pytest.mark.parametrize("k", (5, 7))
+    def test_newton_start_limit(self, k, tmp_path, capsys):
+        # (P^1)^k needs 5^k x 8^k Newton starts, over the limit for k > 4
+        lines = [f"dim {k}"]
+        for i in range(k):
+            for sign, offset in ((1, 0), (-1, -1)):
+                lines.append("normal " + " ".join(
+                    str(sign) if j == i else "0" for j in range(k))
+                    + f" offset {offset}")
+        path = tmp_path / "p1k.poly"
+        path.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(["critical", str(path), "--no-match"], capsys)
+        assert code == 2
+        assert "limited to 2560000 Newton starts" in err
+        assert f"needs {5 ** k * 8 ** k}" in err
+
+    def test_critical_enumerates_vertices_once(self, monkeypatch, capsys):
+        calls = []
+        enumerate_vertices = lattice._enumerate_vertices
+
+        def counted(p):
+            calls.append(p)
+            return enumerate_vertices(p)
+
+        monkeypatch.setattr(lattice, "_enumerate_vertices", counted)
+        code, _, _ = run_cli(["critical", poly_path("p2"), "--json"], capsys)
+        assert code == 0 and len(calls) == 1
 
 
 class TestCommands:

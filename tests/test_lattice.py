@@ -1,7 +1,9 @@
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toricfloer import _exact
@@ -55,6 +57,12 @@ class TestParse:
     def test_empty_interior(self):
         with pytest.raises(PolytopeError, match="empty interior"):
             parse_polytope("dim 1\nnormal 1 offset 1\nnormal -1 offset -1\n")
+
+    def test_empty_with_recession_direction(self):
+        # x >= 1, x <= 0, y >= 0: empty, though (0, 1) recedes
+        with pytest.raises(PolytopeError, match="empty interior"):
+            parse_polytope("dim 2\nnormal 1 0 offset 1\n"
+                           "normal -1 0 offset 0\nnormal 0 1 offset 0\n")
 
     def test_duplicate_normal(self):
         with pytest.raises(PolytopeError, match="duplicate") as e:
@@ -214,3 +222,68 @@ def test_translation_equivariance(shift):
     assert normal_fan(moved).generators == normal_fan(p).generators
     vs = {tuple(c + s for c, s in zip(vert, shift)) for vert in p.vertices()}
     assert vs == set(moved.vertices())
+
+
+def _feasible(rows, strict: bool) -> bool:
+    """Fourier-Motzkin: is {x : a.x > b for all (a, b) in rows} nonempty
+    (a.x >= b when not strict)?"""
+    for k in range(len(rows[0][0])):
+        pos = [r for r in rows if r[0][k] > 0]
+        neg = [r for r in rows if r[0][k] < 0]
+        rows = [r for r in rows if r[0][k] == 0] + [
+            ([-aq[k] * x + ap[k] * y for x, y in zip(ap, aq)],
+             -aq[k] * bp + ap[k] * bq)
+            for ap, bp in pos for aq, bq in neg]
+    return all(b < 0 if strict else b <= 0 for _, b in rows)
+
+
+def _recedes(normals, dim: int) -> bool:
+    """A nonzero d with <d, v_j> >= 0 for all j: a pointed cone that is not
+    {0} has an extreme ray, the kernel of dim - 1 of the normals."""
+    for sub in combinations(normals, dim - 1):
+        ker = _exact.integer_kernel(sub) if sub else [[1]]
+        if len(ker) != 1:
+            continue
+        for d in (ker[0], [-x for x in ker[0]]):
+            if all(sum(a * b for a, b in zip(d, v)) >= 0 for v in normals):
+                return True
+    return False
+
+
+@st.composite
+def _random_input(draw):
+    dim = draw(st.integers(1, 3))
+    vecs = draw(st.lists(st.lists(st.integers(-2, 2), min_size=dim,
+                                  max_size=dim),
+                         min_size=dim + 1, max_size=dim + 4))
+    normals = []
+    for v in vecs:
+        g = gcd(*v)
+        if g and tuple(c // g for c in v) not in normals:
+            normals.append(tuple(c // g for c in v))
+    offsets = [Fraction(draw(st.integers(-6, 2)), draw(st.sampled_from((1, 2))))
+               for _ in normals]
+    return dim, normals, offsets
+
+
+@settings(max_examples=300, deadline=None)
+@given(_random_input())
+def test_parse_accepts_exactly_nonempty_bounded(data):
+    dim, normals, offsets = data
+    assume(len(normals) >= dim + 1)
+    text = f"dim {dim}\n" + "".join(
+        "normal " + " ".join(map(str, v)) + f" offset {lam}\n"
+        for v, lam in zip(normals, offsets))
+    rows = [(list(v), lam) for v, lam in zip(normals, offsets)]
+    if _exact.rank(normals) < dim:
+        expect = "normals do not span"
+    elif _feasible(rows, strict=False) and _recedes(normals, dim):
+        expect = "unbounded polytope"
+    elif not _feasible(rows, strict=True):
+        expect = "empty interior"
+    else:
+        p = parse_polytope(text)
+        assert all(all(l >= 0 for l in p.ell(x)) for x in p.vertices())
+        return
+    with pytest.raises(PolytopeError, match=expect):
+        parse_polytope(text)

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 
 from toricfloer.solve import (TWO_PI, circ_dist, dedup_mod_2pi,
-                              least_squares, wrap_angle)
+                              least_squares, sort_key, wrap_angle)
 
 
 def test_wrap_angle_snaps_below_two_pi():
@@ -17,6 +17,12 @@ def test_circ_dist_across_seam():
     assert math.isclose(circ_dist(0.1, TWO_PI - 0.1), 0.2)
     assert math.isclose(circ_dist(0.0, math.pi), math.pi)
     assert np.allclose(circ_dist([0.0, 3.0], [TWO_PI, 3.0 + 4 * math.pi]), 0)
+
+
+def test_sort_key_ignores_last_bit():
+    assert sort_key([1.0, 0.5], 1e-6) == sort_key([0.9999999999999999, 0.5],
+                                                  1e-6)
+    assert sort_key([1.0], 1e-6) < sort_key([1.0 + 2e-6], 1e-6)
 
 
 class TestDedup:
