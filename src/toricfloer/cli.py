@@ -7,6 +7,7 @@ available), 3 numerical non-convergence (a partial report is still emitted).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import warnings
 from fractions import Fraction
@@ -68,9 +69,12 @@ def _parse_holonomy(arg: str, dim: int) -> HolonomyVector:
         raise PolytopeError(
             f"--holonomy needs {dim} comma-separated angles, got {len(parts)}")
     try:
-        return HolonomyVector.of(*[float(s) for s in parts])
+        angles = [float(s) for s in parts]
+        if not all(map(math.isfinite, angles)):
+            raise ValueError
     except ValueError:
         raise PolytopeError(f"bad holonomy angles {arg!r}") from None
+    return HolonomyVector.of(*angles)
 
 
 def _collect_warnings(record) -> list[str]:

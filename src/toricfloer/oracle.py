@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import grid_min_residual
-from .lattice import Polytope
+from .lattice import Polytope, PolytopeError
 from .solve import dedup_mod_2pi, least_squares, sort_key, wrap_angle
 
 # probe values separating the area filtration levels: vanishing of the
@@ -23,6 +23,9 @@ from .solve import dedup_mod_2pi, least_squares, sort_key, wrap_angle
 PROBE_T = (0.31830988618379067, 0.5641895835477563, 0.7853981633974483)
 # candidates closer than this in every coordinate are one candidate
 DEDUP_TOL = 1e-4
+# fiber grid points times holonomy grid points the scan takes; dimension 2
+# and 3 at the default grids (200^2 x 60^2, 32^3 x 16^3) stay below it
+MAX_GRID_CELLS = 2 ** 28
 
 
 @dataclass(frozen=True)
@@ -58,6 +61,14 @@ def _grids(p: Polytope, n_a: int | None, n_nu: int | None):
         n_a = 200 if n <= 2 else 32
     if n_nu is None:
         n_nu = 60 if n <= 2 else 16
+    if n_a < 1 or n_nu < 1:
+        raise ValueError(f"grid sizes must be positive, got n_a={n_a}, "
+                         f"n_nu={n_nu}")
+    cells = n_a ** n * n_nu ** n
+    if cells > MAX_GRID_CELLS:
+        raise PolytopeError(
+            f"grid oracle is limited to {MAX_GRID_CELLS} grid cells, "
+            f"dimension {n} at n_a={n_a}, n_nu={n_nu} needs {cells}")
     verts = p.vertices()
     lo = [min(float(v[i]) for v in verts) for i in range(n)]
     hi = [max(float(v[i]) for v in verts) for i in range(n)]
@@ -71,7 +82,9 @@ def _grids(p: Polytope, n_a: int | None, n_nu: int | None):
 
 def grid_scan(p: Polytope, n_a: int | None = None, n_nu: int | None = None):
     """Minimum balanced residual over the holonomy grid, per interior
-    fiber grid point. Returns (points, nus, min_residuals)."""
+    fiber grid point. Returns (points, nus, min_residuals). Grid sizes
+    below 1 raise ValueError; more than MAX_GRID_CELLS fiber x holonomy
+    grid points raise PolytopeError before anything is allocated."""
     v = np.array(p.normals, dtype=float)
     lam = np.array([float(l) for l in p.offsets])
     a_grid, nu_grid = _grids(p, n_a, n_nu)

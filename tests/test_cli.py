@@ -59,6 +59,16 @@ class TestExitCodes:
             ["hf", poly_path("p2"), "--fiber", "1"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("json_flag", ([], ["--json"]))
+    @pytest.mark.parametrize("angles", ("nan,0", "inf,0"))
+    def test_non_finite_holonomy(self, angles, json_flag, capsys):
+        code, out, err = run_cli(
+            ["hf", poly_path("p2"), "--fiber", "3,3",
+             f"--holonomy={angles}", *json_flag], capsys)
+        assert code == 2
+        assert f"bad holonomy angles '{angles}'" in err
+        assert out == ""
+
     @pytest.mark.parametrize("args", (["balanced"],
                                       ["balanced", "--mode", "holonomy"],
                                       ["critical"]))

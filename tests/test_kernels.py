@@ -1,10 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricfloer import kernels
-from toricfloer.oracle import PROBE_T, balanced_oracle, grid_scan
+from toricfloer.lattice import PolytopeError, parse_polytope
+from toricfloer.oracle import (MAX_GRID_CELLS, PROBE_T, balanced_oracle,
+                               grid_scan)
 
 from conftest import corpus_polytope
 
@@ -61,6 +66,105 @@ def test_kernel_chunks_match_reference(small_problem, monkeypatch):
     assert np.array_equal(got[1], want[1])
     assert np.array_equal(got[0], whole[0])
     assert np.array_equal(got[1], whole[1])
+
+
+def _longdouble_r2(ell, p_re, p_im, v, t):
+    """Squared residual max_t ||sum_j p_j t^ell_j v_j||^2 of every (fiber,
+    holonomy) cell in long double, with the rounding scale
+    max_t sum_jl |<v_j, v_l>| w_j w_l of each fiber row."""
+    ld = np.longdouble
+    ell, v = ell.astype(ld), v.astype(ld)
+    p_re, p_im = p_re.astype(ld), p_im.astype(ld)
+    gram = np.abs(v @ v.T)
+    r2 = np.zeros((ell.shape[0], p_re.shape[0]), dtype=ld)
+    scale = np.zeros(ell.shape[0], dtype=ld)
+    for tk in t:
+        w = ld(tk) ** ell                                     # (M_A, N)
+        s_re = np.einsum("an,bn,ni->abi", w, p_re, v)
+        s_im = np.einsum("an,bn,ni->abi", w, p_im, v)
+        r2 = np.maximum(r2, (s_re ** 2 + s_im ** 2).sum(axis=2))
+        scale = np.maximum(scale, np.einsum("an,nm,am->a", w, gram, w))
+    return r2, scale
+
+
+@st.composite
+def _lattice_problem(draw):
+    n = draw(st.integers(1, 3))
+    nfac = draw(st.integers(n + 1, 5))
+    m = draw(st.integers(2, 5))
+    v = np.array(draw(st.lists(
+        st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+        min_size=nfac, max_size=nfac)), dtype=float)
+    ell = np.array(draw(st.lists(
+        st.lists(st.floats(0.05, 3.0), min_size=nfac, max_size=nfac),
+        min_size=1, max_size=4)))
+    # every holonomy on the 2 pi / m lattice: symmetry orbits tie exactly
+    axes = np.meshgrid(*([np.arange(m) * (2 * math.pi / m)] * n))
+    nu = np.stack([g.ravel() for g in axes], axis=-1)
+    phase = np.exp(1j * (nu @ v.T))
+    return ell, phase.real, phase.imag, v, np.array(PROBE_T)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lattice_problem())
+def test_kernel_matches_longdouble_with_lowest_tied_index(problem):
+    minres, argnu = kernels.grid_min_residual(*problem)
+    r2, scale = _longdouble_r2(*problem)
+    best = r2.min(axis=1)
+    # compared as r^2: the square root amplifies rounding near 0
+    assert np.all(np.abs(minres.astype(np.longdouble) ** 2 - best)
+                  <= 1e-13 * scale)
+    tied = r2 <= (best + 1e-13 * scale)[:, None]
+    assert np.array_equal(argnu, tied.argmax(axis=1))
+
+
+def test_exact_balanced_cell_reads_zero():
+    # n_a=101 puts A = 1, the balanced fiber of P^1, on the grid; nu = 0
+    # is the first holonomy cell
+    p = corpus_polytope("p1")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pts, nus, res = grid_scan(p, n_a=101, n_nu=16)
+    row = np.argmin(np.abs(pts[:, 0] - 1.0))
+    assert pts[row, 0] == pytest.approx(1.0, abs=1e-15)
+    assert res[row] <= 1e-7
+    assert nus[row, 0] == 0.0
+
+
+def test_balanced_rows_clamp_rounding():
+    # P^3 with all four facet distances equal and nu = 0 is balanced; for
+    # some distances the quadratic form rounds below 0 at every probe
+    v = np.array(corpus_polytope("p3").normals, dtype=float)
+    ell = np.repeat(np.linspace(0.05, 3.0, 400)[:, None], 4, axis=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        minres, argnu = kernels.grid_min_residual(
+            ell, np.ones((1, 4)), np.zeros((1, 4)), v, np.array(PROBE_T))
+    assert np.all(minres <= 1e-7)
+    assert not argnu.any()
+
+
+def test_one_row_chunks_equal_whole_run(monkeypatch):
+    p = corpus_polytope("p2")
+    whole = grid_scan(p, n_a=41, n_nu=12)
+    monkeypatch.setattr(kernels, "CHUNK_ENTRIES", 1)
+    rows = grid_scan(p, n_a=41, n_nu=12)
+    for a, b in zip(whole, rows):
+        assert np.array_equal(a, b)
+
+
+def test_grid_limits():
+    for sizes in ({"n_a": 0}, {"n_nu": 0}):
+        with pytest.raises(ValueError, match="grid sizes must be positive"):
+            balanced_oracle(corpus_polytope("p2"), **sizes)
+    # (P^1)^4 at the default grids: 32^4 x 16^4 cells
+    p14 = parse_polytope("dim 4\n" + "".join(
+        f"normal {' '.join(str(s if j == i else 0) for j in range(4))} "
+        f"offset {o}\n" for i in range(4) for s, o in ((1, 0), (-1, -1))))
+    with pytest.raises(PolytopeError) as err:
+        balanced_oracle(p14)
+    assert f"limited to {MAX_GRID_CELLS} grid cells" in str(err.value)
+    assert f"needs {32 ** 4 * 16 ** 4}" in str(err.value)
 
 
 def test_grid_scan_finds_p2_center():
