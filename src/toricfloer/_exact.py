@@ -17,62 +17,56 @@ def frac_matrix(rows) -> list[Row]:
     return [[Fraction(x) for x in row] for row in rows]
 
 
-def rank(rows) -> int:
+def _eliminate(rows, rhs_cols: int = 0):
+    """Gauss-Jordan elimination over Q, the one elimination in this module.
+
+    The last ``rhs_cols`` columns of ``rows`` are right-hand sides: they are
+    carried along but never pivoted on. Each column's pivot is its first
+    nonzero entry at or below the current row. Returns the reduced rows,
+    the (row, column) pivots, and the product of the pivots times the sign
+    of the row swaps (the determinant when every row gets a pivot).
+    """
     m = frac_matrix(rows)
-    r = 0
-    ncols = len(m[0]) if m else 0
+    nrows = len(m)
+    ncols = len(m[0]) - rhs_cols if m else 0
+    pivots: list[tuple[int, int]] = []
+    d = Fraction(1)
     for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            d = -d
+        d *= m[r][c]
         inv = 1 / m[r][c]
         m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
+        for i in range(nrows):
             if i != r and m[i][c] != 0:
                 f = m[i][c]
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == len(m):
-            break
-    return r
+        pivots.append((r, c))
+    return m, pivots, d
+
+
+def rank(rows) -> int:
+    return len(_eliminate(rows)[1])
 
 
 def det(rows) -> Fraction:
-    m = frac_matrix(rows)
-    n = len(m)
-    d = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            d = -d
-        d *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return d
+    _, pivots, d = _eliminate(rows)
+    return d if len(pivots) == len(rows) else Fraction(0)
 
 
 def inverse(rows) -> list[Row]:
     n = len(rows)
-    m = [list(r) + [Fraction(int(i == j)) for j in range(n)]
-         for i, r in enumerate(frac_matrix(rows))]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        m[c], m[piv] = m[piv], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    m, pivots, _ = _eliminate([list(r) + [int(i == j) for j in range(n)]
+                               for i, r in enumerate(rows)], n)
+    if len(pivots) < n:
+        raise ZeroDivisionError("singular matrix")
     return [row[n:] for row in m]
 
 
@@ -100,37 +94,22 @@ class LinearSolution:
 
 
 def solve(rows, rhs) -> LinearSolution:
-    a = frac_matrix(rows)
-    b = [Fraction(x) for x in rhs]
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        b[r], b[piv] = b[piv], b[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        b[r] *= inv
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-                b[i] -= f * b[r]
-        pivots.append((r, c))
-        r += 1
+    m, pivots, _ = _eliminate([list(r) + [b] for r, b in zip(rows, rhs)], 1)
+    ncols = len(m[0]) - 1 if m else 0
     x = [Fraction(0)] * ncols
-    for rr, c in pivots:
-        x[c] = b[rr]
+    for r, c in pivots:
+        x[c] = m[r][-1]
     violations = {}
-    for i, row in enumerate(rows):
-        resid = Fraction(rhs[i]) - sum(Fraction(v) * xv for v, xv in zip(row, x))
-        if resid != 0:
-            violations[i] = resid
-    free = [c for c in range(ncols) if c not in {c for _, c in pivots}]
+    # the rows left without a pivot are zero on the left; a nonzero right
+    # side there is the only way the system can be inconsistent
+    if any(row[-1] != 0 for row in m[len(pivots):]):
+        for i, (row, b) in enumerate(zip(rows, rhs)):
+            resid = Fraction(b) - sum(Fraction(v) * xv
+                                      for v, xv in zip(row, x))
+            if resid != 0:
+                violations[i] = resid
+    pivot_cols = {c for _, c in pivots}
+    free = [c for c in range(ncols) if c not in pivot_cols]
     return LinearSolution(x, free, violations)
 
 

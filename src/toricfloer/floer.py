@@ -258,7 +258,8 @@ def delta_k_vanishing(k: int) -> bool:
 
 
 def check_partition_scale(n_facets: int) -> None:
-    """Input error when set-partition enumeration would blow up."""
+    """Input error when the zero-sum subset scan (2^N subsets) or the
+    set-partition enumeration would blow up."""
     if n_facets > MAX_FACETS_FOR_PARTITIONS:
         raise PolytopeError(
             f"balanced-fiber search enumerates facet partitions and is "
@@ -369,30 +370,48 @@ def _level_partition(p: Polytope, a: FiberPoint, tol: float = 1e-9):
 
 def balanced_fibers_novikov(p: Polytope, fan: Fan | None = None
                             ) -> list[BalancedSolution]:
-    """Exact enumeration of fibers balanced over the formal Novikov ring
-    with trivial holonomy: every equal-area level set of ray generators
-    must sum to zero.
+    """Fibers balanced over the formal Novikov ring with trivial holonomy:
+    every equal-area level set of ray generators sums to zero.
+
+    The offsets alone force the level partition. For a zero-sum set S,
+    sum_{j in S} ell_j(x) is the constant c_S = -sum_{j in S} lambda_j. Let
+    A be balanced with level blocks S_1, S_2, ... at levels L_1 < L_2 < ...
+    and R_k the facets left after removing S_1 .. S_{k-1}. Every zero-sum
+    S in R_k has c_S / |S| >= L_k, with equality exactly when S lies in
+    S_k, and S_k itself attains it. So L_k is the least ratio over the
+    zero-sum subsets of R_k and S_k is the union of those attaining it.
+    Walking the levels this way either fails (the union is not zero-sum,
+    or no zero-sum subset is left) or yields the one partition a balanced
+    fiber can have; one exact equal-area solve then decides it. A
+    consistent solve is unique, since it pins every ell_j to its level and
+    the normals span. Hence at most one solution.
     """
     _warn_non_fano(p, fan)
     check_partition_scale(p.num_facets)
-    gens = p.normals
-    subsets = _zero_sum_subsets(gens)
-    found: dict[tuple, BalancedSolution] = {}
-    for blocks in _covers(p.num_facets, subsets):
-        sol, violations = equal_area_certificate(p, blocks)
-        if violations or sol.free:
-            continue
-        x = tuple(sol.particular)
-        point = FiberPoint(x, exact=True)
-        if any(l <= 0 for l in point.ell(p)):
-            continue
-        if x in found:
-            continue
-        d2 = delta2_point(p, point, None)
-        assert d2.is_zero(), "balanced candidate fails exact delta2 check"
-        found[x] = BalancedSolution(point, None, _level_partition(p, point),
-                                    0.0)
-    return sorted(found.values(), key=lambda s: s.point.coords)
+    offsets = p.offsets
+    subsets = _zero_sum_subsets(p.normals)
+    remaining = frozenset(range(p.num_facets))
+    blocks = []
+    while remaining:
+        ratio = {s: Fraction(-sum(offsets[j] for j in s), len(s))
+                 for s in subsets if s <= remaining}
+        if not ratio:
+            return []
+        low = min(ratio.values())
+        block = frozenset().union(*(s for s, r in ratio.items() if r == low))
+        if block not in ratio:  # the union is not zero-sum
+            return []
+        blocks.append(tuple(sorted(block)))
+        remaining -= block
+    sol, violations = equal_area_certificate(p, blocks)
+    if violations:
+        return []
+    point = FiberPoint(tuple(sol.particular), exact=True)
+    if any(l <= 0 for l in point.ell(p)):
+        return []
+    d2 = delta2_point(p, point, None)
+    assert d2.is_zero(), "balanced candidate fails exact delta2 check"
+    return [BalancedSolution(point, None, _level_partition(p, point), 0.0)]
 
 
 def _holonomy_residual(p: Polytope, blocks, vfloat, lam):
@@ -508,25 +527,17 @@ def describe_balanced(p: Polytope, s: BalancedSolution) -> BalancedDescription:
 
 def _minimal_zero_sum_refinement(gens, block):
     """Deterministically split a zero-sum index block into minimal zero-sum
-    sub-blocks (smallest size first, then lexicographic)."""
-    n = len(gens[0])
-    remaining = list(block)
+    sub-blocks: for each lead, the first zero-sum subset of what is left
+    that contains it (smallest size first, then lexicographic). What is
+    left stays zero-sum, so such a subset always exists."""
+    block = sorted(block)
+    subsets = [frozenset(block[i] for i in s)
+               for s in _zero_sum_subsets([gens[j] for j in block])]
+    remaining = frozenset(block)
     out = []
     while remaining:
-        lead = remaining[0]
-        rest = [j for j in remaining if j != lead]
-        chosen = None
-        for size in range(1, len(rest) + 1):
-            for sub in itertools.combinations(rest, size):
-                cand = (lead,) + sub
-                if all(sum(gens[j][i] for j in cand) == 0 for i in range(n)):
-                    chosen = cand
-                    break
-            if chosen:
-                break
-        if chosen is None:
-            # no proper refinement: keep the whole remainder together
-            chosen = tuple(remaining)
-        out.append(chosen)
-        remaining = [j for j in remaining if j not in chosen]
+        lead = min(remaining)
+        chosen = next(s for s in subsets if lead in s and s <= remaining)
+        out.append(tuple(sorted(chosen)))
+        remaining -= chosen
     return out

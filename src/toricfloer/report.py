@@ -122,8 +122,8 @@ def balanced_solution_record(s) -> dict:
 
 def critical_point_record(cp, matched: int | None = None) -> dict:
     return {
-        "theta_re": [t.real for t in cp.point.theta],
-        "theta_im": [t.imag for t in cp.point.theta],
+        "theta_re": [float(t.real) for t in cp.point.theta],
+        "theta_im": [float(t.imag) for t in cp.point.theta],
         "residual": float(cp.residual),
         "hessian_cond": (float(cp.hessian_cond)
                          if math.isfinite(cp.hessian_cond) else None),

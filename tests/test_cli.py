@@ -153,6 +153,12 @@ class TestCommands:
         assert code == 0
         assert "critical points: 2 (Euler characteristic 2)" in out
 
+    @pytest.mark.parametrize("name", ("f1", "f3"))
+    def test_critical_prints_plain_floats(self, name, capsys):
+        code, out, _ = run_cli(["critical", poly_path(name)], capsys)
+        assert code == 0
+        assert "Re Theta [" in out and "np.float64" not in out
+
 
 class TestJson:
     @pytest.mark.parametrize("name", CORPUS)
@@ -186,7 +192,10 @@ class TestJson:
                    for cp in doc["critical"]["points"])
 
     def test_byte_identical(self):
-        env = dict(os.environ)
+        # the child imports the same checkout as this test run
+        src = os.path.dirname(os.path.dirname(lattice.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
         runs = [subprocess.run(
             [sys.executable, "-m", "toricfloer.cli", "balanced",
              poly_path("p2"), "--mode", "holonomy", "--json"],
@@ -238,7 +247,7 @@ class TestGolden:
         assert code == 0
         assert out == golden(name + "_analyze")
 
-    @pytest.mark.parametrize("name", ("p2", "p1xp1", "f1"))
+    @pytest.mark.parametrize("name", CORPUS)
     def test_balanced_golden(self, name, capsys):
         code, out, _ = run_cli(["balanced", poly_path(name), "--json"],
                                capsys)

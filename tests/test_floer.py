@@ -1,11 +1,16 @@
 import itertools
 import math
 import random
+import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, reject, settings
+from hypothesis import strategies as st
 
+from toricfloer import floer
 from toricfloer.discs import FiberPoint
 from toricfloer.floer import (HolonomyVector, UnsupportedRegimeError,
                               UnsupportedRegimeWarning,
@@ -14,6 +19,8 @@ from toricfloer.floer import (HolonomyVector, UnsupportedRegimeError,
                               delta_k_vanishing, describe_balanced,
                               equal_area_certificate, hf_rank,
                               holonomy_search, spectral_rank_check)
+from toricfloer.lattice import (FanError, PolytopeError, normal_fan,
+                                parse_polytope)
 
 from conftest import corpus_polytope
 
@@ -154,3 +161,109 @@ class TestBalanced:
             rank = hf_rank(corpus["p2"], s.point, s.nu,
                            coefficients="exp", tol=1e-8)
             assert rank == 4
+
+
+# ---------------------------------------------------------------------------
+# the forced level partition against the exact-cover walk it replaced
+
+
+def _reference_novikov(p):
+    """Every zero-sum cover of the facets, one exact equal-area solve each."""
+    found = {}
+    subsets = floer._zero_sum_subsets(p.normals)
+    for blocks in floer._covers(p.num_facets, subsets):
+        sol, violations = equal_area_certificate(p, blocks)
+        if violations or sol.free:
+            continue
+        point = FiberPoint(tuple(sol.particular), exact=True)
+        if all(l > 0 for l in point.ell(p)):
+            found.setdefault(point.coords, floer._level_partition(p, point))
+    return sorted(found.items())
+
+
+def _reference_refinement(gens, block):
+    """Split a zero-sum block by searching, for each lead, the subsets of
+    the rest smallest first, then lexicographically."""
+    n = len(gens[0])
+    remaining = list(block)
+    out = []
+    while remaining:
+        lead = remaining[0]
+        rest = [j for j in remaining if j != lead]
+        chosen = None
+        for size in range(1, len(rest) + 1):
+            for sub in itertools.combinations(rest, size):
+                cand = (lead,) + sub
+                if all(sum(gens[j][i] for j in cand) == 0 for i in range(n)):
+                    chosen = cand
+                    break
+            if chosen:
+                break
+        out.append(chosen or tuple(remaining))
+        remaining = [j for j in remaining if j not in out[-1]]
+    return out
+
+
+# the nonzero vectors of {-1, 0, 1}^n (all primitive) and their zero-sum
+# sets of at most n + 1 vectors, in dimensions 2 and 3
+_UNIT_VECTORS = {n: [v for v in itertools.product((-1, 0, 1), repeat=n)
+                     if any(v)] for n in (2, 3)}
+_ZERO_SUM_BLOCKS = {n: [b for k in range(2, n + 2)
+                        for b in itertools.combinations(vecs, k)
+                        if not any(map(sum, zip(*b)))]
+                    for n, vecs in _UNIT_VECTORS.items()}
+
+
+@st.composite
+def _planted_polytope(draw):
+    """Zero-sum blocks of normals around a point A, each block at its own
+    level over A, plus a few extra facets at other levels."""
+    dim = draw(st.integers(2, 3))
+    level = st.builds(Fraction, st.integers(1, 6), st.sampled_from((1, 2, 3)))
+    a = draw(st.lists(st.builds(Fraction, st.integers(-3, 3),
+                                st.sampled_from((1, 2))),
+                      min_size=dim, max_size=dim))
+    facets = {}  # normal -> level; a block reusing a normal is skipped
+    for block in draw(st.lists(st.sampled_from(_ZERO_SUM_BLOCKS[dim]),
+                               min_size=1, max_size=3)):
+        lv = draw(level)
+        if not facets.keys() & set(block):
+            facets.update((v, lv) for v in block)
+    for v in draw(st.lists(st.sampled_from(_UNIT_VECTORS[dim]), max_size=3)):
+        facets.setdefault(v, draw(level))
+    assume(len(facets) <= 12)
+    text = f"dim {dim}\n" + "".join(
+        "normal " + " ".join(map(str, v))
+        + f" offset {sum(x * c for x, c in zip(a, v)) - lv}\n"
+        for v, lv in facets.items())
+    try:
+        p = parse_polytope(text)
+        normal_fan(p)
+    except (PolytopeError, FanError):
+        reject()
+    return p
+
+
+@settings(max_examples=150, deadline=None)
+@given(_planted_polytope())
+def test_forced_partition_matches_cover_walk(p):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnsupportedRegimeWarning)
+        want = _reference_novikov(p)
+        with mock.patch.object(floer, "_covers", side_effect=AssertionError), \
+                mock.patch.object(floer, "equal_area_certificate",
+                                  wraps=equal_area_certificate) as calls:
+            got = balanced_fibers_novikov(p)
+    assert calls.call_count <= 1
+    assert [(s.point.coords, s.partition) for s in got] == want
+    for s in got:
+        desc = describe_balanced(p, s)
+        subs = [sub for block in s.partition.blocks
+                for sub in _reference_refinement(p.normals, block)]
+        levels = [-sum(p.offsets[j] for j in sub) for sub in subs]
+        assert desc.factor_dims == tuple(len(sub) for sub in subs)
+        assert desc.factor_levels == tuple(levels)
+        assert desc.text == " x ".join(
+            f"Clifford torus of P^{len(sub) - 1} at level {lv}"
+            for sub, lv in zip(subs, levels)) + (
+            f", quotient by a rank-{p.num_facets - p.dim - len(subs)} torus")

@@ -57,7 +57,7 @@ def test_fallback_matches_reference(small_problem):
 def test_kernel_chunks_match_reference(small_problem, monkeypatch):
     ell, p_re, p_im, v, t = small_problem
     whole = kernels.grid_min_residual(ell, p_re, p_im, v, t)
-    # three fiber rows per chunk: 17 rows run in six chunks, the last short
+    # two fiber rows per chunk: 17 rows run in nine chunks, the last short
     monkeypatch.setattr(kernels, "CHUNK_ENTRIES",
                         3 * p_re.shape[0] * v.shape[1])
     got = kernels.grid_min_residual(ell, p_re, p_im, v, t)

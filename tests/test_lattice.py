@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import gcd
 
 import pytest
@@ -207,6 +207,80 @@ class TestExact:
         # kernel of (2 4) over Z is generated by (2, -1), not (4, -2)
         ker = _exact.integer_kernel([[2, 4]])
         assert ker == [[2, -1]]
+
+
+def _leibniz(m) -> Fraction:
+    n = len(m)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        term = Fraction((-1) ** sum(perm[i] > perm[j]
+                                    for i, j in combinations(range(n), 2)))
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def _minor_rank(m) -> int:
+    """Size of the largest nonzero minor."""
+    ncols = len(m[0]) if m else 0
+    for k in range(min(len(m), ncols), 0, -1):
+        for rows in combinations(m, k):
+            for cols in combinations(range(ncols), k):
+                if _leibniz([[row[c] for c in cols] for row in rows]) != 0:
+                    return k
+    return 0
+
+
+# small integer entries make zero pivots (row swaps) and singular matrices
+# common; halves and thirds exercise the rationals
+_entries = st.builds(Fraction, st.integers(-2, 2),
+                     st.sampled_from((1, 1, 2, 3)))
+
+
+@st.composite
+def _matrix(draw, square: bool):
+    nrows = draw(st.integers(1, 4))
+    ncols = nrows if square else draw(st.integers(1, 4))
+    return draw(st.lists(st.lists(_entries, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrix(square=True))
+def test_det_rank_inverse_match_brute_force(m):
+    n = len(m)
+    d = _leibniz(m)
+    assert _exact.det(m) == d
+    assert _exact.rank(m) == _minor_rank(m)
+    if d == 0:
+        with pytest.raises(ZeroDivisionError):
+            _exact.inverse(m)
+        return
+    inv = _exact.inverse(m)
+    assert [[sum(inv[i][k] * m[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)] == [[int(i == j) for j in range(n)]
+                                   for i in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrix(square=False), st.data())
+def test_solve_matches_brute_force(a, data):
+    b = data.draw(st.lists(_entries, min_size=len(a), max_size=len(a)))
+    ncols = len(a[0])
+    sol = _exact.solve(a, b)
+    x = sol.particular
+    resid = [bi - sum(v * xv for v, xv in zip(row, x))
+             for row, bi in zip(a, b)]
+    assert sol.violations == {i: r for i, r in enumerate(resid) if r != 0}
+    # consistent exactly when b adds no rank; then x solves every row
+    augmented = [row + [bi] for row, bi in zip(a, b)]
+    assert sol.consistent == (_minor_rank(augmented) == _minor_rank(a))
+    # a column is a pivot exactly when it raises the rank of those before it
+    pivot = [_minor_rank([row[:c + 1] for row in a])
+             > _minor_rank([row[:c] for row in a]) for c in range(ncols)]
+    assert sol.free == [c for c in range(ncols) if not pivot[c]]
+    assert all(x[c] == 0 for c in sol.free)
 
 
 @settings(max_examples=40, deadline=None)
