@@ -22,15 +22,13 @@ def _eliminate(rows, rhs_cols: int = 0):
 
     The last ``rhs_cols`` columns of ``rows`` are right-hand sides: they are
     carried along but never pivoted on. Each column's pivot is its first
-    nonzero entry at or below the current row. Returns the reduced rows,
-    the (row, column) pivots, and the product of the pivots times the sign
-    of the row swaps (the determinant when every row gets a pivot).
+    nonzero entry at or below the current row. Returns the reduced rows and
+    the (row, column) pivots.
     """
     m = frac_matrix(rows)
     nrows = len(m)
     ncols = len(m[0]) - rhs_cols if m else 0
     pivots: list[tuple[int, int]] = []
-    d = Fraction(1)
     for c in range(ncols):
         r = len(pivots)
         if r == nrows:
@@ -38,10 +36,7 @@ def _eliminate(rows, rhs_cols: int = 0):
         piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
         if piv is None:
             continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-            d = -d
-        d *= m[r][c]
+        m[r], m[piv] = m[piv], m[r]
         inv = 1 / m[r][c]
         m[r] = [x * inv for x in m[r]]
         for i in range(nrows):
@@ -49,22 +44,17 @@ def _eliminate(rows, rhs_cols: int = 0):
                 f = m[i][c]
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         pivots.append((r, c))
-    return m, pivots, d
+    return m, pivots
 
 
 def rank(rows) -> int:
     return len(_eliminate(rows)[1])
 
 
-def det(rows) -> Fraction:
-    _, pivots, d = _eliminate(rows)
-    return d if len(pivots) == len(rows) else Fraction(0)
-
-
 def inverse(rows) -> list[Row]:
     n = len(rows)
-    m, pivots, _ = _eliminate([list(r) + [int(i == j) for j in range(n)]
-                               for i, r in enumerate(rows)], n)
+    m, pivots = _eliminate([list(r) + [int(i == j) for j in range(n)]
+                            for i, r in enumerate(rows)], n)
     if len(pivots) < n:
         raise ZeroDivisionError("singular matrix")
     return [row[n:] for row in m]
@@ -94,7 +84,7 @@ class LinearSolution:
 
 
 def solve(rows, rhs) -> LinearSolution:
-    m, pivots, _ = _eliminate([list(r) + [b] for r, b in zip(rows, rhs)], 1)
+    m, pivots = _eliminate([list(r) + [b] for r, b in zip(rows, rhs)], 1)
     ncols = len(m[0]) - 1 if m else 0
     x = [Fraction(0)] * ncols
     for r, c in pivots:

@@ -99,13 +99,7 @@ class NovikovVector:
         return NovikovVector(tuple(out), self.exact)
 
     def is_zero(self, tol: float = 1e-10) -> bool:
-        for t in self.merged(tol).terms:
-            if self.exact:
-                if any(v != 0 for v in t.vector):
-                    return False
-            elif any(abs(complex(v)) > tol for v in t.vector):
-                return False
-        return True
+        return not self.merged(tol).terms
 
     def specialize(self) -> np.ndarray:
         """Evaluate at T^{2 pi} = e^{-1}, dropping sign and grading units."""
@@ -299,24 +293,23 @@ def _unit_feasible_subsets(gens) -> list[frozenset]:
 
 
 def _covers(n_facets: int, subsets: list[frozenset]):
-    """Exact covers of {0..N-1} by the given blocks, deterministic order."""
-    subsets = sorted(subsets, key=lambda s: sorted(s))
+    """Exact covers of {0..N-1} by the given blocks, deterministic order.
+
+    Each step takes a block holding the least uncovered facet, so every
+    cover comes out once, with its blocks ordered by their least element.
+    """
+    blocks = sorted({tuple(sorted(s)) for s in subsets})
 
     def rec(remaining: frozenset, chosen: tuple):
         if not remaining:
-            yield tuple(sorted(chosen, key=sorted))
+            yield chosen
             return
         lead = min(remaining)
-        for s in subsets:
-            if lead in s and s <= remaining:
-                yield from rec(remaining - s, chosen + (s,))
+        for b in blocks:
+            if b[0] == lead and remaining.issuperset(b):
+                yield from rec(remaining.difference(b), chosen + (b,))
 
-    seen = set()
-    for cover in rec(frozenset(range(n_facets)), ()):
-        key = tuple(tuple(sorted(b)) for b in cover)
-        if key not in seen:
-            seen.add(key)
-            yield key
+    yield from rec(frozenset(range(n_facets)), ())
 
 
 def _equal_area_system(p: Polytope, blocks):
@@ -349,23 +342,21 @@ def equal_area_certificate(p: Polytope, blocks):
 
 
 def _level_partition(p: Polytope, a: FiberPoint, tol: float = 1e-9):
-    ells = a.ell(p)
+    """Blocks of facets at equal area, lowest level first: a facet joins the
+    current block when within tol of its first level (equal, over Q)."""
     if a.exact:
-        levels = sorted(set(Fraction(l) for l in ells))
-        blocks = [tuple(j for j, l in enumerate(ells) if Fraction(l) == lv)
-                  for lv in levels]
+        ells, tol = [Fraction(l) for l in a.ell(p)], 0
     else:
-        order = sorted(range(len(ells)), key=lambda j: float(ells[j]))
-        blocks, levels = [], []
-        for j in order:
-            lj = float(ells[j])
-            if levels and abs(lj - levels[-1]) <= tol:
-                blocks[-1] = blocks[-1] + (j,)
-            else:
-                blocks.append((j,))
-                levels.append(lj)
-        blocks = [tuple(sorted(b)) for b in blocks]
-    return AreaPartition(tuple(blocks), tuple(levels))
+        ells = [float(l) for l in a.ell(p)]
+    blocks, levels = [], []
+    for j in sorted(range(len(ells)), key=ells.__getitem__):
+        if levels and abs(ells[j] - levels[-1]) <= tol:
+            blocks[-1].append(j)
+        else:
+            blocks.append([j])
+            levels.append(ells[j])
+    return AreaPartition(tuple(tuple(sorted(b)) for b in blocks),
+                         tuple(levels))
 
 
 def balanced_fibers_novikov(p: Polytope, fan: Fan | None = None

@@ -15,6 +15,7 @@ from math import gcd
 from . import _exact
 
 LatticeVector = tuple[int, ...]
+Matrix = tuple[tuple[Fraction, ...], ...]
 
 
 class PolytopeError(ValueError):
@@ -57,13 +58,14 @@ class Polytope:
 
     @cached_property
     def vertex_facets(self) -> tuple[tuple[tuple[Fraction, ...],
-                                           tuple[int, ...]], ...]:
-        """Sorted vertices, each with its active facet indices; enumerated
-        once per instance."""
+                                           tuple[int, ...], Matrix], ...]:
+        """Sorted vertices, each with its active facet indices and the
+        inverse of the first feasible basis found there (the active set at
+        a simple vertex); enumerated once per instance."""
         return _enumerate_vertices(self)
 
     def vertices(self) -> list[tuple[Fraction, ...]]:
-        return [x for x, _ in self.vertex_facets]
+        return [x for x, _, _ in self.vertex_facets]
 
     def contains_interior(self, x) -> bool:
         return all(l > 0 for l in self.ell(x))
@@ -80,9 +82,13 @@ class Cone:
 
 @dataclass(frozen=True)
 class Fan:
+    """``duals`` maps each maximal cone's generator indices to the inverse
+    of its generator matrix, whose columns are the dual basis."""
+
     dim: int
     generators: tuple[LatticeVector, ...]
     cones_by_dim: dict[int, tuple[Cone, ...]] = field(hash=False)
+    duals: dict[tuple[int, ...], Matrix] = field(hash=False)
 
     @property
     def max_cones(self) -> tuple[Cone, ...]:
@@ -204,26 +210,27 @@ def _enumerate_vertices(p: Polytope):
             if all(sum(inv[i][c] * v[i] for i in range(n)) >= 0
                    for v in normals):
                 raise PolytopeError("unbounded polytope")
-        found.setdefault(x, tuple(j for j, l in enumerate(ell) if l == 0))
-    return tuple(sorted(found.items()))
+        found.setdefault(x, (tuple(j for j, l in enumerate(ell) if l == 0),
+                             tuple(map(tuple, inv))))
+    return tuple((x, act, inv) for x, (act, inv) in sorted(found.items()))
 
 
 def normal_fan(p: Polytope) -> Fan:
     """Fan whose k-cones are spanned by the normals active on codim-k faces."""
     touched = set()
-    max_sets = []
-    for x, act in p.vertex_facets:
+    duals = {}
+    for x, act, inv in p.vertex_facets:
         if len(act) != p.dim:
             raise FanError(
                 f"polytope is not simple at vertex {x} (facets {act})")
         touched.update(act)
-        max_sets.append(act)
+        duals[act] = inv
     for j in range(p.num_facets):
         if j not in touched:
             raise FanError(f"degenerate polytope: facet {j} is never active")
     cones_by_dim: dict[int, set[tuple[int, ...]]] = {
         k: set() for k in range(1, p.dim + 1)}
-    for act in max_sets:
+    for act in duals:
         for k in range(1, p.dim + 1):
             for sub in itertools.combinations(act, k):
                 cones_by_dim[k].add(sub)
@@ -234,42 +241,33 @@ def normal_fan(p: Polytope) -> Fan:
             k: tuple(Cone(s) for s in sorted(v))
             for k, v in cones_by_dim.items()
         },
+        duals=duals,
     )
 
 
 def is_smooth(f: Fan) -> bool:
-    for cone in f.max_cones:
-        d = _exact.det([f.generators[j] for j in cone.generator_indices])
-        if d not in (1, -1):
-            return False
-    return True
+    """Every maximal cone is unimodular: an integer matrix has det +-1
+    exactly when its inverse is integral."""
+    return all(x.denominator == 1
+               for inv in f.duals.values() for row in inv for x in row)
 
 
 def is_fano(f: Fan) -> bool:
     """Strict convexity of the support function that is 1 on every generator."""
-    for cone in f.max_cones:
-        rows = [f.generators[j] for j in cone.generator_indices]
-        u = _exact.solve(rows, [1] * len(rows)).particular
+    for gens, inv in f.duals.items():
+        # u with <v_j, u> = 1 on the cone's generators is B^-1 (1, ..., 1)
+        u = [sum(row) for row in inv]
         for k, v in enumerate(f.generators):
-            if k in cone.generator_indices:
+            if k in gens:
                 continue
             if sum(ui * vi for ui, vi in zip(u, v)) >= 1:
                 return False
     return True
 
 
-def _cone_sets(f: Fan) -> set[frozenset]:
-    sets = set()
-    for cone in f.max_cones:
-        gens = cone.generator_indices
-        for k in range(1, len(gens) + 1):
-            for sub in itertools.combinations(gens, k):
-                sets.add(frozenset(sub))
-    return sets
-
-
 def primitive_collections(f: Fan) -> list[PrimitiveCollection]:
-    spans = _cone_sets(f)
+    spans = {frozenset(c.generator_indices)
+             for cones in f.cones_by_dim.values() for c in cones}
     n_gens = len(f.generators)
     out = []
     for size in range(2, n_gens + 1):
@@ -297,11 +295,10 @@ def euler_characteristic(f: Fan) -> int:
 
 def chart_exponents(f: Fan, sigma: Cone) -> list[list[int]]:
     """Exponent matrix E[j][a] = <v_j, u_a> for the dual basis of sigma."""
-    if sigma.dim != f.dim:
+    inv = f.duals.get(sigma.generator_indices)
+    if inv is None:
         raise FanError("chart requires a maximal cone")
-    gen_rows = [f.generators[j] for j in sigma.generator_indices]
     # dual basis vectors are the columns of the inverse of the generator matrix
-    inv = _exact.inverse(gen_rows)
     duals = [[inv[i][a] for i in range(f.dim)] for a in range(f.dim)]
     exps = []
     for v in f.generators:

@@ -7,7 +7,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from toricfloer import lattice
+from toricfloer import _exact, lattice
 from toricfloer import report as rep
 from toricfloer.cli import main
 
@@ -112,6 +112,21 @@ class TestExitCodes:
         monkeypatch.setattr(lattice, "_enumerate_vertices", counted)
         code, _, _ = run_cli(["critical", poly_path("p2"), "--json"], capsys)
         assert code == 0 and len(calls) == 1
+
+    def test_fan_tests_read_the_vertex_pass(self, monkeypatch):
+        fans = [lattice.normal_fan(lattice.parse_polytope(corpus_text(name)))
+                for name in ("p2", "p1xp1")]
+        calls = []
+        for name in ("solve", "inverse", "rank", "integer_kernel"):
+            def counted(*args, _name=name, _real=getattr(_exact, name)):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(_exact, name, counted)
+        for f in fans:
+            assert lattice.is_smooth(f) and lattice.is_fano(f)
+            for sigma in f.max_cones:
+                lattice.chart_exponents(f, sigma)
+        assert calls == []
 
 
 class TestCommands:

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from toricfloer import floer
 from toricfloer.discs import FiberPoint
-from toricfloer.floer import (HolonomyVector, UnsupportedRegimeError,
+from toricfloer.floer import (HolonomyVector, NovikovTerm, NovikovVector,
+                              UnsupportedRegimeError,
                               UnsupportedRegimeWarning,
                               balanced_fibers_novikov,
                               balanced_fibers_with_holonomy, delta2_point,
@@ -267,3 +268,89 @@ def test_forced_partition_matches_cover_walk(p):
             f"Clifford torus of P^{len(sub) - 1} at level {lv}"
             for sub, lv in zip(subs, levels)) + (
             f", quotient by a rank-{p.num_facets - p.dim - len(subs)} torus")
+
+
+# ---------------------------------------------------------------------------
+# exact covers against brute-force set partitions
+
+
+def _set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        yield [[first]] + part
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]
+
+
+@st.composite
+def _block_family(draw):
+    """Blocks over {0..N-1}: one planted partition plus random extras."""
+    n = draw(st.integers(1, 7))
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    planted = [frozenset(j for j in range(n) if labels[j] == k)
+               for k in set(labels)]
+    extras = draw(st.lists(st.frozensets(st.integers(0, n - 1), min_size=1),
+                           max_size=12))
+    return n, list(dict.fromkeys(draw(st.permutations(planted + extras))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_block_family())
+def test_covers_match_set_partitions(data):
+    n, blocks = data
+    got = list(floer._covers(n, blocks))
+    assert len(got) == len(set(got))
+    # blocks sorted inside and ordered by their least element
+    assert all(list(cover) == sorted(cover, key=lambda b: b[0])
+               and all(list(b) == sorted(b) for b in cover) for cover in got)
+    allowed = set(blocks)
+    want = {tuple(sorted(tuple(sorted(b)) for b in part))
+            for part in _set_partitions(list(range(n)))
+            if all(frozenset(b) in allowed for b in part)}
+    assert set(got) == want
+
+
+# ---------------------------------------------------------------------------
+# NovikovVector.is_zero against the term-by-term loop it replaced
+
+
+def _reference_is_zero(d, tol):
+    for t in d.merged(tol).terms:
+        if d.exact:
+            if any(v != 0 for v in t.vector):
+                return False
+        elif any(abs(complex(v)) > tol for v in t.vector):
+            return False
+    return True
+
+
+@st.composite
+def _novikov_vector(draw):
+    exact = draw(st.booleans())
+    n = draw(st.integers(1, 3))
+    tol = draw(st.sampled_from((1e-10, 1e-9, 1e-6)))
+    if exact:
+        coeff = st.integers(-2, 2)
+        level = st.sampled_from((Fraction(1, 2), Fraction(1), Fraction(3)))
+        entry = st.builds(Fraction, st.integers(-2, 2), st.sampled_from((1, 2)))
+    else:
+        coeff = st.sampled_from((1.0 + 0j, -1.0 + 0j, 1j, 0.5 + 0j))
+        # levels apart, equal, and a fraction of tol apart
+        level = st.sampled_from((0.5, 1.0, 1.0 + 0.4 * tol, 3.0))
+        # entries near tol, so that the sums land on both sides of it
+        entry = st.sampled_from((0.0, 1.0)) | st.floats(-3 * tol, 3 * tol)
+    terms = draw(st.lists(
+        st.builds(NovikovTerm, coeff, level, st.integers(1, 2),
+                  st.lists(entry, min_size=n, max_size=n).map(tuple)),
+        max_size=6))
+    return NovikovVector(tuple(terms), exact), tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(_novikov_vector())
+def test_is_zero_matches_term_loop(data):
+    d, tol = data
+    assert d.is_zero(tol) == _reference_is_zero(d, tol)

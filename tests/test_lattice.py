@@ -3,7 +3,7 @@ from itertools import combinations, permutations
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from toricfloer import _exact
@@ -180,6 +180,12 @@ class TestCombinatorics:
         f = normal_fan(corpus["p2"])
         with pytest.raises(FanError):
             chart_exponents(f, Cone((0,)))
+        # a maximal cone is named by its sorted generator indices
+        with pytest.raises(FanError, match="maximal cone"):
+            chart_exponents(f, Cone((1, 0)))
+        # facets 0 and 1 of P^1 x P^1 are +-e_1: two indices, but no cone
+        with pytest.raises(FanError, match="maximal cone"):
+            chart_exponents(normal_fan(corpus["p1xp1"]), Cone((0, 1)))
 
     def test_chart_zero_outside_cone(self, corpus):
         f = normal_fan(corpus["p2"])
@@ -198,7 +204,6 @@ class TestExact:
         assert list(sol.violations.values()) == [Fraction(1)]
 
     def test_det_and_inverse(self):
-        assert _exact.det([[2, 1], [1, 1]]) == 1
         inv = _exact.inverse([[2, 1], [1, 1]])
         assert inv == [[Fraction(1), Fraction(-1)],
                        [Fraction(-1), Fraction(2)]]
@@ -251,7 +256,6 @@ def _matrix(draw, square: bool):
 def test_det_rank_inverse_match_brute_force(m):
     n = len(m)
     d = _leibniz(m)
-    assert _exact.det(m) == d
     assert _exact.rank(m) == _minor_rank(m)
     if d == 0:
         with pytest.raises(ZeroDivisionError):
@@ -340,14 +344,18 @@ def _random_input(draw):
     return dim, normals, offsets
 
 
+def _input_text(dim, normals, offsets) -> str:
+    return f"dim {dim}\n" + "".join(
+        "normal " + " ".join(map(str, v)) + f" offset {lam}\n"
+        for v, lam in zip(normals, offsets))
+
+
 @settings(max_examples=300, deadline=None)
 @given(_random_input())
 def test_parse_accepts_exactly_nonempty_bounded(data):
     dim, normals, offsets = data
     assume(len(normals) >= dim + 1)
-    text = f"dim {dim}\n" + "".join(
-        "normal " + " ".join(map(str, v)) + f" offset {lam}\n"
-        for v, lam in zip(normals, offsets))
+    text = _input_text(dim, normals, offsets)
     rows = [(list(v), lam) for v, lam in zip(normals, offsets)]
     if _exact.rank(normals) < dim:
         expect = "normals do not span"
@@ -361,3 +369,39 @@ def test_parse_accepts_exactly_nonempty_bounded(data):
         return
     with pytest.raises(PolytopeError, match=expect):
         parse_polytope(text)
+
+
+def _replace_column(m, col, values):
+    return [row[:col] + [x] + row[col + 1:] for row, x in zip(m, values)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_random_input())
+# test_non_smooth: not smooth
+@example((2, [(1, 0), (0, 1), (-1, -2)], [0, 0, -4]))
+# f2: smooth, not Fano
+@example((2, [(1, 0), (0, 1), (0, -1), (-1, -2)], [0, 0, -2, -5]))
+def test_fan_tests_match_determinants(data):
+    try:
+        f = normal_fan(parse_polytope(_input_text(*data)))
+    except (PolytopeError, FanError):
+        reject()
+    n, gens = f.dim, f.generators
+    smooth = fano = True
+    for sigma in f.max_cones:
+        b = [list(gens[j]) for j in sigma.generator_indices]
+        d = _leibniz(b)
+        smooth = smooth and abs(d) == 1
+        # Cramer's rule: B u = (1, ..., 1), and the columns u_a of B^-1
+        u = [_leibniz(_replace_column(b, i, [1] * n)) / d for i in range(n)]
+        fano = fano and all(
+            sum(x * y for x, y in zip(u, v)) < 1
+            for k, v in enumerate(gens) if k not in sigma.generator_indices)
+        duals = [[_leibniz(_replace_column(b, i, [int(r == a)
+                                                  for r in range(n)])) / d
+                  for i in range(n)] for a in range(n)]
+        assert chart_exponents(f, sigma) == [
+            [int(sum(x * y for x, y in zip(v, ua))) for ua in duals]
+            for v in gens]
+    assert is_smooth(f) is smooth
+    assert is_fano(f) is fano
