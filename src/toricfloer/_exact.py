@@ -60,6 +60,30 @@ def inverse(rows) -> list[Row]:
     return [row[n:] for row in m]
 
 
+def pivot(rows, c: int, a) -> list[Row]:
+    """Rank-one basis update over Q.
+
+    ``rows`` are products M B^-1 for a nonsingular n x n matrix B, and
+    ``a`` = w B^-1 for a row w with a[c] != 0. Returns the products M B'^-1,
+    where B' is B with row c replaced by w: column c of B^-1 becomes
+    d_c / a_c and every other column d_k loses a_k times that. With M the
+    identity, ``rows`` is B^-1 and the result is B'^-1. Rows with a zero in
+    column c are returned as they are.
+    """
+    inv_p = 1 / Fraction(a[c])
+    f = [x * inv_p for x in a]
+    out = []
+    for row in rows:
+        rc = row[c]
+        if rc == 0:
+            out.append(row)
+            continue
+        new = [x - rc * fk if fk else x for x, fk in zip(row, f)]
+        new[c] = rc * inv_p
+        out.append(new)
+    return out
+
+
 class LinearSolution:
     """Result of eliminating A x = b over Q.
 

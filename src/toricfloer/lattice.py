@@ -60,8 +60,8 @@ class Polytope:
     def vertex_facets(self) -> tuple[tuple[tuple[Fraction, ...],
                                            tuple[int, ...], Matrix], ...]:
         """Sorted vertices, each with its active facet indices and the
-        inverse of the first feasible basis found there (the active set at
-        a simple vertex); enumerated once per instance."""
+        inverse of its lexicographically least feasible basis (the active
+        set at a simple vertex); enumerated once per instance."""
         return _enumerate_vertices(self)
 
     def vertices(self) -> list[tuple[Fraction, ...]]:
@@ -186,33 +186,128 @@ def serialize_polytope(p: Polytope) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _step(m, ext, r: int, c: int):
+    """Exchange column c of a basis for the constraint in row r of ``m``.
+
+    ``m`` stacks B^-1 (one row per coordinate) over the tableau rows
+    <u_k, d_c> of the constraints u_k, and ``ext`` stacks the basic point
+    over the slacks <u_k, x> - lambda_k. The point moves along d_c until
+    that constraint is tight; both are updated exactly.
+    """
+    a = m[r]
+    t = -ext[r] / a[c]
+    if t:
+        ext = [e + t * row[c] if row[c] else e for e, row in zip(ext, m)]
+    return _exact.pivot(m, c, a), ext
+
+
+def _feasible_basis(p: Polytope):
+    """A feasible basis of P as (facets by column, m, ext) in the layout of
+    ``_step``, or None when P is empty or its normals do not span.
+
+    The first n independent facets B are pivoted in from the coordinate
+    frame. If x0 = B^-1 lambda_B violates a facet, phase 1 starts from the
+    vertex (x0, s0) of {<v_i, x> >= lambda_i for i in B, <v_j, x> + s >=
+    lambda_j otherwise, s >= 0}, where s0 is the largest violation and the
+    most violated facet replaces s >= 0 in the basis, and minimises s by
+    Bland's rule. P is empty exactly when the minimum is positive.
+    """
+    n, nf = p.dim, p.num_facets
+    m = _exact.frac_matrix([[int(i == k) for k in range(n)] for i in range(n)]
+                           + [list(v) for v in p.normals])
+    ext = [Fraction(0)] * n + [-lam for lam in p.offsets]
+    basis: list = [None] * n
+    for j in range(nf):
+        c = next((c for c in range(n)
+                  if basis[c] is None and m[n + j][c] != 0), None)
+        if c is not None:
+            m, ext = _step(m, ext, n + j, c)
+            basis[c] = j
+    if None in basis:
+        return None
+    worst = min(range(nf), key=lambda j: ext[n + j])
+    if ext[n + worst] >= 0:
+        return basis, m, ext
+    # constraint nf is s >= 0; it holds the column of s at (x0, 0)
+    zero, one = Fraction(0), Fraction(1)
+    s_row = [zero] * n + [one]
+    m = ([row + [zero] for row in m[:n]] + [s_row]
+         + [row + [zero if j in basis else one]
+            for j, row in enumerate(m[n:])] + [s_row])
+    ext = ext[:n] + [zero] + ext[n:] + [zero]
+    basis.append(nf)
+    d = n + 1
+    m, ext = _step(m, ext, d + worst, n)
+    basis[n] = worst
+    while True:
+        improving = [c for c in range(d) if m[n][c] < 0]
+        if not improving:
+            break
+        c = min(improving, key=basis.__getitem__)
+        # s >= 0 always blocks; the first smallest ratio is Bland's choice
+        _, r = min((ext[d + k] / -m[d + k][c], k)
+                   for k in range(nf + 1) if m[d + k][c] < 0)
+        m, ext = _step(m, ext, d + r, c)
+        basis[c] = r
+    if ext[n] > 0:
+        return None
+    if nf not in basis:
+        c = next(c for c in range(d) if m[d + nf][c] != 0)
+        m, ext = _step(m, ext, d + nf, c)
+        basis[c] = nf
+    # with s >= 0 in the basis, the x block of the inverse is V_F^-1 for
+    # the other n facets F, and s = 0 leaves their slacks unchanged
+    keep = [c for c in range(d) if basis[c] != nf]
+    m = [[row[c] for c in keep] for row in m[:n] + m[d:d + nf]]
+    return [basis[c] for c in keep], m, ext[:n] + ext[d:d + nf]
+
+
 def _enumerate_vertices(p: Polytope):
-    # One pass over the n-subsets of facets. A subset whose normals form a
-    # basis B and whose solution x satisfies every facet is a vertex. Each
-    # column d of B^-1 points along an edge of the basis cone at x; when
-    # <d, v_j> >= 0 for every facet, d is a nonzero recession direction.
-    # Every edge at a vertex is such a column for some feasible basis, and
-    # a nonempty pointed polyhedron is unbounded iff some vertex has an
-    # unbounded edge, so this pass also decides boundedness.
-    n, normals = p.dim, p.normals
+    # A walk over the feasible bases of P from one phase-1 basis
+    # (Avis-Fukuda, "A pivoting algorithm for convex hulls and vertex
+    # enumeration of arrangements and polyhedra", 1992). Column d_c of B^-1
+    # points along the edge that leaves facet basis[c]. The facets that
+    # block it first (every tie) and, at a non-simple vertex, the other
+    # active facets it leaves are all the single exchanges that keep the
+    # basis feasible. Those exchanges join every feasible basis: the bases
+    # at one vertex by matroid basis exchange, neighbouring vertices along
+    # their edge. So the walk sees every vertex, and every basis there,
+    # whose lexicographically least one it keeps. When no facet blocks d_c,
+    # d_c is a nonzero recession direction; a nonempty pointed polyhedron
+    # is unbounded iff some vertex has such an edge, so the walk also
+    # decides boundedness.
+    start = _feasible_basis(p)
+    if start is None:
+        return ()
+    n = p.dim
+    seen = {frozenset(start[0])}
+    stack = [start]
     found = {}
-    for subset in itertools.combinations(range(p.num_facets), n):
-        rows = [normals[j] for j in subset]
-        sol = _exact.solve(rows, [p.offsets[j] for j in subset])
-        if not sol.unique:
-            continue
-        x = tuple(sol.particular)
-        ell = p.ell(x)
-        if any(l < 0 for l in ell):
-            continue
-        inv = _exact.inverse(rows)
+    while stack:
+        basis, m, ext = stack.pop()
+        x, ell = tuple(ext[:n]), ext[n:]
+        key = tuple(sorted(basis))
+        if x not in found or key < found[x][0]:
+            order = sorted(range(n), key=basis.__getitem__)
+            found[x] = (key, tuple(j for j, l in enumerate(ell) if l == 0),
+                        tuple(tuple(row[c] for c in order) for row in m[:n]))
         for c in range(n):
-            if all(sum(inv[i][c] * v[i] for i in range(n)) >= 0
-                   for v in normals):
+            col = [row[c] for row in m[n:]]
+            ratios = [(ell[j] / -a, j) for j, a in enumerate(col) if a < 0]
+            if not ratios:
                 raise PolytopeError("unbounded polytope")
-        found.setdefault(x, (tuple(j for j, l in enumerate(ell) if l == 0),
-                             tuple(map(tuple, inv))))
-    return tuple((x, act, inv) for x, (act, inv) in sorted(found.items()))
+            t = min(ratios)[0]
+            exchange = [j for r, j in ratios if r == t] + [
+                j for j, a in enumerate(col)
+                if a > 0 and ell[j] == 0 and j not in basis]
+            for j in exchange:
+                nxt = basis.copy()
+                nxt[c] = j
+                facets = frozenset(nxt)
+                if facets not in seen:
+                    seen.add(facets)
+                    stack.append((nxt, *_step(m, ext, n + j, c)))
+    return tuple((x, act, inv) for x, (_, act, inv) in sorted(found.items()))
 
 
 def normal_fan(p: Polytope) -> Fan:
@@ -300,11 +395,12 @@ def chart_exponents(f: Fan, sigma: Cone) -> list[list[int]]:
         raise FanError("chart requires a maximal cone")
     # dual basis vectors are the columns of the inverse of the generator matrix
     duals = [[inv[i][a] for i in range(f.dim)] for a in range(f.dim)]
-    exps = []
-    for v in f.generators:
-        exps.append([
-            int(sum(vi * ui for vi, ui in zip(v, u))) for u in duals])
-    return exps
+    exps = [[sum(vi * ui for vi, ui in zip(v, u)) for u in duals]
+            for v in f.generators]
+    if any(e.denominator != 1 for row in exps for e in row):
+        raise FanError(f"chart exponents of cone {sigma.generator_indices} "
+                       f"are not integral: the cone is not unimodular")
+    return [[int(e) for e in row] for row in exps]
 
 
 def chart_coordinates(f: Fan, sigma: Cone, z) -> tuple[complex, ...]:

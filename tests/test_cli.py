@@ -85,7 +85,7 @@ class TestExitCodes:
         assert code == 2
         assert "limited to 12 facets" in err and "has 13" in err
 
-    @pytest.mark.parametrize("k", (5, 7))
+    @pytest.mark.parametrize("k", (5, 7, 8))
     def test_newton_start_limit(self, k, tmp_path, capsys):
         # (P^1)^k needs 5^k x 8^k Newton starts, over the limit for k > 4
         lines = [f"dim {k}"]

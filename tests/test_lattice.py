@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
-from toricfloer import _exact
-from toricfloer.lattice import (Cone, FanError, PolytopeError,
+from toricfloer import _exact, lattice
+from toricfloer.lattice import (Cone, FanError, Polytope, PolytopeError,
                                 chart_coordinates, chart_exponents,
                                 euler_characteristic, is_fano, is_smooth,
                                 kernel_lattice, normal_fan, parse_polytope,
@@ -187,6 +187,18 @@ class TestCombinatorics:
         with pytest.raises(FanError, match="maximal cone"):
             chart_exponents(normal_fan(corpus["p1xp1"]), Cone((0, 1)))
 
+    def test_chart_requires_unimodular_cone(self):
+        # cone (0, 2) has det -2: its dual basis is (1, -1/2), (0, -1/2), so
+        # generator 1 would get exponents (-1/2, -1/2)
+        f = normal_fan(parse_polytope(
+            "dim 2\nnormal 1 0 offset 0\nnormal 0 1 offset 0\n"
+            "normal -1 -2 offset -4\n"))
+        with pytest.raises(FanError, match=r"cone \(0, 2\) .* not unimodular"):
+            chart_exponents(f, Cone((0, 2)))
+        with pytest.raises(FanError, match="not unimodular"):
+            chart_coordinates(f, Cone((0, 2)), (1, 1, 1))
+        assert chart_exponents(f, Cone((0, 1))) == [[1, 0], [0, 1], [-1, -2]]
+
     def test_chart_zero_outside_cone(self, corpus):
         f = normal_fan(corpus["p2"])
         with pytest.raises(ValueError, match="nonzero"):
@@ -287,6 +299,30 @@ def test_solve_matches_brute_force(a, data):
     assert all(x[c] == 0 for c in sol.free)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_matrix(square=True), st.data())
+def test_pivot_matches_inverse_of_updated_matrix(b, data):
+    n = len(b)
+    assume(_leibniz(b) != 0)
+    c = data.draw(st.integers(0, n - 1))
+    w = data.draw(st.lists(_entries, min_size=n, max_size=n))
+    carried = data.draw(_matrix(square=False).filter(lambda m: len(m[0]) == n)
+                        | st.just([]))
+    inv = _exact.inverse(b)
+    a = [sum(w[i] * inv[i][k] for i in range(n)) for k in range(n)]
+    updated = b[:c] + [w] + b[c + 1:]
+    if a[c] == 0:
+        # w lies in the span of the other rows
+        assert _leibniz(updated) == 0
+        return
+    new_inv = _exact.inverse(updated)
+    rows = inv + [[sum(r[i] * inv[i][k] for i in range(n)) for k in range(n)]
+                  for r in carried]
+    assert _exact.pivot(rows, c, a) == new_inv + [
+        [sum(r[i] * new_inv[i][k] for i in range(n)) for k in range(n)]
+        for r in carried]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(-5, 5), min_size=2, max_size=2))
 def test_translation_equivariance(shift):
@@ -371,6 +407,88 @@ def test_parse_accepts_exactly_nonempty_bounded(data):
         parse_polytope(text)
 
 
+def _vertex_facets_by_bases(p):
+    """The vertex pass the pivot walk replaced, kept as its reference: solve
+    every n-subset of facets, keep the feasible solutions with the inverse
+    of the first basis in lexicographic order, and call the polytope
+    unbounded when a feasible basis has a column d with <d, v_j> >= 0 for
+    every facet."""
+    n, normals = p.dim, p.normals
+    found = {}
+    for subset in combinations(range(p.num_facets), n):
+        rows = [normals[j] for j in subset]
+        sol = _exact.solve(rows, [p.offsets[j] for j in subset])
+        if not sol.unique:
+            continue
+        x = tuple(sol.particular)
+        ell = p.ell(x)
+        if any(l < 0 for l in ell):
+            continue
+        inv = _exact.inverse(rows)
+        for c in range(n):
+            if all(sum(inv[i][c] * v[i] for i in range(n)) >= 0
+                   for v in normals):
+                raise PolytopeError("unbounded polytope")
+        found.setdefault(x, (tuple(j for j, l in enumerate(ell) if l == 0),
+                             tuple(map(tuple, inv))))
+    return tuple((x, act, inv) for x, (act, inv) in sorted(found.items()))
+
+
+def _outcome(enumerate_vertices, p):
+    try:
+        return enumerate_vertices(p)
+    except PolytopeError as e:
+        return str(e)
+
+
+_PYRAMID = (3, [(0, 0, 1), (-1, 0, -1), (1, 0, -1), (0, -1, -1), (0, 1, -1)],
+            [0, -1, -1, -1, -1])
+_OCTAHEDRON = (3, [(a, b, c) for a in (1, -1) for b in (1, -1)
+                   for c in (1, -1)], [-1] * 8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_random_input())
+# square pyramid: the apex lies on 4 facets
+@example(_PYRAMID)
+# octahedron: every vertex lies on 4 facets
+@example(_OCTAHEDRON)
+# unbounded: x >= 0, y >= 0, x + y >= 1
+@example((2, [(1, 0), (0, 1), (1, 1)], [0, 0, 1]))
+# empty: x >= 0, y >= 0, x + y <= -1
+@example((2, [(1, 0), (0, 1), (-1, -1)], [0, 0, 1]))
+def test_walk_matches_basis_pass(data):
+    dim, normals, offsets = data
+    p = Polytope(dim, tuple(zip(normals, map(Fraction, offsets))))
+    assert (_outcome(lattice._enumerate_vertices, p)
+            == _outcome(_vertex_facets_by_bases, p))
+
+
+def test_vertex_walk_work_count(monkeypatch):
+    # (P^1)^8: 16 facets, 256 vertices; the basis pass solved all
+    # C(16, 8) = 12 870 bases
+    k = 8
+    text = f"dim {k}\n" + "".join(
+        "normal " + " ".join(str(sign) if j == i else "0" for j in range(k))
+        + f" offset {offset}\n"
+        for i in range(k) for sign, offset in ((1, 0), (-1, -1)))
+    counts = {"solve": 0, "pivot": 0}
+    for name in counts:
+        def counted(*args, _f=getattr(_exact, name), _name=name):
+            counts[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(_exact, name, counted)
+    p = parse_polytope(text)
+    assert counts["solve"] <= 1
+    # one pivot per vertex past the first, at most n into the first basis
+    assert counts["pivot"] <= 255 + k
+    assert len(p.vertex_facets) == 256
+    for x, act, inv in p.vertex_facets:
+        assert len(act) == k
+        assert all(inv[i][j] == 0 if i != j else abs(inv[i][j]) == 1
+                   for i in range(k) for j in range(k))
+
+
 def _replace_column(m, col, values):
     return [row[:col] + [x] + row[col + 1:] for row, x in zip(m, values)]
 
@@ -400,8 +518,12 @@ def test_fan_tests_match_determinants(data):
         duals = [[_leibniz(_replace_column(b, i, [int(r == a)
                                                   for r in range(n)])) / d
                   for i in range(n)] for a in range(n)]
-        assert chart_exponents(f, sigma) == [
-            [int(sum(x * y for x, y in zip(v, ua))) for ua in duals]
-            for v in gens]
+        exps = [[sum(x * y for x, y in zip(v, ua)) for ua in duals]
+                for v in gens]
+        if all(e.denominator == 1 for row in exps for e in row):
+            assert chart_exponents(f, sigma) == exps
+        else:
+            with pytest.raises(FanError, match="not unimodular"):
+                chart_exponents(f, sigma)
     assert is_smooth(f) is smooth
     assert is_fano(f) is fano
