@@ -3,7 +3,7 @@ from itertools import combinations, permutations
 from math import gcd
 
 import pytest
-from hypothesis import assume, example, given, reject, settings
+from hypothesis import HealthCheck, assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from toricfloer import _exact, lattice
@@ -306,8 +306,8 @@ def test_pivot_matches_inverse_of_updated_matrix(b, data):
     assume(_leibniz(b) != 0)
     c = data.draw(st.integers(0, n - 1))
     w = data.draw(st.lists(_entries, min_size=n, max_size=n))
-    carried = data.draw(_matrix(square=False).filter(lambda m: len(m[0]) == n)
-                        | st.just([]))
+    carried = data.draw(st.lists(st.lists(_entries, min_size=n, max_size=n),
+                                 max_size=3))
     inv = _exact.inverse(b)
     a = [sum(w[i] * inv[i][k] for i in range(n)) for k in range(n)]
     updated = b[:c] + [w] + b[c + 1:]
@@ -493,7 +493,10 @@ def _replace_column(m, col, values):
     return [row[:col] + [x] + row[col + 1:] for row, x in zip(m, values)]
 
 
-@settings(max_examples=200, deadline=None)
+# most drawn inputs are not bounded simple polytopes and are rejected, often
+# enough that the filter health check can stop the test before it starts
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
 @given(_random_input())
 # test_non_smooth: not smooth
 @example((2, [(1, 0), (0, 1), (-1, -2)], [0, 0, -4]))
