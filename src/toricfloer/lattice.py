@@ -94,6 +94,27 @@ class Fan:
     def max_cones(self) -> tuple[Cone, ...]:
         return self.cones_by_dim[self.dim]
 
+    @cached_property
+    def smooth(self) -> bool:
+        """Every maximal cone is unimodular: an integer matrix has det +-1
+        exactly when its inverse is integral."""
+        return all(x.denominator == 1
+                   for inv in self.duals.values() for row in inv for x in row)
+
+    @cached_property
+    def fano(self) -> bool:
+        """Strict convexity of the support function that is 1 on every
+        generator."""
+        for gens, inv in self.duals.items():
+            # u with <v_j, u> = 1 on the cone's generators is B^-1 (1, ..., 1)
+            u = [sum(row) for row in inv]
+            for k, v in enumerate(self.generators):
+                if k in gens:
+                    continue
+                if sum(ui * vi for ui, vi in zip(u, v)) >= 1:
+                    return False
+        return True
+
 
 @dataclass(frozen=True)
 class KernelLattice:
@@ -262,7 +283,9 @@ def _feasible_basis(p: Polytope):
     return [basis[c] for c in keep], m, ext[:n] + ext[d:d + nf]
 
 
-def _enumerate_vertices(p: Polytope):
+def _feasible_bases(p: Polytope):
+    """Yield every feasible basis of P once, as (facets by column, m, ext)
+    in the layout of ``_step``; raise PolytopeError when P is unbounded."""
     # A walk over the feasible bases of P from one phase-1 basis
     # (Avis-Fukuda, "A pivoting algorithm for convex hulls and vertex
     # enumeration of arrangements and polyhedra", 1992). Column d_c of B^-1
@@ -271,26 +294,20 @@ def _enumerate_vertices(p: Polytope):
     # active facets it leaves are all the single exchanges that keep the
     # basis feasible. Those exchanges join every feasible basis: the bases
     # at one vertex by matroid basis exchange, neighbouring vertices along
-    # their edge. So the walk sees every vertex, and every basis there,
-    # whose lexicographically least one it keeps. When no facet blocks d_c,
-    # d_c is a nonzero recession direction; a nonempty pointed polyhedron
-    # is unbounded iff some vertex has such an edge, so the walk also
-    # decides boundedness.
+    # their edge. So the walk sees every vertex, and every basis there.
+    # When no facet blocks d_c, d_c is a nonzero recession direction; a
+    # nonempty pointed polyhedron is unbounded iff some vertex has such an
+    # edge, so the walk also decides boundedness.
     start = _feasible_basis(p)
     if start is None:
-        return ()
+        return
     n = p.dim
     seen = {frozenset(start[0])}
     stack = [start]
-    found = {}
     while stack:
         basis, m, ext = stack.pop()
-        x, ell = tuple(ext[:n]), ext[n:]
-        key = tuple(sorted(basis))
-        if x not in found or key < found[x][0]:
-            order = sorted(range(n), key=basis.__getitem__)
-            found[x] = (key, tuple(j for j, l in enumerate(ell) if l == 0),
-                        tuple(tuple(row[c] for c in order) for row in m[:n]))
+        yield basis, m, ext
+        ell = ext[n:]
         for c in range(n):
             col = [row[c] for row in m[n:]]
             ratios = [(ell[j] / -a, j) for j, a in enumerate(col) if a < 0]
@@ -307,6 +324,23 @@ def _enumerate_vertices(p: Polytope):
                 if facets not in seen:
                     seen.add(facets)
                     stack.append((nxt, *_step(m, ext, n + j, c)))
+
+
+def _active(ext, n: int) -> tuple[int, ...]:
+    return tuple(j for j, l in enumerate(ext[n:]) if l == 0)
+
+
+def _enumerate_vertices(p: Polytope):
+    # each vertex keeps the inverse of its lexicographically least basis
+    n = p.dim
+    found = {}
+    for basis, m, ext in _feasible_bases(p):
+        x = tuple(ext[:n])
+        key = tuple(sorted(basis))
+        if x not in found or key < found[x][0]:
+            order = sorted(range(n), key=basis.__getitem__)
+            found[x] = (key, _active(ext, n),
+                        tuple(tuple(row[c] for c in order) for row in m[:n]))
     return tuple((x, act, inv) for x, (_, act, inv) in sorted(found.items()))
 
 
@@ -341,23 +375,11 @@ def normal_fan(p: Polytope) -> Fan:
 
 
 def is_smooth(f: Fan) -> bool:
-    """Every maximal cone is unimodular: an integer matrix has det +-1
-    exactly when its inverse is integral."""
-    return all(x.denominator == 1
-               for inv in f.duals.values() for row in inv for x in row)
+    return f.smooth
 
 
 def is_fano(f: Fan) -> bool:
-    """Strict convexity of the support function that is 1 on every generator."""
-    for gens, inv in f.duals.items():
-        # u with <v_j, u> = 1 on the cone's generators is B^-1 (1, ..., 1)
-        u = [sum(row) for row in inv]
-        for k, v in enumerate(f.generators):
-            if k in gens:
-                continue
-            if sum(ui * vi for ui, vi in zip(u, v)) >= 1:
-                return False
-    return True
+    return f.fano
 
 
 def primitive_collections(f: Fan) -> list[PrimitiveCollection]:
@@ -386,6 +408,59 @@ def kernel_lattice(f: Fan, p: Polytope) -> KernelLattice:
 
 def euler_characteristic(f: Fan) -> int:
     return len(f.max_cones)
+
+
+def _lattice_volume(vectors) -> int:
+    """|det V| for n independent integer vectors, the rows of V. The rows
+    replace those of the identity B one at a time; each replacement scales
+    det B by its pivot, the entry (V B^-1)[j][c] that ``_exact.pivot``
+    divides by."""
+    m = _exact.frac_matrix(vectors)
+    free = list(range(len(m)))
+    det = Fraction(1)
+    for j in range(len(m)):
+        a = m[j]
+        c = next(c for c in free if a[c] != 0)
+        free.remove(c)
+        det *= a[c]
+        m = _exact.pivot(m, c, a)
+    return abs(int(det))
+
+
+def _pulling(face: frozenset, k: int, facets, gens) -> list[tuple[int, ...]]:
+    """Simplices of a pulling triangulation of a face of conv(gens) that
+    misses 0 and spans rank k, as tuples of k generator indices. The
+    least index is pulled and joined to the triangulated facets of the face
+    that miss it; a facet of the face is its meet with a facet of the
+    polytope, of rank k - 1."""
+    if len(face) == k:
+        return [tuple(sorted(face))]
+    apex = min(face)
+    subs = {face & g for g in facets if apex not in g}
+    return [s + (apex,) for sub in subs
+            if _exact.rank([gens[j] for j in sub]) == k - 1
+            for s in _pulling(sub, k - 1, facets, gens)]
+
+
+def kushnirenko_count(f: Fan) -> int:
+    """n! Vol(conv{v_j}) over the fan's generators, exactly.
+
+    By Kushnirenko ("Polyedres de Newton et nombres de Milnor", 1976) this
+    bounds the isolated critical points of the mirror superpotential in the
+    torus, counted with multiplicity, and generic coefficients attain it.
+    0 is interior to conv{v_j}, so each facet F spans a pyramid over it
+    with apex 0 and the pyramids tile the polytope. The facets are the
+    vertices of the polar {u : <v_j, u> >= -1}, with the generators on F
+    as active facets; a simplicial F adds |det|, and any other is
+    triangulated by pulling first. For a smooth Fano fan every F is a
+    unimodular simplex, one per maximal cone, and the count is chi.
+    """
+    polar = Polytope(f.dim, tuple((v, Fraction(-1)) for v in f.generators))
+    facets = {frozenset(_active(ext, f.dim))
+              for _, _, ext in _feasible_bases(polar)}
+    return sum(_lattice_volume([f.generators[j] for j in s])
+               for face in facets
+               for s in _pulling(face, f.dim, facets, f.generators))
 
 
 def chart_exponents(f: Fan, sigma: Cone) -> list[list[int]]:

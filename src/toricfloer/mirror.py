@@ -17,7 +17,7 @@ import numpy as np
 from .discs import FiberPoint
 from .floer import HolonomyVector, NovikovTerm, NovikovVector, delta2_point
 from .lattice import (Fan, KernelLattice, Polytope, PolytopeError,
-                      euler_characteristic)
+                      kushnirenko_count, normal_fan)
 from .solve import dedup_mod_2pi, sort_key, wrap_angle
 
 EXP_CLAMP = 700.0
@@ -126,6 +126,10 @@ def gradient_W(w: Superpotential, theta: MirrorPoint) -> np.ndarray:
     return w.gradient(np.array(theta.theta, dtype=complex))
 
 
+# start grids (grid_re, grid_im) tried before the caller's own, smallest first
+NEWTON_LADDER = ((2, 4), (3, 6), (4, 8))
+
+
 def critical_points(w: Superpotential, p: Polytope, fan: Fan | None = None,
                     grid_im: int = 8, grid_re: int = 5,
                     residual_tol: float = 1e-12, dedup_tol: float = 1e-8
@@ -135,8 +139,13 @@ def critical_points(w: Superpotential, p: Polytope, fan: Fan | None = None,
     Multistart Newton: real parts on a grid over the polytope bounding box
     inflated by 1, imaginary parts on a 2 pi / grid_im lattice; converged
     points deduplicated mod 2 pi i, keeping the smallest gradient. The
-    count is compared against the Euler characteristic with a warning on
-    mismatch. More than MAX_NEWTON_STARTS starts raise PolytopeError.
+    grids of NEWTON_LADDER that fit in (grid_re, grid_im) run first, then
+    that grid itself, and the search stops at the first grid that finds
+    as many distinct nondegenerate points as the Kushnirenko count
+    n! Vol(conv{v_j}). That count bounds the isolated critical points
+    counted with multiplicity, so the search is then complete. A last grid
+    that finds another number warns. More than MAX_NEWTON_STARTS starts on
+    (grid_re, grid_im) raise PolytopeError.
     """
     n = w.dim
     n_starts = grid_re ** n * grid_im ** n
@@ -144,6 +153,26 @@ def critical_points(w: Superpotential, p: Polytope, fan: Fan | None = None,
         raise PolytopeError(
             f"critical point search is limited to {MAX_NEWTON_STARTS} "
             f"Newton starts, dimension {n} needs {n_starts}")
+    count = kushnirenko_count(fan or normal_fan(p))
+    grids = [g for g in NEWTON_LADDER if g[0] <= grid_re and g[1] <= grid_im
+             and g != (grid_re, grid_im)] + [(grid_re, grid_im)]
+    for g_re, g_im in grids:
+        found = _newton_search(w, p, g_re, g_im, residual_tol, dedup_tol)
+        distinct = sum(not cp.degenerate for cp in found)
+        if distinct == count:
+            return found
+    why = ("search incomplete or roots degenerate" if distinct < count
+           else "more than the bound allows, so duplicates went unmerged")
+    warnings.warn(f"found {distinct} of {count} (Kushnirenko count): {why}",
+                  stacklevel=2)
+    return found
+
+
+def _newton_search(w: Superpotential, p: Polytope, grid_re: int,
+                   grid_im: int, residual_tol: float, dedup_tol: float
+                   ) -> list[CriticalPoint]:
+    """One multistart Newton run from a grid_re^n x grid_im^n start grid."""
+    n = w.dim
     verts = p.vertices()
     lo = [min(float(v[i]) for v in verts) - 1.0 for i in range(n)]
     hi = [max(float(v[i]) for v in verts) + 1.0 for i in range(n)]
@@ -203,13 +232,6 @@ def critical_points(w: Superpotential, p: Polytope, fan: Fan | None = None,
     found.sort(key=lambda cp: sort_key(
         [t.real for t in cp.point.theta] + [t.imag for t in cp.point.theta],
         dedup_tol))
-    if fan is not None:
-        chi = euler_characteristic(fan)
-        if len(found) != chi:
-            warnings.warn(
-                f"found {len(found)} critical points but Euler "
-                f"characteristic is {chi}; roots may be degenerate or "
-                f"outside the search box", stacklevel=2)
     return found
 
 

@@ -92,9 +92,10 @@ def least_squares(fun, x0):
 
 
 def wrap_angle(x) -> np.ndarray:
-    """Angles in [0, 2 pi), with values within 1e-9 below 2 pi snapped to 0."""
+    """Angles in [0, 2 pi), with values within 1e-9 of the 0 / 2 pi seam,
+    on either side, snapped to 0."""
     out = np.mod(np.asarray(x, dtype=float), TWO_PI)
-    out[out > TWO_PI - 1e-9] = 0.0
+    out[(out > TWO_PI - 1e-9) | (out < 1e-9)] = 0.0
     return out
 
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd
@@ -10,7 +11,8 @@ from toricfloer import _exact, lattice
 from toricfloer.lattice import (Cone, FanError, Polytope, PolytopeError,
                                 chart_coordinates, chart_exponents,
                                 euler_characteristic, is_fano, is_smooth,
-                                kernel_lattice, normal_fan, parse_polytope,
+                                kernel_lattice, kushnirenko_count,
+                                normal_fan, parse_polytope,
                                 primitive_collections, serialize_polytope)
 
 from conftest import CORPUS, corpus_polytope, corpus_text
@@ -530,3 +532,109 @@ def test_fan_tests_match_determinants(data):
                 chart_exponents(f, sigma)
     assert is_smooth(f) is smooth
     assert is_fano(f) is fano
+
+
+class TestKushnirenko:
+    def test_smooth_fano_corpus_is_chi(self, corpus):
+        for name in ("p1", "p2", "p3", "p1xp1", "f1"):
+            f = normal_fan(corpus[name])
+            assert is_smooth(f) and is_fano(f), name
+            assert kushnirenko_count(f) == euler_characteristic(f), name
+
+    def test_hirzebruch_by_hand(self, corpus):
+        # F2: (0, -1) halves the edge from (1, 0) to (-1, -2), so
+        # conv{v_j} is the triangle (1, 0), (0, 1), (-1, -2) of twice the
+        # area 4; F3: (0, -1) is interior to (1, 0), (0, 1), (-1, -3),
+        # of twice the area 5
+        assert kushnirenko_count(normal_fan(corpus["f2"])) == 4
+        assert kushnirenko_count(normal_fan(corpus["f3"])) == 5
+
+    def test_square_facets(self):
+        # the cube truncated at its corners: conv{v_j} is the cube
+        # [-1, 1]^3, each square facet with its centre e_i among the v_j
+        corners = [(a, b, c) for a in (1, -1) for b in (1, -1)
+                   for c in (1, -1)]
+        normals = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1),
+                   (0, 0, -1)] + corners
+        f = normal_fan(parse_polytope(_input_text(
+            3, normals, [-2] * 6 + [Fraction(-11, 2)] * 8)))
+        assert kushnirenko_count(f) == 3 * 2 * 8
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_products_are_chi(self, seed):
+        rng = random.Random(seed)
+        factors, dim = [], 0
+        while dim < 4:
+            name = rng.choice([k for k in _FACTORS
+                               if dim + len(_FACTORS[k][0][0]) <= 4])
+            factors.append(name)
+            dim += len(_FACTORS[name][0][0])
+            if rng.random() < 0.3:
+                break
+        f = normal_fan(parse_polytope(_product(factors)))
+        chi = 1
+        for name in factors:
+            chi *= _FACTORS[name][2]
+        assert is_smooth(f) and is_fano(f)
+        assert kushnirenko_count(f) == euler_characteristic(f) == chi
+
+
+# (normals, offsets, chi) of the factors: P^1, P^2, P^3 and P^2 blown up
+# at a point
+_FACTORS = {
+    "P1": ([(1,), (-1,)], [0, -2], 2),
+    "P2": ([(1, 0), (0, 1), (-1, -1)], [0, 0, -3], 3),
+    "P3": ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)], [0, 0, 0, -4],
+           4),
+    "Bl1P2": ([(1, 0), (0, 1), (-1, -1), (1, 1)], [0, 0, -3, 1], 4),
+}
+
+
+def _product(factors) -> str:
+    dim = sum(len(_FACTORS[k][0][0]) for k in factors)
+    normals, offsets, at = [], [], 0
+    for name in factors:
+        vs, lams, _ = _FACTORS[name]
+        k = len(vs[0])
+        for v, lam in zip(vs, lams):
+            normals.append((0,) * at + v + (0,) * (dim - at - k))
+            offsets.append(lam)
+        at += k
+    return _input_text(dim, normals, offsets)
+
+
+def _hull_area2(points) -> int:
+    """Twice the area of the convex hull of plane points (monotone chain)."""
+    pts = sorted(set(points))
+
+    def half(seq):
+        out = []
+        for q in seq:
+            while len(out) >= 2 and ((out[-1][0] - out[-2][0])
+                                     * (q[1] - out[-2][1])
+                                     - (out[-1][1] - out[-2][1])
+                                     * (q[0] - out[-2][0])) <= 0:
+                out.pop()
+            out.append(q)
+        return out[:-1]
+
+    hull = half(pts) + half(pts[::-1])
+    return abs(sum(a[0] * b[1] - a[1] * b[0]
+                   for a, b in zip(hull, hull[1:] + hull[:1])))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(_random_input())
+# F3: a generator interior to conv{v_j}
+@example((2, [(1, 0), (0, 1), (0, -1), (-1, -3)], [0, 0, -2, -7]))
+def test_kushnirenko_count_matches_hull(data):
+    try:
+        f = normal_fan(parse_polytope(_input_text(*data)))
+    except (PolytopeError, FanError):
+        reject()
+    count = kushnirenko_count(f)
+    if f.dim == 2:
+        assert count == _hull_area2(f.generators)
+    if is_smooth(f) and is_fano(f):
+        assert count == euler_characteristic(f)

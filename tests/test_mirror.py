@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from toricfloer import mirror
 from toricfloer.discs import FiberPoint
 from toricfloer.floer import HolonomyVector
 from toricfloer.mirror import (MirrorPoint, OverflowGuardError,
@@ -125,9 +126,52 @@ class TestCriticalPoints:
 
     def test_count_warning(self, corpus):
         p = corpus["p2"]
-        with pytest.warns(UserWarning, match="Euler"):
+        with pytest.warns(UserWarning, match="Kushnirenko count"):
             critical_points(build_superpotential(p), p, normal_fan(p),
                             grid_im=1, grid_re=1)
+
+    def test_p3_stops_at_first_grid(self, corpus, monkeypatch):
+        grids = []
+        search = mirror._newton_search
+
+        def recorded(w, p, grid_re, grid_im, *args):
+            grids.append((grid_re, grid_im))
+            return search(w, p, grid_re, grid_im, *args)
+
+        monkeypatch.setattr(mirror, "_newton_search", recorded)
+        p = corpus["p3"]
+        cps = critical_points(build_superpotential(p), p, normal_fan(p))
+        assert len(cps) == 4
+        assert grids == [mirror.NEWTON_LADDER[0]]
+
+    def test_grid_grows_until_count(self, corpus, monkeypatch):
+        # a first grid that misses a point is not taken as complete
+        grids = []
+        search = mirror._newton_search
+
+        def lossy(w, p, grid_re, grid_im, *args):
+            grids.append((grid_re, grid_im))
+            found = search(w, p, grid_re, grid_im, *args)
+            return found[1:] if len(grids) == 1 else found
+
+        monkeypatch.setattr(mirror, "_newton_search", lossy)
+        p = corpus["f1"]
+        cps = critical_points(build_superpotential(p), p, normal_fan(p))
+        assert len(cps) == 4
+        assert grids == list(mirror.NEWTON_LADDER[:2])
+
+    def test_surplus_warning(self, corpus, monkeypatch):
+        search = mirror._newton_search
+
+        def doubled(*args):
+            found = search(*args)
+            return found + found[:1]
+
+        monkeypatch.setattr(mirror, "_newton_search", doubled)
+        p = corpus["p1"]
+        with pytest.warns(UserWarning, match="found 3 of 2"):
+            critical_points(build_superpotential(p), p, grid_im=2,
+                            grid_re=2)
 
 
 class TestCorrespondence:

@@ -13,6 +13,12 @@ def test_wrap_angle_snaps_below_two_pi():
     assert got[2] == 0.0
 
 
+def test_wrap_angle_snaps_above_zero():
+    # both sides of the seam give the same representative
+    got = wrap_angle([2.5e-34, -2.5e-34, 1e-10, 2e-9])
+    assert got.tolist() == [0.0, 0.0, 0.0, 2e-9]
+
+
 def test_circ_dist_across_seam():
     assert math.isclose(circ_dist(0.1, TWO_PI - 0.1), 0.2)
     assert math.isclose(circ_dist(0.0, math.pi), math.pi)
