@@ -194,7 +194,7 @@ def cmd_critical(args) -> tuple[int, dict]:
         check_partition_scale(p.num_facets)
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
-        cps = critical_points(w, p, fan)
+        cps = critical_points(w, p)
         balanced = () if args.no_match else holonomy_search(p, fan).solutions
     r["warnings"].extend(_collect_warnings(rec))
     records, corresp = [], []

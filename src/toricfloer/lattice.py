@@ -442,8 +442,10 @@ def _pulling(face: frozenset, k: int, facets, gens) -> list[tuple[int, ...]]:
             for s in _pulling(sub, k - 1, facets, gens)]
 
 
-def kushnirenko_count(f: Fan) -> int:
-    """n! Vol(conv{v_j}) over the fan's generators, exactly.
+def kushnirenko_count(dim: int, generators) -> int:
+    """n! Vol(conv{v_j}) over integer vectors v_j that positively span
+    Z^dim (a complete fan's generators, a polytope's facet normals),
+    exactly.
 
     By Kushnirenko ("Polyedres de Newton et nombres de Milnor", 1976) this
     bounds the isolated critical points of the mirror superpotential in the
@@ -455,12 +457,12 @@ def kushnirenko_count(f: Fan) -> int:
     triangulated by pulling first. For a smooth Fano fan every F is a
     unimodular simplex, one per maximal cone, and the count is chi.
     """
-    polar = Polytope(f.dim, tuple((v, Fraction(-1)) for v in f.generators))
-    facets = {frozenset(_active(ext, f.dim))
+    polar = Polytope(dim, tuple((v, Fraction(-1)) for v in generators))
+    facets = {frozenset(_active(ext, dim))
               for _, _, ext in _feasible_bases(polar)}
-    return sum(_lattice_volume([f.generators[j] for j in s])
+    return sum(_lattice_volume([generators[j] for j in s])
                for face in facets
-               for s in _pulling(face, f.dim, facets, f.generators))
+               for s in _pulling(face, dim, facets, generators))
 
 
 def chart_exponents(f: Fan, sigma: Cone) -> list[list[int]]:

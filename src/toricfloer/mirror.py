@@ -16,8 +16,7 @@ import numpy as np
 
 from .discs import FiberPoint
 from .floer import HolonomyVector, NovikovTerm, NovikovVector, delta2_point
-from .lattice import (Fan, KernelLattice, Polytope, PolytopeError,
-                      kushnirenko_count, normal_fan)
+from .lattice import KernelLattice, Polytope, PolytopeError, kushnirenko_count
 from .solve import dedup_mod_2pi, sort_key, wrap_angle
 
 EXP_CLAMP = 700.0
@@ -126,26 +125,26 @@ def gradient_W(w: Superpotential, theta: MirrorPoint) -> np.ndarray:
     return w.gradient(np.array(theta.theta, dtype=complex))
 
 
-# start grids (grid_re, grid_im) tried before the caller's own, smallest first
-NEWTON_LADDER = ((2, 4), (3, 6), (4, 8))
+# start grid (grid_re, grid_im) tried before the caller's own; every corpus
+# polytope reaches its count on it (f1 finds 3 of its 4 points at 2 x 2)
+NEWTON_FIRST_GRID = (2, 4)
 
 
-def critical_points(w: Superpotential, p: Polytope, fan: Fan | None = None,
-                    grid_im: int = 8, grid_re: int = 5,
-                    residual_tol: float = 1e-12, dedup_tol: float = 1e-8
-                    ) -> list[CriticalPoint]:
+def critical_points(w: Superpotential, p: Polytope, grid_im: int = 8,
+                    grid_re: int = 5, residual_tol: float = 1e-12,
+                    dedup_tol: float = 1e-8) -> list[CriticalPoint]:
     """All critical points of W with Im(Theta) in [0, 2 pi)^n.
 
     Multistart Newton: real parts on a grid over the polytope bounding box
     inflated by 1, imaginary parts on a 2 pi / grid_im lattice; converged
     points deduplicated mod 2 pi i, keeping the smallest gradient. The
-    grids of NEWTON_LADDER that fit in (grid_re, grid_im) run first, then
-    that grid itself, and the search stops at the first grid that finds
-    as many distinct nondegenerate points as the Kushnirenko count
-    n! Vol(conv{v_j}). That count bounds the isolated critical points
-    counted with multiplicity, so the search is then complete. A last grid
-    that finds another number warns. More than MAX_NEWTON_STARTS starts on
-    (grid_re, grid_im) raise PolytopeError.
+    search runs on NEWTON_FIRST_GRID if it fits in (grid_re, grid_im),
+    then on that grid itself, and stops at the first grid that finds as
+    many distinct nondegenerate points as the Kushnirenko count
+    n! Vol(conv{v_j}) of the facet normals. That count bounds the isolated
+    critical points counted with multiplicity, so the search is then
+    complete. A last grid that finds another number warns. More than
+    MAX_NEWTON_STARTS starts on (grid_re, grid_im) raise PolytopeError.
     """
     n = w.dim
     n_starts = grid_re ** n * grid_im ** n
@@ -153,16 +152,20 @@ def critical_points(w: Superpotential, p: Polytope, fan: Fan | None = None,
         raise PolytopeError(
             f"critical point search is limited to {MAX_NEWTON_STARTS} "
             f"Newton starts, dimension {n} needs {n_starts}")
-    count = kushnirenko_count(fan or normal_fan(p))
-    grids = [g for g in NEWTON_LADDER if g[0] <= grid_re and g[1] <= grid_im
-             and g != (grid_re, grid_im)] + [(grid_re, grid_im)]
+    count = kushnirenko_count(p.dim, p.normals)
+    first_re, first_im = NEWTON_FIRST_GRID
+    grids = [(grid_re, grid_im)]
+    if (first_re <= grid_re and first_im <= grid_im
+            and NEWTON_FIRST_GRID != (grid_re, grid_im)):
+        grids.insert(0, NEWTON_FIRST_GRID)
     for g_re, g_im in grids:
         found = _newton_search(w, p, g_re, g_im, residual_tol, dedup_tol)
         distinct = sum(not cp.degenerate for cp in found)
         if distinct == count:
             return found
     why = ("search incomplete or roots degenerate" if distinct < count
-           else "more than the bound allows, so duplicates went unmerged")
+           else "more than the bound allows, so duplicates or degenerate "
+           "roots were counted")
     warnings.warn(f"found {distinct} of {count} (Kushnirenko count): {why}",
                   stacklevel=2)
     return found

@@ -73,7 +73,7 @@ def test_criterion_01_p2_balanced_fiber_and_rank(corpus):
 def test_criterion_02_f1_critical_points(corpus):
     p = corpus["f1"]
     assert balanced_fibers_novikov(p) == []
-    cps = critical_points(build_superpotential(p), p, normal_fan(p))
+    cps = critical_points(build_superpotential(p), p)
     assert len(cps) == 4
     for cp in cps:
         a1, a2 = cp.point.fiber
@@ -123,7 +123,7 @@ def test_criterion_05_critical_counts_match_chi():
     expect = {"p1": 2, "p2": 3, "p3": 4, "p1xp1": 4, "f1": 4}
     for name, chi in expect.items():
         p = corpus_polytope(name)
-        cps = critical_points(build_superpotential(p), p, normal_fan(p))
+        cps = critical_points(build_superpotential(p), p)
         assert len(cps) == chi, name
         assert all(cp.residual < 1e-12 for cp in cps), name
     _ok("criterion 5: critical-point count equals chi on "

@@ -15,7 +15,7 @@ from toricfloer.mirror import (MirrorPoint, OverflowGuardError,
                                constraint_residuals_exact, critical_points,
                                gradient_W, mirror_coordinates,
                                mirror_coordinates_exact, obstruction_class)
-from toricfloer.lattice import kernel_lattice, normal_fan
+from toricfloer.lattice import kernel_lattice, normal_fan, parse_polytope
 
 from conftest import CORPUS, corpus_polytope
 
@@ -86,7 +86,7 @@ class TestCriticalPoints:
         expect = {"p1": 2, "p2": 3, "p3": 4, "p1xp1": 4, "f1": 4}
         for name, n in expect.items():
             p = corpus_polytope(name)
-            cps = critical_points(build_superpotential(p), p, normal_fan(p))
+            cps = critical_points(build_superpotential(p), p)
             assert len(cps) == n, name
             assert all(cp.residual < 1e-12 for cp in cps)
             assert not any(cp.degenerate for cp in cps)
@@ -118,8 +118,8 @@ class TestCriticalPoints:
         # critical points invariant mod 2 pi i
         p = corpus["p1"]
         w = build_superpotential(p)
-        a = critical_points(w, p, grid_im=8)
-        b = critical_points(w, p, grid_im=12)
+        a = mirror._newton_search(w, p, 5, 8, 1e-12, 1e-8)
+        b = mirror._newton_search(w, p, 5, 12, 1e-12, 1e-8)
         assert len(a) == len(b)
         for x, y in zip(a, b):
             assert np.allclose(x.point.theta, y.point.theta, atol=1e-8)
@@ -127,8 +127,7 @@ class TestCriticalPoints:
     def test_count_warning(self, corpus):
         p = corpus["p2"]
         with pytest.warns(UserWarning, match="Kushnirenko count"):
-            critical_points(build_superpotential(p), p, normal_fan(p),
-                            grid_im=1, grid_re=1)
+            critical_points(build_superpotential(p), p, grid_im=1, grid_re=1)
 
     def test_p3_stops_at_first_grid(self, corpus, monkeypatch):
         grids = []
@@ -140,9 +139,9 @@ class TestCriticalPoints:
 
         monkeypatch.setattr(mirror, "_newton_search", recorded)
         p = corpus["p3"]
-        cps = critical_points(build_superpotential(p), p, normal_fan(p))
+        cps = critical_points(build_superpotential(p), p)
         assert len(cps) == 4
-        assert grids == [mirror.NEWTON_LADDER[0]]
+        assert grids == [mirror.NEWTON_FIRST_GRID]
 
     def test_grid_grows_until_count(self, corpus, monkeypatch):
         # a first grid that misses a point is not taken as complete
@@ -156,9 +155,38 @@ class TestCriticalPoints:
 
         monkeypatch.setattr(mirror, "_newton_search", lossy)
         p = corpus["f1"]
-        cps = critical_points(build_superpotential(p), p, normal_fan(p))
+        cps = critical_points(build_superpotential(p), p)
         assert len(cps) == 4
-        assert grids == list(mirror.NEWTON_LADDER[:2])
+        assert grids == [mirror.NEWTON_FIRST_GRID, (5, 8)]
+
+    @pytest.mark.parametrize("normals, offsets, count, points", [
+        # octahedron |x| + |y| + |z| <= 1: W = e^-1 prod 2 cosh(Theta_i),
+        # whose critical points in the torus include the curves
+        # cosh = cosh = 0, so the count of conv{v_j} = [-1, 1]^3 is no
+        # bound on what Newton finds
+        ([(a, b, c) for a in (1, -1) for b in (1, -1) for c in (1, -1)],
+         [-1] * 8, 48, [(a, b, c) for a in (0, math.pi)
+                        for b in (0, math.pi) for c in (0, math.pi)]),
+        # square pyramid, its apex on 4 facets: sinh Theta_1 =
+        # sinh Theta_2 = 0 and e^(2 Theta_3) = +-e / 4 at the 4 points,
+        # below the count 8 of the pyramid conv{v_j}
+        ([(0, 0, 1), (-1, 0, -1), (1, 0, -1), (0, -1, -1), (0, 1, -1)],
+         [0, -1, -1, -1, -1], 8,
+         [(0, 0, 0), (0, 0, math.pi), (math.pi, math.pi, math.pi / 2),
+          (math.pi, math.pi, 3 * math.pi / 2)]),
+    ])
+    def test_count_without_fan(self, normals, offsets, count, points):
+        # neither polytope is simple, so it has no normal fan; the count
+        # comes from the facet normals
+        p = parse_polytope("dim 3\n" + "".join(
+            "normal " + " ".join(map(str, v)) + f" offset {lam}\n"
+            for v, lam in zip(normals, offsets)))
+        with pytest.warns(UserWarning, match=f"of {count} \\(Kushnirenko"):
+            cps = critical_points(build_superpotential(p), p, grid_im=4,
+                                  grid_re=2)
+        got = [cp.point.holonomy for cp in cps if not cp.degenerate]
+        for nu in points:
+            assert any(np.allclose(nu, h, atol=1e-8) for h in got), nu
 
     def test_surplus_warning(self, corpus, monkeypatch):
         search = mirror._newton_search
