@@ -13,17 +13,13 @@ import warnings
 from fractions import Fraction
 
 from . import report as rep
-from .discs import (DiscClass, FiberPoint, SingularFiberError, WindingError,
-                    disc_area, index_two_classes)
+from .discs import (FiberPoint, OverflowGuardError, SingularFiberError,
+                    WindingError, disc_area, index_two_classes)
 from .floer import (HolonomyVector, UnsupportedRegimeError,
                     UnsupportedRegimeWarning, balanced_fibers_novikov,
                     check_partition_scale, delta2_point, delta2_vanishes,
                     describe_balanced, hf_rank, holonomy_search)
 from .lattice import (FanError, PolytopeError, normal_fan, parse_polytope)
-from .mirror import (OverflowGuardError, build_superpotential,
-                     check_delta2_equals_gradW, check_o_equals_W,
-                     critical_points)
-from .solve import circ_dist
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -186,6 +182,10 @@ def cmd_balanced(args) -> tuple[int, dict]:
 
 
 def cmd_critical(args) -> tuple[int, dict]:
+    from .mirror import (build_superpotential, check_delta2_equals_gradW,
+                         check_o_equals_W, critical_points)
+    from .solve import circ_dist
+
     p = _load(args.path)
     fan = normal_fan(p)
     r = rep.base_report("critical", p, fan)

@@ -11,10 +11,12 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .lattice import Fan, KernelLattice, Polytope
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class SingularFiberError(ValueError):
@@ -23,6 +25,10 @@ class SingularFiberError(ValueError):
 
 class WindingError(RuntimeError):
     """Numerically non-integral winding number."""
+
+
+class OverflowGuardError(OverflowError):
+    """A superpotential exponent left the range where exp is finite."""
 
 
 @dataclass(frozen=True)
@@ -106,6 +112,8 @@ def lift_fiber(a: FiberPoint, p: Polytope, k: KernelLattice) -> np.ndarray:
     The lift sits on the moment level of the reduction torus:
     (1/2) sum_j Q_ja |c_j|^2 = r_a, which is asserted here.
     """
+    import numpy as np
+
     a.require_interior(p)
     ell = np.array([float(l) for l in a.ell(p)])
     c = np.sqrt(2.0 * ell)
@@ -164,6 +172,8 @@ def winding_maslov(lift: BlaschkeLift, samples: int = None,
     Sample count doubles (up to 2**20) until every coordinate winding is
     integral within `tol`; phase steps above pi/2 also force resampling.
     """
+    import numpy as np
+
     total = lift.disc_class.total
     if samples is None:
         samples = 4 * (total + 1)

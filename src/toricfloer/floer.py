@@ -16,15 +16,15 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import _exact
 from .discs import FiberPoint
 from .lattice import (Fan, Polytope, PolytopeError, is_fano, is_smooth,
                       normal_fan)
-from .solve import dedup_mod_2pi, least_squares, sort_key, wrap_angle
 
 MAX_FACETS_FOR_PARTITIONS = 12
+# spectral_rank_check builds a dense 2^n x 2^n complex matrix: 256 MB at
+# n = 12, 4 GB at n = 14
+MAX_SPECTRAL_DIM = 12
 
 
 class UnsupportedRegimeError(ValueError):
@@ -101,14 +101,14 @@ class NovikovVector:
     def is_zero(self, tol: float = 1e-10) -> bool:
         return not self.merged(tol).terms
 
-    def specialize(self) -> np.ndarray:
+    def specialize(self) -> tuple[complex, ...]:
         """Evaluate at T^{2 pi} = e^{-1}, dropping sign and grading units."""
         n = len(self.terms[0].vector) if self.terms else 0
-        acc = np.zeros(n, dtype=complex)
+        acc = [0j] * n
         for t in self.terms:
-            acc += math.exp(-float(t.level)) * np.array(
-                [complex(v) for v in t.vector])
-        return acc
+            w = math.exp(-float(t.level))
+            acc = [a + w * complex(v) for a, v in zip(acc, t.vector)]
+        return tuple(acc)
 
 
 @dataclass(frozen=True)
@@ -202,7 +202,10 @@ def delta2_vanishes(p: Polytope, a: FiberPoint, d2: NovikovVector,
     if coefficients != "exp":
         raise ValueError(f"unknown coefficient mode {coefficients!r}")
     scale = sum(math.exp(-float(l)) for l in a.ell(p))
-    return bool(np.linalg.norm(d2.specialize()) <= tol * max(1.0, scale))
+    vec = d2.specialize()
+    norm = math.sqrt(sum(v.real * v.real for v in vec)
+                     + sum(v.imag * v.imag for v in vec))
+    return norm <= tol * max(1.0, scale)
 
 
 def hf_rank(p: Polytope, a: FiberPoint, nu: HolonomyVector | None = None,
@@ -216,8 +219,15 @@ def hf_rank(p: Polytope, a: FiberPoint, nu: HolonomyVector | None = None,
 
 def spectral_rank_check(c) -> int:
     """Total cohomology rank of wedging by sum_j c_j L_j on the 2^n complex."""
+    import numpy as np
+
     c = np.asarray(c, dtype=complex)
     n = c.size
+    if n > MAX_SPECTRAL_DIM:
+        raise ValueError(
+            f"spectral_rank_check builds a dense 2^n x 2^n matrix and is "
+            f"limited to n <= MAX_SPECTRAL_DIM = {MAX_SPECTRAL_DIM}; "
+            f"got n = {n}")
     basis = [frozenset(s) for k in range(n + 1)
              for s in itertools.combinations(range(n), k)]
     index = {s: i for i, s in enumerate(basis)}
@@ -408,6 +418,8 @@ def balanced_fibers_novikov(p: Polytope, fan: Fan | None = None
 def _holonomy_residual(p: Polytope, blocks, vfloat, lam):
     """Row-wise residuals of the equal-area and per-block balancing
     equations at points x = (A, nu), one point per row."""
+    import numpy as np
+
     n = p.dim
 
     def fun(x):
@@ -437,6 +449,10 @@ def holonomy_search(p: Polytope, fan: Fan | None = None, grid: int = 6,
     part is solved exactly and the holonomy equations by damped least
     squares from a 2 pi / grid lattice of starts, one batch per partition.
     """
+    import numpy as np
+
+    from .solve import dedup_mod_2pi, least_squares, sort_key, wrap_angle
+
     _warn_non_fano(p, fan)
     check_partition_scale(p.num_facets)
     n = p.dim

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .discs import FiberPoint
+from .discs import FiberPoint, OverflowGuardError
 from .floer import HolonomyVector, NovikovTerm, NovikovVector, delta2_point
 from .lattice import KernelLattice, Polytope, PolytopeError, kushnirenko_count
 from .solve import dedup_mod_2pi, sort_key, wrap_angle
@@ -23,10 +23,6 @@ EXP_CLAMP = 700.0
 # the Newton search holds all its starts at once; dimension 4 at the
 # default grids (5^4 x 8^4 starts) is the largest it takes
 MAX_NEWTON_STARTS = 40 ** 4
-
-
-class OverflowGuardError(OverflowError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -223,15 +219,19 @@ def _newton_search(w: Superpotential, p: Polytope, grid_re: int,
     order = np.argsort(resid)
     order = order[resid[order] <= residual_tol]
     re, im = z.real[order], wrap_angle(-z.imag[order])
+    # sum_i |w_i| |v_i|^2 bounds every Hessian entry and its largest
+    # singular value; a Hessian that is rounding noise next to it is 0
+    norms2 = (v * v).sum(axis=1)
     found: list[CriticalPoint] = []
     for i in dedup_mod_2pi(re, im, dedup_tol):
         zi = re[i] - 1j * im[i]
         hess = w.hessian(zi)
         sv = np.linalg.svd(hess, compute_uv=False)
         cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
+        scale = np.abs(w._weights(zi)) @ norms2
         found.append(CriticalPoint(
             MirrorPoint(tuple(zi)), float(resid[order[i]]), cond,
-            bool(sv[-1] <= 1e-8 * sv[0])))
+            bool(sv[-1] <= 1e-8 * scale)))
     found.sort(key=lambda cp: sort_key(
         [t.real for t in cp.point.theta] + [t.imag for t in cp.point.theta],
         dedup_tol))
@@ -269,7 +269,7 @@ def check_delta2_equals_gradW(p: Polytope, a: FiberPoint,
                               nu: HolonomyVector | None = None) -> float:
     """||delta2<pt> at T^{2pi}=e^{-1} (sign, q dropped) + grad W||."""
     d2 = delta2_point(p, a, nu)
-    vec = d2.specialize()
+    vec = np.array(d2.specialize())
     if vec.size == 0:  # all area levels cancelled exactly
         vec = np.zeros(p.dim, dtype=complex)
     sign = (-1) ** p.dim

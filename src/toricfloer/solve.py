@@ -112,8 +112,9 @@ def dedup_mod_2pi(lin, ang, tol: float) -> np.ndarray:
     coordinate of lin (m, a) differs by at most tol and every angle of
     ang (m, b) by at most tol on the circle; each cluster keeps its
     best-ranked row. Rows are grouped by their coordinates rounded to the
-    tol grid, and only the group leaders are compared pairwise, which also
-    merges clusters split by a grid line or by the 0 / 2 pi seam.
+    tol grid, and each group leader, in rank order, is compared with the
+    leaders kept so far, which also merges clusters split by a grid line or
+    by the 0 / 2 pi seam. Memory stays linear in the number of leaders.
     """
     lin = np.asarray(lin, dtype=float)
     ang = wrap_angle(ang)
@@ -122,14 +123,18 @@ def dedup_mod_2pi(lin, ang, tol: float) -> np.ndarray:
     keys = np.round(np.hstack([lin, ang]) / tol)
     _, first = np.unique(keys, axis=0, return_index=True)
     lead = np.sort(first)
-    dl = np.abs(lin[lead, None, :] - lin[None, lead, :]).max(axis=-1,
-                                                             initial=0.0)
-    da = circ_dist(ang[lead, None, :], ang[None, lead, :]).max(axis=-1,
-                                                              initial=0.0)
-    near = np.maximum(dl, da) <= tol
+    lin, ang = lin[lead], ang[lead]
+    # the kept leaders' rows, packed into the first len(kept) rows
+    kept_lin, kept_ang = np.empty_like(lin), np.empty_like(ang)
     kept: list[int] = []
     for i in range(len(lead)):
-        if not near[i, kept].any():
+        k = len(kept)
+        near = np.abs(lin[i] - kept_lin[:k]).max(axis=-1, initial=0.0) <= tol
+        if near.any():  # the angles only of rows near in lin
+            near = circ_dist(ang[i], kept_ang[:k][near]).max(
+                axis=-1, initial=0.0) <= tol
+        if not near.any():
+            kept_lin[k], kept_ang[k] = lin[i], ang[i]
             kept.append(i)
     return lead[kept]
 

@@ -102,6 +102,15 @@ class TestSpectral:
             c = rng.normal(size=n) + 1j * rng.normal(size=n)
             assert spectral_rank_check(c) == 0
 
+    def test_refuses_dimension_above_cap(self, monkeypatch):
+        # the cap is lowered so that a regression allocates nothing large
+        assert floer.MAX_SPECTRAL_DIM == 12
+        monkeypatch.setattr(floer, "MAX_SPECTRAL_DIM", 3)
+        with pytest.raises(ValueError,
+                           match="MAX_SPECTRAL_DIM = 3; got n = 4"):
+            spectral_rank_check([1.0] * 4)
+        assert spectral_rank_check([0.0] * 3) == 8
+
     def test_delta_k_vanishing(self):
         assert not delta_k_vanishing(2)
         assert delta_k_vanishing(4) and delta_k_vanishing(6)

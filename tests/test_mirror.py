@@ -185,6 +185,7 @@ class TestCriticalPoints:
             cps = critical_points(build_superpotential(p), p, grid_im=4,
                                   grid_re=2)
         got = [cp.point.holonomy for cp in cps if not cp.degenerate]
+        assert len(got) <= count
         for nu in points:
             assert any(np.allclose(nu, h, atol=1e-8) for h in got), nu
 

@@ -1,10 +1,35 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricfloer.solve import (TWO_PI, circ_dist, dedup_mod_2pi,
                               least_squares, sort_key, wrap_angle)
+
+
+def _dedup_pairwise(lin, ang, tol):
+    """The reference: every pair of rounding-group leaders compared at
+    once in an L x L array, then the greedy pass in rank order."""
+    lin = np.asarray(lin, dtype=float)
+    ang = wrap_angle(ang)
+    if not len(lin):
+        return np.empty(0, dtype=np.int64)
+    keys = np.round(np.hstack([lin, ang]) / tol)
+    _, first = np.unique(keys, axis=0, return_index=True)
+    lead = np.sort(first)
+    dl = np.abs(lin[lead, None, :] - lin[None, lead, :]).max(axis=-1,
+                                                             initial=0.0)
+    da = circ_dist(ang[lead, None, :], ang[None, lead, :]).max(axis=-1,
+                                                              initial=0.0)
+    near = np.maximum(dl, da) <= tol
+    kept: list[int] = []
+    for i in range(len(lead)):
+        if not near[i, kept].any():
+            kept.append(i)
+    return lead[kept]
 
 
 def test_wrap_angle_snaps_below_two_pi():
@@ -67,6 +92,60 @@ class TestDedup:
     def test_empty(self):
         empty = np.zeros((0, 2))
         assert dedup_mod_2pi(empty, empty, 1e-6).size == 0
+
+    def test_memory_linear_in_leaders(self):
+        # the pairwise comparison of 3000 leaders needed an array of
+        # 3000 x 3000 x 3 floats, 216 MB
+        lin = np.arange(3000.0)[:, None] * np.ones((1, 2))
+        ang = np.full((3000, 1), 1.0)
+        tracemalloc.start()
+        try:
+            kept = dedup_mod_2pi(lin, ang, 1e-6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert list(kept) == list(range(3000))
+        assert peak < 4 * 2 ** 20
+
+
+_TOL = 1e-6
+# cluster centres on and beside rounding-grid lines, and on both sides of
+# the 0 / 2 pi seam
+_LIN_CENTRES = [0.0, 0.5 * _TOL, 1.5 * _TOL, -2.5 * _TOL, 1.0, 1.0 + _TOL]
+_ANG_CENTRES = [0.0, 0.5 * _TOL, TWO_PI - 0.5 * _TOL, TWO_PI - 3 * _TOL,
+                math.pi, math.pi + 0.5 * _TOL]
+
+
+@st.composite
+def _clustered_rows(draw):
+    a = draw(st.integers(1, 2))
+    b = draw(st.integers(1, 2))
+    coord = st.floats(-1.0, 1.0)
+    centres = draw(st.lists(
+        st.tuples(st.lists(st.sampled_from(_LIN_CENTRES), min_size=a,
+                           max_size=a),
+                  st.lists(st.sampled_from(_ANG_CENTRES), min_size=b,
+                           max_size=b)), min_size=1, max_size=4))
+    rows = draw(st.lists(st.tuples(
+        st.integers(0, len(centres) - 1),
+        st.lists(coord, min_size=a + b, max_size=a + b)),
+        min_size=1, max_size=30))
+    lin, ang = [], []
+    for c, jitter in rows:
+        # members lie within one tol of their centre, so a cluster can
+        # span a grid line or the seam, and two clusters can touch
+        lin.append([x + _TOL * j for x, j in zip(centres[c][0], jitter)])
+        ang.append([x + _TOL * j for x, j in zip(centres[c][1],
+                                                  jitter[a:])])
+    return np.array(lin), np.array(ang)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_clustered_rows())
+def test_dedup_matches_pairwise_reference(rows):
+    lin, ang = rows
+    assert (dedup_mod_2pi(lin, ang, _TOL).tolist()
+            == _dedup_pairwise(lin, ang, _TOL).tolist())
 
 
 def _circle_fun(x):
