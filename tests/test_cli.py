@@ -101,6 +101,15 @@ class TestExitCodes:
         assert "limited to 2560000 Newton starts" in err
         assert f"needs {5 ** k * 8 ** k}" in err
 
+    def test_superpotential_overflow(self, tmp_path, capsys):
+        # the critical point of W sits at the centre, where every exponent
+        # of W is -1000
+        path = tmp_path / "big.poly"
+        path.write_text("dim 1\nnormal 1 offset 0\nnormal -1 offset -2000\n")
+        code, _, err = run_cli(["critical", str(path), "--no-match"], capsys)
+        assert code == 3
+        assert "exponent out of range" in err
+
     def test_critical_enumerates_vertices_once(self, monkeypatch, capsys):
         calls = []
         enumerate_vertices = lattice._enumerate_vertices
