@@ -383,17 +383,17 @@ def is_fano(f: Fan) -> bool:
 
 
 def primitive_collections(f: Fan) -> list[PrimitiveCollection]:
-    spans = {frozenset(c.generator_indices)
-             for cones in f.cones_by_dim.values() for c in cones}
-    n_gens = len(f.generators)
+    """The non-cones all of whose proper subsets are cones. Such a set
+    minus its largest generator is a cone, so the candidates are a cone F
+    plus one generator j > max F; cones are bitmasks of their generators."""
+    cones = {sum(1 << j for j in c.generator_indices): c.generator_indices
+             for cs in f.cones_by_dim.values() for c in cs}
     out = []
-    for size in range(2, n_gens + 1):
-        for sub in itertools.combinations(range(n_gens), size):
-            s = frozenset(sub)
-            if s in spans:
-                continue
-            if all(s - {j} in spans for j in sub):
-                out.append(PrimitiveCollection(sub))
+    for mask, sub in cones.items():
+        for j in range(mask.bit_length(), len(f.generators)):
+            s = mask | 1 << j
+            if s not in cones and all(s ^ 1 << i in cones for i in sub):
+                out.append(PrimitiveCollection(sub + (j,)))
     return sorted(out, key=lambda c: c.indices)
 
 

@@ -36,7 +36,8 @@ class Superpotential:
     def _weights(self, theta: np.ndarray) -> np.ndarray:
         v = np.array(self.exponents, dtype=float)
         z = np.asarray(theta, dtype=complex)
-        arg = np.array([float(l) for l in self.offsets]) - v @ z
+        # one row of weights per row of a stacked theta (k, n)
+        arg = np.array([float(l) for l in self.offsets]) - (v @ z.T).T
         if np.any(np.abs(arg.real) > EXP_CLAMP):
             raise OverflowGuardError(
                 "superpotential exponent out of range (|Re| > 700)")
@@ -219,19 +220,21 @@ def _newton_search(w: Superpotential, p: Polytope, grid_re: int,
     order = np.argsort(resid)
     order = order[resid[order] <= residual_tol]
     re, im = z.real[order], wrap_angle(-z.imag[order])
+    keep = dedup_mod_2pi(re, im, dedup_tol)
+    zk = re[keep] - 1j * im[keep]
+    # one stacked Hessian and SVD over the kept points; _weights raises
+    # OverflowGuardError on an out-of-range exponent
+    ew = w._weights(zk)
+    sv = np.linalg.svd(np.einsum("si,ia,ib->sab", ew, v, v),
+                       compute_uv=False)
     # sum_i |w_i| |v_i|^2 bounds every Hessian entry and its largest
     # singular value; a Hessian that is rounding noise next to it is 0
-    norms2 = (v * v).sum(axis=1)
-    found: list[CriticalPoint] = []
-    for i in dedup_mod_2pi(re, im, dedup_tol):
-        zi = re[i] - 1j * im[i]
-        hess = w.hessian(zi)
-        sv = np.linalg.svd(hess, compute_uv=False)
-        cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
-        scale = np.abs(w._weights(zi)) @ norms2
-        found.append(CriticalPoint(
-            MirrorPoint(tuple(zi)), float(resid[order[i]]), cond,
-            bool(sv[-1] <= 1e-8 * scale)))
+    scale = np.abs(ew) @ (v * v).sum(axis=1)
+    found = [CriticalPoint(
+        MirrorPoint(tuple(zi)), float(resid[order[i]]),
+        float(s[0] / s[-1]) if s[-1] > 0 else math.inf,
+        bool(s[-1] <= 1e-8 * sc))
+        for i, zi, s, sc in zip(keep, zk, sv, scale)]
     found.sort(key=lambda cp: sort_key(
         [t.real for t in cp.point.theta] + [t.imag for t in cp.point.theta],
         dedup_tol))

@@ -1,13 +1,14 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricfloer import kernels
-from toricfloer.lattice import PolytopeError, parse_polytope
+from toricfloer import kernels, oracle
+from toricfloer.lattice import Polytope, PolytopeError, parse_polytope
 from toricfloer.oracle import (MAX_GRID_CELLS, PROBE_T, balanced_oracle,
                                grid_scan)
 
@@ -182,3 +183,153 @@ def test_oracle_candidates_p1():
     nus = sorted(c.nu[0] for c in cands)
     assert nus[0] == pytest.approx(0.0, abs=1e-7)
     assert nus[1] == pytest.approx(math.pi, abs=1e-7)
+
+
+def _full_grid_scan(p, n_a, n_nu):
+    """grid_scan over every cell of the holonomy lattice, as it ran before
+    one cell of each conjugate pair was dropped: the reference."""
+    v = np.array(p.normals, dtype=float)
+    lam = np.array([float(l) for l in p.offsets])
+    a_grid, _ = oracle._grids(p, n_a, n_nu)
+    nu_axis = np.arange(n_nu) * (2 * math.pi / n_nu)
+    nu_grid = np.stack(
+        [g.ravel() for g in np.meshgrid(*([nu_axis] * p.dim))], axis=-1)
+    ell = a_grid @ v.T - lam
+    interior = (ell > 1e-9).all(axis=1)
+    a_grid, ell = a_grid[interior], ell[interior]
+    phase = np.exp(1j * (nu_grid @ v.T))
+    minres, argnu = kernels.grid_min_residual(
+        ell, phase.real, phase.imag, v, np.array(PROBE_T))
+    return a_grid, nu_grid[argnu], minres, ell
+
+
+def _rounding_scale(ell, v):
+    """max_t sum_jl |<v_j, v_l>| w_j w_l per fiber row, as in
+    _longdouble_r2."""
+    gram = np.abs(v @ v.T)
+    return np.max([np.einsum("an,nm,am->a", t ** ell, gram, t ** ell)
+                   for t in PROBE_T], axis=0)
+
+
+def _assert_scan_equals_full(p, n_a, n_nu):
+    pts, nus, res = grid_scan(p, n_a=n_a, n_nu=n_nu)
+    pts_f, nus_f, res_f, ell = _full_grid_scan(p, n_a, n_nu)
+    scale = _rounding_scale(ell, np.array(p.normals, dtype=float))
+    assert np.array_equal(pts, pts_f)
+    assert np.all(np.abs(res ** 2 - res_f ** 2) <= 1e-13 * scale)
+    assert np.array_equal(nus, nus_f)
+
+
+@st.composite
+def _box_polytope(draw):
+    # the box [0, L]^n cut by up to three half-spaces through points near
+    # its centre, so the polytope is bounded with nonempty interior
+    n = draw(st.integers(1, 3))
+    size = draw(st.integers(2, 6))
+    rows = [(tuple(int(i == k) * s for i in range(n)), o)
+            for k in range(n) for s, o in ((1, 0), (-1, -size))]
+    for _ in range(draw(st.integers(0, 3))):
+        w = tuple(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+        g = math.gcd(*w)
+        if not g or any(r[0] == tuple(c // g for c in w) for r in rows):
+            continue
+        w = tuple(c // g for c in w)
+        depth = Fraction(draw(st.integers(1, 4 * size)), 4)
+        rows.append((w, Fraction(sum(w) * size, 2) - depth))
+    return Polytope(n, tuple(rows)), draw(st.integers(1, 6)), draw(
+        st.integers(1, 9))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_box_polytope())
+def test_grid_scan_matches_full_grid(problem):
+    _assert_scan_equals_full(*problem)
+
+
+@pytest.mark.parametrize("name", ["p1", "p2", "p3", "p1xp1", "f1", "f2",
+                                  "f3"])
+def test_grid_scan_matches_full_grid_on_corpus(name):
+    p = corpus_polytope(name)
+    for n_a, n_nu in ((9, 12), (8, 7)) if p.dim <= 2 else ((5, 6), (4, 5)):
+        _assert_scan_equals_full(p, n_a, n_nu)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lattice_problem())
+def test_conjugate_half_keeps_the_full_minimum(problem):
+    # the kernel on the kept cells against the kernel on the whole lattice
+    ell, p_re, p_im, v, t = problem
+    n = v.shape[1]
+    m = round(len(p_re) ** (1 / n))
+    half = oracle._holonomy_grid(n, m)
+    phase = np.exp(1j * (half @ v.T))
+    minres, argnu = kernels.grid_min_residual(
+        ell, phase.real, phase.imag, v, t)
+    full_res, full_nu = kernels.grid_min_residual(*problem)
+    nu_axis = np.arange(m) * (2 * math.pi / m)
+    full = np.stack([g.ravel() for g in np.meshgrid(*([nu_axis] * n))],
+                    axis=-1)
+    scale = _rounding_scale(ell, v)
+    assert np.all(np.abs(minres ** 2 - full_res ** 2) <= 1e-13 * scale)
+    assert np.array_equal(half[argnu], full[full_nu])
+
+
+@pytest.mark.parametrize("name, n_nu, cells", [
+    ("p1", 48, 25), ("p2", 48, 1154), ("p3", 16, 2052), ("p2", 7, 25)])
+def test_grids_keep_one_cell_per_conjugate_pair(name, n_nu, cells):
+    # (m^n + 2^n) / 2 cells for even m, (m^n + 1) / 2 for odd m
+    p = corpus_polytope(name)
+    n = p.dim
+    _, kept = oracle._grids(p, 3, n_nu)
+    assert len(kept) == cells
+    assert not kept[0].any()
+    nu_axis = np.arange(n_nu) * (2 * math.pi / n_nu)
+    full = np.stack([g.ravel() for g in np.meshgrid(*([nu_axis] * n))],
+                    axis=-1)
+    index = {tuple(k): i for i, k in enumerate(
+        np.rint(full * n_nu / (2 * math.pi)).astype(int).tolist())}
+    kept_index = [index[tuple(k)] for k in
+                  np.rint(kept * n_nu / (2 * math.pi)).astype(int).tolist()]
+    assert kept_index == sorted(kept_index)
+    kept_index = set(kept_index)
+    for k, i in index.items():
+        j = index[tuple((-x) % n_nu for x in k)]
+        # one cell of each pair, the lower-index one
+        assert (i in kept_index) == (i <= j)
+        assert (i in kept_index) or (j in kept_index and j < i)
+
+
+def _seeds_by_pairs(a_grid, nu_best, minres, polish_top):
+    """The seed loop that compared each cell with every kept seed in turn,
+    kept as the reference for oracle._seeds."""
+    order = np.argsort(minres)
+    seeds = []
+    for s in order[:10 * polish_top]:
+        a = a_grid[s]
+        if any(np.max(np.abs(a - np.array(prev))) < 0.5 for prev, _ in seeds):
+            continue
+        seeds.append((tuple(a), tuple(nu_best[s])))
+        if len(seeds) >= polish_top:
+            break
+    return seeds
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 12), st.integers(1, 120),
+       st.integers(0, 2 ** 32 - 1))
+def test_seeds_match_pairwise_loop(n, polish_top, m, seed):
+    rng = np.random.default_rng(seed)
+    # clustered points on a 0.25 grid, so distances of exactly 0.5 occur,
+    # and residuals with ties
+    a_grid = rng.integers(0, 12, size=(m, n)) * 0.25
+    nu_best = rng.uniform(0, 2 * math.pi, size=(m, n))
+    minres = rng.integers(0, 5, size=m) * 0.1
+    assert (oracle._seeds(a_grid, nu_best, minres, polish_top)
+            == _seeds_by_pairs(a_grid, nu_best, minres, polish_top))
+
+
+@pytest.mark.parametrize("name", ["p1", "p2", "p3", "f1"])
+def test_seeds_match_pairwise_loop_on_corpus(name):
+    p = corpus_polytope(name)
+    scan = grid_scan(p, n_a=30, n_nu=8)
+    assert oracle._seeds(*scan, 40) == _seeds_by_pairs(*scan, 40)

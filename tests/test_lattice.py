@@ -640,3 +640,44 @@ def test_kushnirenko_count_matches_hull(data):
         assert count == _hull_area2(f.generators)
     if is_smooth(f) and is_fano(f):
         assert count == euler_characteristic(f)
+
+
+def _primitive_collections_by_subsets(f):
+    """The 2^N scan primitive_collections replaced, kept as its reference:
+    every generator subset that is not a cone while each subset one
+    element smaller is."""
+    spans = {frozenset(c.generator_indices)
+             for cones in f.cones_by_dim.values() for c in cones}
+    n_gens = len(f.generators)
+    out = []
+    for size in range(2, n_gens + 1):
+        for sub in combinations(range(n_gens), size):
+            s = frozenset(sub)
+            if s in spans:
+                continue
+            if all(s - {j} in spans for j in sub):
+                out.append(sub)
+    return sorted(out)
+
+
+@st.composite
+def _product_input(draw):
+    factors = draw(st.lists(st.sampled_from(sorted(_FACTORS)), min_size=1,
+                            max_size=4))
+    # at most 12 facets, so the reference scans at most 4 096 subsets
+    while sum(len(_FACTORS[k][0]) for k in factors) > 12:
+        factors.pop()
+    return _product(factors)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(st.one_of(_random_input().map(lambda d: _input_text(*d)),
+                 _product_input()))
+def test_primitive_collections_match_subset_scan(text):
+    try:
+        f = normal_fan(parse_polytope(text))
+    except (PolytopeError, FanError):
+        reject()
+    assert ([c.indices for c in primitive_collections(f)]
+            == _primitive_collections_by_subsets(f))

@@ -189,6 +189,28 @@ class TestCriticalPoints:
         for nu in points:
             assert any(np.allclose(nu, h, atol=1e-8) for h in got), nu
 
+    @pytest.mark.parametrize("name", CORPUS + ("octahedron",))
+    def test_stacked_hessians_match_each_point(self, name):
+        # one stacked Hessian SVD against one Hessian and one SVD per point
+        if name == "octahedron":
+            p = parse_polytope("dim 3\n" + "".join(
+                f"normal {a} {b} {c} offset -1\n" for a in (1, -1)
+                for b in (1, -1) for c in (1, -1)))
+        else:
+            p = corpus_polytope(name)
+        w = build_superpotential(p)
+        norms2 = (np.array(p.normals, dtype=float) ** 2).sum(axis=1)
+        found = mirror._newton_search(w, p, 2, 4, 1e-12, 1e-8)
+        assert found
+        for cp in found:
+            z = np.array(cp.point.theta)
+            sv = np.linalg.svd(w.hessian(z), compute_uv=False)
+            degenerate = sv[-1] <= 1e-8 * (np.abs(w._weights(z)) @ norms2)
+            assert cp.degenerate == degenerate
+            if not degenerate:
+                assert cp.hessian_cond == pytest.approx(sv[0] / sv[-1],
+                                                        rel=1e-12)
+
     def test_surplus_warning(self, corpus, monkeypatch):
         search = mirror._newton_search
 
