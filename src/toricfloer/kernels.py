@@ -1,4 +1,10 @@
-"""The grid oracle's hot kernel: one real GEMM per chunk of fiber rows."""
+"""The grid oracle's hot kernel: one real GEMM per chunk of fiber rows.
+
+``oracle.grid_scan`` passes one holonomy of each conjugate pair
+{nu, -nu mod 2 pi}, the one of lower lattice index; the residual is even
+in nu, and the lowest-tied-index rule below then gives the full lattice's
+answer.
+"""
 
 from __future__ import annotations
 

@@ -204,11 +204,9 @@ def _full_grid_scan(p, n_a, n_nu):
 
 
 def _rounding_scale(ell, v):
-    """max_t sum_jl |<v_j, v_l>| w_j w_l per fiber row, as in
-    _longdouble_r2."""
-    gram = np.abs(v @ v.T)
-    return np.max([np.einsum("an,nm,am->a", t ** ell, gram, t ** ell)
-                   for t in PROBE_T], axis=0)
+    """The rounding scale of each fiber row, from _longdouble_r2."""
+    one = np.ones((1, v.shape[0]))
+    return _longdouble_r2(ell, one, 0 * one, v, np.array(PROBE_T))[1]
 
 
 def _assert_scan_equals_full(p, n_a, n_nu):
