@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .lattice import Fan, KernelLattice, Polytope
 
@@ -31,8 +30,7 @@ class OverflowGuardError(OverflowError):
     """A superpotential exponent left the range where exp is finite."""
 
 
-@dataclass(frozen=True)
-class FiberPoint:
+class FiberPoint(NamedTuple):
     """Interior point of the moment polytope, exact or floating."""
 
     coords: tuple
@@ -58,13 +56,17 @@ class FiberPoint:
                 f"fiber {self.coords} is singular (not interior)")
 
 
-@dataclass(frozen=True)
-class DiscClass:
+class _DiscClass(NamedTuple):
     multiplicities: tuple[int, ...]
 
-    def __post_init__(self):
-        if any(m < 0 for m in self.multiplicities):
+
+class DiscClass(_DiscClass):
+    __slots__ = ()
+
+    def __new__(cls, multiplicities: tuple[int, ...]):
+        if any(m < 0 for m in multiplicities):
             raise ValueError("multiplicities must be nonnegative")
+        return tuple.__new__(cls, (multiplicities,))
 
     def __add__(self, other: "DiscClass") -> "DiscClass":
         return DiscClass(tuple(a + b for a, b in
@@ -125,27 +127,30 @@ def lift_fiber(a: FiberPoint, p: Polytope, k: KernelLattice) -> np.ndarray:
     return c
 
 
-@dataclass(frozen=True)
-class BlaschkeLift:
-    """Explicit Blaschke-product representative of a disc class."""
-
+class _BlaschkeLift(NamedTuple):
     disc_class: DiscClass
     moduli: tuple[float, ...]
-    phases: tuple[float, ...] = None
-    roots: tuple[tuple[complex, ...], ...] = None
+    phases: tuple[float, ...]
+    roots: tuple[tuple[complex, ...], ...]
 
-    def __post_init__(self):
-        n = len(self.disc_class.multiplicities)
-        if self.phases is None:
-            object.__setattr__(self, "phases", (0.0,) * n)
-        if self.roots is None:
-            object.__setattr__(
-                self, "roots",
-                tuple((0j,) * m for m in self.disc_class.multiplicities))
-        for js in self.roots:
+
+class BlaschkeLift(_BlaschkeLift):
+    """Explicit Blaschke-product representative of a disc class."""
+
+    __slots__ = ()
+
+    def __new__(cls, disc_class: DiscClass, moduli: tuple[float, ...],
+                phases: tuple[float, ...] = None,
+                roots: tuple[tuple[complex, ...], ...] = None):
+        if phases is None:
+            phases = (0.0,) * len(disc_class.multiplicities)
+        if roots is None:
+            roots = tuple((0j,) * m for m in disc_class.multiplicities)
+        for js in roots:
             for alpha in js:
                 if abs(alpha) >= 1:
                     raise ValueError(f"Blaschke root {alpha} not in open disc")
+        return tuple.__new__(cls, (disc_class, moduli, phases, roots))
 
 
 def make_lift(d: DiscClass, a: FiberPoint, p: Polytope, k: KernelLattice,

@@ -13,8 +13,8 @@ import cmath
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import _exact
 from .discs import FiberPoint
@@ -35,8 +35,7 @@ class UnsupportedRegimeWarning(UserWarning):
     """Non-Fano input: results are conjectural."""
 
 
-@dataclass(frozen=True)
-class HolonomyVector:
+class HolonomyVector(NamedTuple):
     nu: tuple[float, ...]
 
     @classmethod
@@ -52,8 +51,7 @@ class HolonomyVector:
         return all(x == 0.0 for x in self.nu)
 
 
-@dataclass(frozen=True)
-class NovikovTerm:
+class NovikovTerm(NamedTuple):
     """coefficient * T^{2 pi level} * q^{q_power} * vector."""
 
     coefficient: complex
@@ -62,8 +60,7 @@ class NovikovTerm:
     vector: tuple
 
 
-@dataclass(frozen=True)
-class NovikovVector:
+class NovikovVector(NamedTuple):
     terms: tuple[NovikovTerm, ...]
     exact: bool = False
 
@@ -111,29 +108,25 @@ class NovikovVector:
         return tuple(acc)
 
 
-@dataclass(frozen=True)
-class AreaPartition:
+class AreaPartition(NamedTuple):
     blocks: tuple[tuple[int, ...], ...]
     levels: tuple
 
 
-@dataclass(frozen=True)
-class BalancedSolution:
+class BalancedSolution(NamedTuple):
     point: FiberPoint
     nu: HolonomyVector | None
     partition: AreaPartition
     residual: float
 
 
-@dataclass(frozen=True)
-class BalancedDescription:
+class BalancedDescription(NamedTuple):
     factor_dims: tuple[int, ...]
     factor_levels: tuple
     text: str
 
 
-@dataclass(frozen=True)
-class PartitionDiagnostic:
+class PartitionDiagnostic(NamedTuple):
     blocks: tuple[tuple[int, ...], ...]
     consistent: bool
     unique: bool
@@ -143,8 +136,7 @@ class PartitionDiagnostic:
     message: str
 
 
-@dataclass(frozen=True)
-class HolonomySearchResult:
+class HolonomySearchResult(NamedTuple):
     solutions: tuple[BalancedSolution, ...]
     diagnostics: tuple[PartitionDiagnostic, ...]
 

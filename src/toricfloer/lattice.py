@@ -7,10 +7,10 @@ data is integral, and no floating point enters any validity decision.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from . import _exact
 
@@ -32,12 +32,20 @@ class FanError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Polytope:
-    """Bounded intersection of half-spaces <x, v_j> >= lambda_j."""
+def _immutable(self, name, *value):
+    raise AttributeError(f"{type(self).__name__} is immutable")
 
+
+class _Polytope(NamedTuple):
     dim: int
     facets: tuple[tuple[LatticeVector, Fraction], ...]
+
+
+class Polytope(_Polytope):
+    """Bounded intersection of half-spaces <x, v_j> >= lambda_j."""
+
+    # no __slots__: the instance dict holds the cached vertex_facets
+    __setattr__ = __delattr__ = _immutable
 
     @property
     def normals(self) -> tuple[LatticeVector, ...]:
@@ -71,8 +79,7 @@ class Polytope:
         return all(l > 0 for l in self.ell(x))
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(NamedTuple):
     generator_indices: tuple[int, ...]
 
     @property
@@ -80,15 +87,23 @@ class Cone:
         return len(self.generator_indices)
 
 
-@dataclass(frozen=True)
-class Fan:
+class _Fan(NamedTuple):
+    dim: int
+    generators: tuple[LatticeVector, ...]
+    cones_by_dim: dict[int, tuple[Cone, ...]]
+    duals: dict[tuple[int, ...], Matrix]
+
+
+class Fan(_Fan):
     """``duals`` maps each maximal cone's generator indices to the inverse
     of its generator matrix, whose columns are the dual basis."""
 
-    dim: int
-    generators: tuple[LatticeVector, ...]
-    cones_by_dim: dict[int, tuple[Cone, ...]] = field(hash=False)
-    duals: dict[tuple[int, ...], Matrix] = field(hash=False)
+    # no __slots__: the instance dict holds the cached smooth and fano
+    __setattr__ = __delattr__ = _immutable
+
+    def __hash__(self):
+        # the dicts are compared but not hashed
+        return hash((self.dim, self.generators))
 
     @property
     def max_cones(self) -> tuple[Cone, ...]:
@@ -116,8 +131,7 @@ class Fan:
         return True
 
 
-@dataclass(frozen=True)
-class KernelLattice:
+class KernelLattice(NamedTuple):
     """Rows Q_a span the relation lattice of the ray generators."""
 
     basis: tuple[tuple[int, ...], ...]
@@ -128,8 +142,7 @@ class KernelLattice:
         return len(self.basis)
 
 
-@dataclass(frozen=True)
-class PrimitiveCollection:
+class PrimitiveCollection(NamedTuple):
     indices: tuple[int, ...]
 
 

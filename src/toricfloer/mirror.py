@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +25,7 @@ EXP_CLAMP = 700.0
 MAX_NEWTON_STARTS = 40 ** 4
 
 
-@dataclass(frozen=True)
-class Superpotential:
+class Superpotential(NamedTuple):
     """Terms exp(-y_i - <Theta, v_i>) with y_i = -lambda_i, one per facet."""
 
     dim: int
@@ -56,8 +55,7 @@ class Superpotential:
         return np.einsum("i,ia,ib->ab", w, v, v)
 
 
-@dataclass(frozen=True)
-class MirrorPoint:
+class MirrorPoint(NamedTuple):
     theta: tuple[complex, ...]
 
     @property
@@ -69,13 +67,11 @@ class MirrorPoint:
         return tuple((-t.imag) % (2 * math.pi) for t in self.theta)
 
 
-@dataclass(frozen=True)
-class MirrorCoordinates:
+class MirrorCoordinates(NamedTuple):
     y: tuple[complex, ...]
 
 
-@dataclass(frozen=True)
-class CriticalPoint:
+class CriticalPoint(NamedTuple):
     point: MirrorPoint
     residual: float
     hessian_cond: float

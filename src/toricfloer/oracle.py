@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +28,7 @@ DEDUP_TOL = 1e-4
 MAX_GRID_CELLS = 2 ** 28
 
 
-@dataclass(frozen=True)
-class OracleCandidate:
+class OracleCandidate(NamedTuple):
     point: tuple[float, ...]
     nu: tuple[float, ...]
     residual: float

@@ -52,7 +52,8 @@ def _serialize(obj, out: list) -> None:
             out.append(": ")
             _serialize(v, out)
         out.append("}")
-    elif isinstance(obj, (list, tuple)):
+    elif isinstance(obj, list) or type(obj) is tuple:
+        # a record is a tuple subclass; it has no JSON form of its own
         out.append("[")
         for i, v in enumerate(obj):
             if i:

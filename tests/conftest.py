@@ -16,6 +16,18 @@ def corpus_polytope(name: str) -> Polytope:
     return parse_polytope(corpus_text(name))
 
 
+def assert_record(make, field: str) -> None:
+    """Two records built from equal fields are equal, with equal hashes,
+    and neither a field nor a new attribute can be assigned."""
+    a, b = make(), make()
+    assert a is not b and a == b and hash(a) == hash(b)
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(b, field))
+    with pytest.raises(AttributeError):
+        a.extra = None
+    assert a == b
+
+
 @pytest.fixture(scope="session")
 def corpus() -> dict[str, Polytope]:
     return {name: corpus_polytope(name) for name in CORPUS}

@@ -29,6 +29,16 @@ def run_cli(args, capsys):
     return code, out.out, out.err
 
 
+def test_dumps_refuses_records():
+    assert rep.dumps({"a": (1, [2.5, None])}) == '{"a": [1, [2.5, null]]}\n'
+    # a record is a tuple subclass, but has no JSON form
+    with pytest.raises(TypeError, match="unserializable"):
+        rep.dumps({"cone": lattice.Cone((0, 1))})
+    with pytest.raises(TypeError, match="unserializable"):
+        rep.dumps({"fans": [lattice.normal_fan(
+            lattice.parse_polytope(corpus_text("p2")))]})
+
+
 class TestExitCodes:
     def test_analyze_ok(self, capsys):
         code, out, _ = run_cli(["analyze", poly_path("p2")], capsys)

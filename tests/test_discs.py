@@ -11,7 +11,7 @@ from toricfloer.discs import (BlaschkeLift, DiscClass, FiberPoint,
                               winding_maslov)
 from toricfloer.lattice import kernel_lattice, normal_fan
 
-from conftest import CORPUS, corpus_polytope
+from conftest import CORPUS, assert_record, corpus_polytope
 
 
 class TestFiberPoint:
@@ -28,6 +28,26 @@ class TestFiberPoint:
         a = FiberPoint.numeric(1.5, 2.5)
         assert not a.exact
         a.require_interior(corpus["p2"])
+
+
+class TestRecords:
+    @pytest.mark.parametrize("make, field", [
+        (lambda: FiberPoint.rational(1, 2), "coords"),
+        (lambda: DiscClass((1, 0, 2)), "multiplicities"),
+        (lambda: BlaschkeLift(DiscClass((1, 2)), (1.0, 2.0)), "roots"),
+    ], ids=["FiberPoint", "DiscClass", "BlaschkeLift"])
+    def test_value_semantics(self, make, field):
+        assert_record(make, field)
+
+    def test_disc_classes_add_multiplicities(self):
+        d = DiscClass((1, 0, 2)) + DiscClass((0, 3, 1))
+        assert type(d) is DiscClass and d.multiplicities == (1, 3, 3)
+
+    def test_defaults(self):
+        assert FiberPoint((1, 2)).exact
+        lift = BlaschkeLift(DiscClass((1, 0, 2)), (1.0, 1.0, 1.0))
+        assert lift.phases == (0.0, 0.0, 0.0)
+        assert lift.roots == ((0j,), (), (0j, 0j))
 
 
 class TestIndexArea:

@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 from toricfloer import floer
 from toricfloer.discs import FiberPoint
-from toricfloer.floer import (HolonomyVector, NovikovTerm, NovikovVector,
-                              UnsupportedRegimeError,
+from toricfloer.floer import (AreaPartition, BalancedDescription,
+                              BalancedSolution, HolonomySearchResult,
+                              HolonomyVector, NovikovTerm, NovikovVector,
+                              PartitionDiagnostic, UnsupportedRegimeError,
                               UnsupportedRegimeWarning,
                               balanced_fibers_novikov,
                               balanced_fibers_with_holonomy, delta2_point,
@@ -23,7 +25,43 @@ from toricfloer.floer import (HolonomyVector, NovikovTerm, NovikovVector,
 from toricfloer.lattice import (FanError, PolytopeError, normal_fan,
                                 parse_polytope)
 
-from conftest import corpus_polytope
+from conftest import assert_record, corpus_polytope
+
+
+def _solution():
+    return BalancedSolution(FiberPoint.numeric(1.0, 2.0),
+                            HolonomyVector.of(0.0, math.pi),
+                            AreaPartition(((0, 1, 2),), (1.0,)), 1e-12)
+
+
+def _diagnostic():
+    return PartitionDiagnostic(((0, 1), (2, 3)), True, True,
+                               (Fraction(1), Fraction(1)), (), 2, "ok")
+
+
+class TestRecords:
+    @pytest.mark.parametrize("make, field", [
+        (lambda: HolonomyVector.of(1.0, 2.0), "nu"),
+        (lambda: NovikovTerm(1.0 + 0j, 0.5, 1, (1.0, 0.0)), "level"),
+        (lambda: NovikovVector((NovikovTerm(Fraction(1), Fraction(1), 1,
+                                            (Fraction(1),)),), True),
+         "terms"),
+        (lambda: AreaPartition(((0, 2), (1,)), (Fraction(1), Fraction(2))),
+         "blocks"),
+        (_solution, "residual"),
+        (lambda: BalancedDescription((1, 1), (Fraction(1),), "P^1 x P^1"),
+         "text"),
+        (_diagnostic, "message"),
+        (lambda: HolonomySearchResult((_solution(),), (_diagnostic(),)),
+         "solutions"),
+    ], ids=["HolonomyVector", "NovikovTerm", "NovikovVector",
+            "AreaPartition", "BalancedSolution", "BalancedDescription",
+            "PartitionDiagnostic", "HolonomySearchResult"])
+    def test_value_semantics(self, make, field):
+        assert_record(make, field)
+
+    def test_defaults(self):
+        assert not NovikovVector(()).exact
 
 
 class TestDelta2:

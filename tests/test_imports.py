@@ -1,4 +1,6 @@
-"""numpy is loaded only by the code that computes in floating point."""
+"""numpy is loaded only by the code that computes in floating point, and
+no command loads dataclasses or inspect, which cost more to import than
+the exact commands take to run."""
 
 import importlib
 import subprocess
@@ -29,18 +31,31 @@ def test_exact_commands_load_no_numpy():
     path = str(resources.files("toricfloer") / "data" / "polytopes"
                / "p2.poly")
     code = """
-import contextlib, io, sys
+import contextlib, importlib, io, pkgutil, sys
 from toricfloer import cli
+
+def loaded(step):
+    print(step, *(m in sys.modules for m in ("numpy", "dataclasses",
+                                             "inspect")))
+
+loaded("import")
 path = sys.argv[1]
 for argv in (["analyze", path], ["hf", path, "--fiber", "3,3"],
              ["hf", path, "--fiber", "1,2", "--coefficients", "exp"],
              ["balanced", path], ["critical", path]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv + ["--json"])
-    print(code, "numpy" in sys.modules)
+    loaded(code)
+for module in pkgutil.iter_modules(sys.modules["toricfloer"].__path__):
+    importlib.import_module("toricfloer." + module.name)
+loaded("all")
 """
     got = run_python(code, path)
-    assert got == ["0", "False"] * 4 + ["0", "True"]
+    assert got[:20] == ["import", "False", "False", "False"] + [
+        "0", "False", "False", "False"] * 4
+    # numpy itself loads inspect; no toricfloer module loads dataclasses
+    assert got[20:23] == ["0", "True", "False"]
+    assert got[24:27] == ["all", "True", "False"]
 
 
 def test_all_names_resolve_to_their_submodule():

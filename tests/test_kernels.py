@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from toricfloer import kernels, oracle
 from toricfloer.lattice import Polytope, PolytopeError, parse_polytope
-from toricfloer.oracle import (MAX_GRID_CELLS, PROBE_T, balanced_oracle,
-                               grid_scan)
+from toricfloer.oracle import (MAX_GRID_CELLS, PROBE_T, OracleCandidate,
+                               balanced_oracle, grid_scan)
 
-from conftest import corpus_polytope
+from conftest import assert_record, corpus_polytope
 
 
 def _reference(ell, p_re, p_im, v, t):
@@ -173,6 +173,10 @@ def test_grid_scan_finds_p2_center():
     pts, nus, res = grid_scan(p, n_a=41, n_nu=12)
     best = pts[np.argmin(res)]
     assert np.allclose(best, [3.0, 3.0], atol=0.2)
+
+
+def test_oracle_candidate_is_a_record():
+    assert_record(lambda: OracleCandidate((1.0,), (0.0,), 1e-9), "nu")
 
 
 def test_oracle_candidates_p1():

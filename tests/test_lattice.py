@@ -8,14 +8,15 @@ from hypothesis import HealthCheck, assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from toricfloer import _exact, lattice
-from toricfloer.lattice import (Cone, FanError, Polytope, PolytopeError,
+from toricfloer.lattice import (Cone, Fan, FanError, KernelLattice,
+                                Polytope, PolytopeError, PrimitiveCollection,
                                 chart_coordinates, chart_exponents,
                                 euler_characteristic, is_fano, is_smooth,
                                 kernel_lattice, kushnirenko_count,
                                 normal_fan, parse_polytope,
                                 primitive_collections, serialize_polytope)
 
-from conftest import CORPUS, corpus_polytope, corpus_text
+from conftest import CORPUS, assert_record, corpus_polytope, corpus_text
 
 P2 = "dim 2\nnormal 1 0 offset 0\nnormal 0 1 offset 0\nnormal -1 -1 offset -9\n"
 
@@ -114,6 +115,44 @@ class TestFan:
                 "normal -1 -1 offset -10\n")
         with pytest.raises(FanError, match="facet 4"):
             normal_fan(parse_polytope(text))
+
+
+class TestRecords:
+    @pytest.mark.parametrize("make, field", [
+        (lambda: parse_polytope(P2), "facets"),
+        (lambda: Cone((0, 1)), "generator_indices"),
+        (lambda: normal_fan(parse_polytope(P2)), "cones_by_dim"),
+        (lambda: KernelLattice(((1, 1, 1),), (Fraction(9),)), "basis"),
+        (lambda: PrimitiveCollection((0, 1, 2)), "indices"),
+    ], ids=["Polytope", "Cone", "Fan", "KernelLattice",
+            "PrimitiveCollection"])
+    def test_value_semantics(self, make, field):
+        assert_record(make, field)
+
+    def test_fan_hash_leaves_out_its_dicts(self):
+        f = normal_fan(parse_polytope(P2))
+        bare = Fan(f.dim, f.generators, {}, {})
+        assert hash(bare) == hash(f) == hash((f.dim, f.generators))
+        # the dicts are still compared
+        assert bare != f
+        assert Fan(*f) == f
+
+    def test_vertex_pass_cached_per_instance(self, monkeypatch):
+        p, q = parse_polytope(P2), parse_polytope(P2)
+        calls = []
+        enumerate_vertices = lattice._enumerate_vertices
+        monkeypatch.setattr(lattice, "_enumerate_vertices",
+                            lambda p: calls.append(p) or enumerate_vertices(p))
+        p = Polytope(*p)
+        for _ in range(2):
+            assert p.vertices() == q.vertices()
+            normal_fan(p)
+        assert len(calls) == 1
+        # the cache is neither compared nor hashed
+        assert p == q and hash(p) == hash(q)
+        f = normal_fan(q)
+        assert f.smooth and f.fano
+        assert {"smooth", "fano"} <= vars(f).keys()
 
 
 def test_never_active_facet_is_the_right_error(corpus):

@@ -9,7 +9,8 @@ import pytest
 from toricfloer import mirror
 from toricfloer.discs import FiberPoint
 from toricfloer.floer import HolonomyVector
-from toricfloer.mirror import (MirrorPoint, OverflowGuardError,
+from toricfloer.mirror import (CriticalPoint, MirrorCoordinates, MirrorPoint,
+                               OverflowGuardError, Superpotential,
                                build_superpotential,
                                check_delta2_equals_gradW, check_o_equals_W,
                                constraint_residuals_exact, critical_points,
@@ -17,7 +18,20 @@ from toricfloer.mirror import (MirrorPoint, OverflowGuardError,
                                mirror_coordinates_exact, obstruction_class)
 from toricfloer.lattice import kernel_lattice, normal_fan, parse_polytope
 
-from conftest import CORPUS, corpus_polytope
+from conftest import CORPUS, assert_record, corpus_polytope
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: Superpotential(1, ((1,), (-1,)), (Fraction(0), Fraction(-2))),
+     "offsets"),
+    (lambda: MirrorPoint((1 + 2j, 3 - 1j)), "theta"),
+    (lambda: MirrorCoordinates((1 + 0j, -2j)), "y"),
+    (lambda: CriticalPoint(MirrorPoint((1 + 0j,)), 1e-14, 2.0, False),
+     "degenerate"),
+], ids=["Superpotential", "MirrorPoint", "MirrorCoordinates",
+        "CriticalPoint"])
+def test_record_semantics(make, field):
+    assert_record(make, field)
 
 
 class TestSuperpotential:

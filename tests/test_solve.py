@@ -108,6 +108,39 @@ class TestDedup:
         assert peak < 4 * 2 ** 20
 
 
+    def test_far_and_non_finite_rows(self):
+        # |lin / tol| of 2^50 and more leaves the cell index: those rows
+        # are compared with every leader; inf and nan are never near
+        tol = 1e-6
+        base = 2.0 ** 50 * tol
+        step = np.spacing(base)
+        edge = 2.0 ** 49 * tol
+        lin = np.array([[base], [base + 3 * step], [base + 4 * step],
+                        [base - step], [np.inf], [np.nan], [np.inf],
+                        [base + 2.0 ** 48 * tol],
+                        # a far row kept first, then a near one beside it,
+                        # and the other way round
+                        [edge + 0.3 * tol], [edge - 0.6 * tol],
+                        [-edge + 0.6 * tol], [-edge - 0.3 * tol]])
+        ang = np.zeros((len(lin), 1))
+        ang[2] = TWO_PI - 0.5 * tol
+        kept = dedup_mod_2pi(lin, ang, tol)
+        with np.errstate(invalid="ignore"):
+            assert kept.tolist() == _dedup_pairwise(lin, ang, tol).tolist()
+        assert kept.tolist() == [0, 4, 5, 7, 8, 10]
+
+    def test_kept_leaders_beside_a_cell(self):
+        # leaders within tol of each other in neighbouring floor(lin / tol)
+        # cells, in every direction, merge into the first
+        tol = 1e-6
+        offsets = np.array([(a, b) for a in (-0.9, 0.0, 0.9)
+                            for b in (-0.9, 0.0, 0.9)]) * tol
+        lin = np.vstack([[[3.02 * tol, -7.5 * tol]],
+                         [3.02 * tol, -7.5 * tol] + offsets])
+        ang = np.zeros((len(lin), 1))
+        assert dedup_mod_2pi(lin, ang, tol).tolist() == [0]
+
+
 _TOL = 1e-6
 # cluster centres on and beside rounding-grid lines, and on both sides of
 # the 0 / 2 pi seam
