@@ -145,10 +145,10 @@ def dedup_mod_2pi(lin, ang, tol: float) -> np.ndarray:
         q = [x / tol for x in row]
         if all(abs(x) < 2.0 ** 49 for x in q):
             cell = tuple(map(math.floor, q))
-            # x / tol is rounded by at most 2^-53 |x / tol|, so two leaders
-            # within tol can lie a little more than one cell apart: the
-            # range is widened by a bound on that rounding (to 4 cells at
-            # most)
+            # each x in q carries a rounding error of up to 2^-53 |x|, so
+            # two leaders within tol can lie a little more than one cell
+            # apart: the range is widened by a bound on that error (to 4
+            # cells at most)
             near = [j for c in itertools.product(*[
                 range(math.floor(x - pad), math.floor(x + pad) + 1)
                 for x in q for pad in (1.0 + 2.0 ** -50 * (abs(x) + 1.0),)])

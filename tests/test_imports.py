@@ -1,6 +1,6 @@
 """numpy is loaded only by the code that computes in floating point, and
-no command loads dataclasses or inspect, which cost more to import than
-the exact commands take to run."""
+no command loads dataclasses or inspect, slow imports that the package
+does not need."""
 
 import importlib
 import subprocess
