@@ -3,7 +3,9 @@
 ``oracle.grid_scan`` passes one holonomy of each conjugate pair
 {nu, -nu mod 2 pi}, the one of lower lattice index; the residual is even
 in nu, and the lowest-tied-index rule below then gives the full lattice's
-answer.
+answer. ``pruned_min_residual`` runs the kernel only on the fiber rows
+that a one-probe lower bound cannot prove to lie outside the smallest
+``keep``.
 """
 
 from __future__ import annotations
@@ -14,6 +16,27 @@ import numpy as np
 # 0.5 MB, so a chunk's temporaries stay in a core's L2 cache; on a 2 MB-L2
 # Xeon the corpus scans ran about 20% slower with 8x larger chunks
 CHUNK_ENTRIES = 62_500
+EPS = np.finfo(np.float64).eps
+
+
+def _quadratic_form(p_re, p_im, v):
+    """The fixed operands of the GEMM: the index pairs j <= l, their
+    coefficients c_jl (G_jj on the diagonal, 2 G_jl off it, G = v v^T)
+    and the (P x M_nu) table of Re(conj(p_j) p_l)."""
+    v = np.asarray(v, dtype=np.float64)
+    p_re = np.asarray(p_re, dtype=np.float64)
+    p_im = np.asarray(p_im, dtype=np.float64)
+    jj, ll = np.triu_indices(v.shape[0])
+    gram = v @ v.T
+    coef = np.where(jj == ll, 1.0, 2.0) * gram[jj, ll]  # (P,)
+    table = np.ascontiguousarray(
+        (p_re[:, jj] * p_re[:, ll] + p_im[:, jj] * p_im[:, ll]).T)
+    return jj, ll, coef, table
+
+
+def _chunk_rows(k, mnu):
+    """Fiber rows per chunk, for k probes against mnu table columns."""
+    return max(1, CHUNK_ENTRIES // max(1, k * mnu))
 
 
 def grid_min_residual(ell, p_re, p_im, v, t):
@@ -40,21 +63,14 @@ def grid_min_residual(ell, p_re, p_im, v, t):
     clamped at 0.
     """
     ell = np.asarray(ell, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    p_re = np.asarray(p_re, dtype=np.float64)
-    p_im = np.asarray(p_im, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
-    ma, nfac = ell.shape
-    jj, ll = np.triu_indices(nfac)
-    gram = v @ v.T
-    coef = np.where(jj == ll, 1.0, 2.0) * gram[jj, ll]  # (P,)
-    table = np.ascontiguousarray(
-        (p_re[:, jj] * p_re[:, ll] + p_im[:, jj] * p_im[:, ll]).T)
+    jj, ll, coef, table = _quadratic_form(p_re, p_im, v)
+    ma = ell.shape[0]
     npair, mnu, k = table.shape[0], table.shape[1], t.shape[0]
-    tol_factor = 4 * npair * np.finfo(np.float64).eps
+    tol_factor = 4 * npair * EPS
     minres = np.empty(ma)
     argnu = np.empty(ma, dtype=np.int64)
-    chunk = max(1, CHUNK_ENTRIES // max(1, k * mnu))
+    chunk = _chunk_rows(k, mnu)
     for lo in range(0, ma, chunk):
         hi = min(lo + chunk, ma)
         w = t[:, None, None] ** ell[None, lo:hi, :]    # (K, c, N)
@@ -65,4 +81,100 @@ def grid_min_residual(ell, p_re, p_im, v, t):
         bound = best + tol_factor * np.abs(a).sum(axis=2).max(axis=0)
         argnu[lo:hi] = (worst <= bound[:, None]).argmax(axis=1)
         minres[lo:hi] = np.sqrt(np.maximum(best, 0.0))
+    return minres, argnu
+
+
+def _probe_lower_bound(ell, form, tk):
+    """Per fiber row, a lower bound from the single probe tk on the r^2
+    minimum that grid_min_residual computes for the row.
+
+    For every nu, r^2(tk, nu) <= max_t r^2(t, nu), so the row minimum of
+    r^2(tk, .) is at most the kernel's min_nu max_t r^2, in exact
+    arithmetic. Both are computed in floats from the same table, whose
+    entries are at most 1 + 4 eps in size. Against exact powers, one
+    computed r^2 at tk lies within (P + 10) eps S of its exact value,
+    S = sum_p |a_p| over the row's coefficient vector a at tk: each a_p
+    within 10 eps |a_p| (two powers within 4 ulp, two products), and the
+    P-term product with a table column within P eps S more. The margin
+    16 P eps S, four times the kernel's tie tolerance 4 P eps S, is at
+    least 2 (P + 11) eps S for every P >= 2: it covers both computations
+    and the subtraction, so the result never exceeds the row's computed
+    r^2 minimum. Runs in chunks of rows, as the kernel does.
+    """
+    jj, ll, coef, table = form
+    npair, mnu = table.shape
+    margin = 16 * npair * EPS
+    out = np.empty(ell.shape[0])
+    chunk = _chunk_rows(1, mnu)
+    for lo in range(0, ell.shape[0], chunk):
+        hi = min(lo + chunk, ell.shape[0])
+        w = tk ** ell[lo:hi]                          # (c, N)
+        a = coef * w[:, jj] * w[:, ll]                # (c, P)
+        out[lo:hi] = ((a @ table).min(axis=1)
+                      - margin * np.abs(a).sum(axis=1))
+    return out
+
+
+def pruned_min_residual(ell, p_re, p_im, v, t, keep, order):
+    """grid_min_residual on the rows that can lie among the keep smallest
+    min_residual values; the rows proven to lie outside read min_residual
+    +inf and argmin_nu -1.
+
+    Branch and bound over the probes t[order[0]], t[order[1]], ...: each
+    pass bounds the rows still alive with _probe_lower_bound, keeping the
+    running maximum of a row's bounds, drops the rows above the current
+    limit, runs the kernel on the keep alive rows of lowest bound (lowest
+    index among equal bounds), and sets tau to the keep-th smallest
+    min_residual evaluated so far. The limit is the square of the next
+    float above tau, times 1 + 4 eps for the rounding of that square: a
+    row whose bound exceeds it has a computed min_residual above tau, so
+    at least keep evaluated rows come before it in any order of
+    min_residual, ties by index included. Rows that tie tau are never
+    dropped. The kernel then runs on the rows that survive every pass.
+
+    The kernel runs on whole chunks of the full run (rows [i c, i c + c)
+    for its chunk size c), so every evaluated row meets the same matrix
+    product as in grid_min_residual(ell, ...) and has its bits; BLAS
+    rounds a row differently at other positions in a product.
+    """
+    ell = np.asarray(ell, dtype=np.float64)
+    t = np.asarray(t, dtype=np.float64)
+    ma = ell.shape[0]
+    minres = np.full(ma, np.inf)
+    argnu = np.full(ma, -1, dtype=np.int64)
+    if keep < 1:
+        return minres, argnu
+    form = _quadratic_form(p_re, p_im, v)
+    lower = np.full(ma, -np.inf)
+    alive = np.ones(ma, dtype=bool)
+    chunk = _chunk_rows(t.shape[0], form[3].shape[1])
+
+    def evaluate(rows):
+        blocks = np.unique(rows // chunk)
+        rows = (blocks[:, None] * chunk + np.arange(chunk)).ravel()
+        rows = rows[rows < ma]
+        minres[rows], argnu[rows] = grid_min_residual(ell[rows], p_re, p_im,
+                                                      v, t)
+        alive[rows] = False
+
+    limit = np.inf
+    for k in order:
+        rows = np.flatnonzero(alive)
+        # the first pass bounds every row: no copy of ell
+        sub = ell if len(rows) == ma else ell[rows]
+        lower[rows] = np.maximum(lower[rows],
+                                 _probe_lower_bound(sub, form, t[k]))
+        alive &= lower <= limit
+        rows = np.flatnonzero(alive)
+        if len(rows) == 0:
+            break
+        evaluate(rows[np.argsort(lower[rows], kind="stable")[:keep]])
+        done = minres[np.isfinite(minres)]
+        if len(done) >= keep:
+            tau = np.partition(done, keep - 1)[keep - 1]
+            above = np.nextafter(tau, np.inf)
+            limit = above * above * (1 + 4 * EPS)
+            alive &= lower <= limit
+    if alive.any():
+        evaluate(np.flatnonzero(alive))
     return minres, argnu

@@ -20,9 +20,10 @@ from .lattice import KernelLattice, Polytope, PolytopeError, kushnirenko_count
 from .solve import dedup_mod_2pi, sort_key, wrap_angle
 
 EXP_CLAMP = 700.0
-# the Newton search holds all its starts at once; dimension 4 at the
+# the Newton search holds the n x n Hessians of all its starts at once, so
+# a grid of S starts in dimension n holds S n^2 entries; dimension 4 at the
 # default grids (5^4 x 8^4 starts) is the largest it takes
-MAX_NEWTON_STARTS = 40 ** 4
+MAX_NEWTON_ENTRIES = 4 ** 2 * 40 ** 4
 
 
 class Superpotential(NamedTuple):
@@ -136,23 +137,28 @@ def critical_points(w: Superpotential, p: Polytope, grid_im: int = 8,
     many distinct nondegenerate points as the Kushnirenko count
     n! Vol(conv{v_j}) of the facet normals. That count bounds the isolated
     critical points counted with multiplicity, so the search is then
-    complete. A last grid that finds another number warns. More than
-    MAX_NEWTON_STARTS starts on (grid_re, grid_im) raise PolytopeError.
+    complete. A last grid that finds another number warns. Each grid is
+    checked just before it runs: one whose starts hold more than
+    MAX_NEWTON_ENTRIES Hessian entries raises PolytopeError naming it.
     """
     n = w.dim
-    n_starts = grid_re ** n * grid_im ** n
-    if n_starts > MAX_NEWTON_STARTS:
-        raise PolytopeError(
-            f"critical point search is limited to {MAX_NEWTON_STARTS} "
-            f"Newton starts, dimension {n} needs {n_starts}")
-    count = kushnirenko_count(p.dim, p.normals)
+    count = None
     first_re, first_im = NEWTON_FIRST_GRID
     grids = [(grid_re, grid_im)]
     if (first_re <= grid_re and first_im <= grid_im
             and NEWTON_FIRST_GRID != (grid_re, grid_im)):
         grids.insert(0, NEWTON_FIRST_GRID)
     for g_re, g_im in grids:
+        n_starts = g_re ** n * g_im ** n
+        if n_starts * n * n > MAX_NEWTON_ENTRIES:
+            raise PolytopeError(
+                f"critical point search is limited to {MAX_NEWTON_ENTRIES} "
+                f"Hessian entries (Newton starts x dimension^2), the "
+                f"{g_re}x{g_im} grid in dimension {n} needs {n_starts} "
+                f"starts, {n_starts * n * n} entries")
         found = _newton_search(w, p, g_re, g_im, residual_tol, dedup_tol)
+        if count is None:
+            count = kushnirenko_count(p.dim, p.normals)
         distinct = sum(not cp.degenerate for cp in found)
         if distinct == count:
             return found
@@ -213,7 +219,7 @@ def _newton_search(w: Superpotential, p: Polytope, grid_re: int,
 
     g, _ = batch_grad_hess(z)
     resid = np.linalg.norm(g, axis=1)
-    order = np.argsort(resid)
+    order = np.argsort(resid, kind="stable")
     order = order[resid[order] <= residual_tol]
     re, im = z.real[order], wrap_angle(-z.imag[order])
     keep = dedup_mod_2pi(re, im, dedup_tol)

@@ -14,13 +14,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import grid_min_residual
+from .kernels import grid_min_residual, pruned_min_residual
 from .lattice import Polytope, PolytopeError
 from .solve import dedup_mod_2pi, least_squares, sort_key, wrap_angle
 
 # probe values separating the area filtration levels: vanishing of the
 # residual at several generic t in (0,1) forces per-level vanishing
 PROBE_T = (0.31830988618379067, 0.5641895835477563, 0.7853981633974483)
+# indices into PROBE_T, in the order a pruned grid_scan bounds the rows by
+# single probes; of the six orders, 0.318, 0.785, 0.564 let the fewest
+# corpus rows reach the kernel at the criterion-9 grids (4 757 of 53 089;
+# 0.564, 0.318, 0.785 let 5 273)
+BOUND_ORDER = (0, 2, 1)
 # candidates closer than this in every coordinate are one candidate
 DEDUP_TOL = 1e-4
 # fiber grid points times holonomy grid points the scan takes; dimension 2
@@ -90,7 +95,8 @@ def _holonomy_grid(n: int, n_nu: int):
     return nu_grid[conj.ravel() >= index.ravel()]
 
 
-def grid_scan(p: Polytope, n_a: int | None = None, n_nu: int | None = None):
+def grid_scan(p: Polytope, n_a: int | None = None, n_nu: int | None = None,
+              keep: int | None = None):
     """Minimum balanced residual over the holonomy grid, per interior
     fiber grid point. Returns (points, nus, min_residuals). Grid sizes
     below 1 raise ValueError; more than MAX_GRID_CELLS fiber x holonomy
@@ -105,6 +111,18 @@ def grid_scan(p: Polytope, n_a: int | None = None, n_nu: int | None = None):
     of a pair tie in exact arithmetic; the kernel returns the lowest index
     among tied cells, which in the full scan is never the higher cell of
     a pair, so every cell the full scan can return is kept.
+
+    keep=None evaluates every row. With a number, only the rows that can
+    lie among the keep smallest min_residuals are evaluated
+    (kernels.pruned_min_residual, probes in BOUND_ORDER): a single probe's
+    r^2 minimum over the holonomies is at most the row's minimum of the
+    maximum over all probes, and less a margin of 16 P eps sum_p |a_p|
+    (four times the kernel's tie tolerance, for the rounding of both
+    computations) it is a lower bound on the row's computed r^2 minimum.
+    A row whose bound lies above the keep-th smallest evaluated value is
+    dropped and reads min_residual +inf and nu NaN. Every evaluated row,
+    and so every row among the keep smallest of the full scan in order of
+    min_residual with ties by index, equals the full scan's.
     """
     v = np.array(p.normals, dtype=float)
     lam = np.array([float(l) for l in p.offsets])
@@ -113,16 +131,24 @@ def grid_scan(p: Polytope, n_a: int | None = None, n_nu: int | None = None):
     interior = (ell > 1e-9).all(axis=1)
     a_grid, ell = a_grid[interior], ell[interior]
     phase = np.exp(1j * (nu_grid @ v.T))
-    minres, argnu = grid_min_residual(
-        ell, phase.real, phase.imag, v, np.array(PROBE_T))
-    return a_grid, nu_grid[argnu], minres
+    t = np.array(PROBE_T)
+    if keep is None:
+        minres, argnu = grid_min_residual(ell, phase.real, phase.imag, v, t)
+        return a_grid, nu_grid[argnu], minres
+    minres, argnu = pruned_min_residual(ell, phase.real, phase.imag, v, t,
+                                        keep, BOUND_ORDER)
+    nus = np.full((len(argnu), p.dim), np.nan)
+    hit = argnu >= 0
+    nus[hit] = nu_grid[argnu[hit]]
+    return a_grid, nus, minres
 
 
 def _seeds(a_grid, nu_best, minres, polish_top: int):
-    """Greedy in order of residual among the 10 * polish_top best cells: a
-    cell seeds unless it lies within 0.5 in every coordinate of a seed
-    taken before it; at most polish_top seeds, as (point, nu) tuples."""
-    cells = np.argsort(minres)[:10 * polish_top]
+    """Greedy in order of residual among the 10 * polish_top best cells,
+    equal residuals in index order: a cell seeds unless it lies within 0.5
+    in every coordinate of a seed taken before it; at most polish_top
+    seeds, as (point, nu) tuples."""
+    cells = np.argsort(minres, kind="stable")[:10 * polish_top]
     kept = np.empty((len(cells), a_grid.shape[1]))
     seeds = []
     for s in cells:
@@ -139,8 +165,15 @@ def _seeds(a_grid, nu_best, minres, polish_top: int):
 def balanced_oracle(p: Polytope, n_a: int | None = None,
                     n_nu: int | None = None, polish_top: int = 40,
                     accept_tol: float = 1e-8) -> list[OracleCandidate]:
-    """Balanced candidates from a grid scan plus local polishing."""
-    seeds = _seeds(*grid_scan(p, n_a, n_nu), polish_top)
+    """Balanced candidates from a grid scan plus local polishing.
+
+    The seeds come from the 10 * polish_top cells of lowest residual, so
+    the scan runs with keep = 10 * polish_top: the rows it proves to lie
+    outside that many read +inf and are never seeds, and the seeds are
+    those of the full scan.
+    """
+    seeds = _seeds(*grid_scan(p, n_a, n_nu, keep=10 * polish_top),
+                   polish_top)
     # per-coordinate holonomy restart offsets so mixed holonomies such as
     # (0, pi) are reachable from any seed cell
     offs = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)

@@ -304,7 +304,7 @@ def test_grids_keep_one_cell_per_conjugate_pair(name, n_nu, cells):
 def _seeds_by_pairs(a_grid, nu_best, minres, polish_top):
     """The seed loop that compared each cell with every kept seed in turn,
     kept as the reference for oracle._seeds."""
-    order = np.argsort(minres)
+    order = np.argsort(minres, kind="stable")
     seeds = []
     for s in order[:10 * polish_top]:
         a = a_grid[s]
@@ -335,3 +335,108 @@ def test_seeds_match_pairwise_loop_on_corpus(name):
     p = corpus_polytope(name)
     scan = grid_scan(p, n_a=30, n_nu=8)
     assert oracle._seeds(*scan, 40) == _seeds_by_pairs(*scan, 40)
+
+
+def test_seeds_take_ties_in_index_order():
+    # 1 000 cells a unit apart, so none is near another, with three
+    # residual values: equal residuals seed in index order
+    rng = np.random.default_rng(0)
+    a_grid = np.arange(1000.0)[:, None]
+    nu_best = rng.uniform(0, 2 * math.pi, size=(1000, 1))
+    minres = rng.integers(0, 3, size=1000) * 0.1
+    seeds = oracle._seeds(a_grid, nu_best, minres, 100)
+    want = [i for v in (0.0, 0.1, 0.2) for i in np.flatnonzero(minres == v)]
+    assert [int(a[0]) for a, _ in seeds] == want[:100]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_box_polytope(), st.sampled_from([1, 100, 1000, 62_500]), st.data())
+def test_pruned_scan_keeps_the_smallest_rows(problem, chunk_entries, data):
+    # small chunks let the scan drop rows of these small grids
+    p, n_a, n_nu = problem
+    saved = kernels.CHUNK_ENTRIES
+    kernels.CHUNK_ENTRIES = chunk_entries
+    try:
+        pts, nus, res = grid_scan(p, n_a=n_a, n_nu=n_nu)
+        keep = data.draw(st.integers(1, len(res) + 1), label="keep")
+        pts_k, nus_k, res_k = grid_scan(p, n_a=n_a, n_nu=n_nu, keep=keep)
+        assert np.array_equal(pts_k, pts)
+        top = np.argsort(res, kind="stable")[:keep]
+        assert np.isfinite(res_k[top]).all()
+        finite = np.isfinite(res_k)
+        assert np.array_equal(res_k[finite], res[finite])
+        assert np.array_equal(nus_k[finite], nus[finite])
+        assert np.isnan(nus_k[~finite]).all()
+        for polish_top in range(13):
+            pruned = grid_scan(p, n_a=n_a, n_nu=n_nu, keep=10 * polish_top)
+            assert (oracle._seeds(*pruned, polish_top)
+                    == oracle._seeds(pts, nus, res, polish_top))
+    finally:
+        kernels.CHUNK_ENTRIES = saved
+
+
+def test_pruning_evaluates_rows_tied_with_tau(monkeypatch):
+    # five copies of each of 12 fiber rows, shuffled, in chunks of one
+    # row; keep = 7 cuts the second tie group, and all of that group's
+    # rows are evaluated
+    monkeypatch.setattr(kernels, "CHUNK_ENTRIES", 1)
+    v = np.array(corpus_polytope("p2").normals, dtype=float)
+    rng = np.random.default_rng(1)
+    ell = rng.permutation(np.repeat(rng.uniform(0.2, 2.5, (12, 3)), 5,
+                                    axis=0))
+    phase = np.exp(1j * (oracle._holonomy_grid(2, 12) @ v.T))
+    args = (ell, phase.real, phase.imag, v, np.array(PROBE_T))
+    full, full_nu = kernels.grid_min_residual(*args)
+    tau = np.sort(full)[6]
+    assert (full == tau).sum() == 5 and (full < tau).sum() == 5
+    got, got_nu = kernels.pruned_min_residual(*args, 7, oracle.BOUND_ORDER)
+    evaluated = np.isfinite(got)
+    assert evaluated[full <= tau].all() and not evaluated.all()
+    assert np.array_equal(got[evaluated], full[evaluated])
+    assert np.array_equal(got_nu[evaluated], full_nu[evaluated])
+    assert (got_nu[~evaluated] == -1).all()
+    none, none_nu = kernels.pruned_min_residual(*args, 0, oracle.BOUND_ORDER)
+    assert np.isinf(none).all() and (none_nu == -1).all()
+
+
+@pytest.mark.parametrize("case", ["copies", "balanced"])
+def test_pruning_evaluates_every_row_tied_at_tau(case, monkeypatch):
+    # keep = 3 of 40 rows, with more than 3 tied at tau: 40 copies of one
+    # row, or P^3 with equal facet distances at nu = 0, where the residual
+    # is 0 and its computed square rounds to either side of 0, in the
+    # bound pass too (min_residual reads 0 on 26 of the 40 rows here)
+    monkeypatch.setattr(kernels, "CHUNK_ENTRIES", 1)
+    if case == "copies":
+        v = np.array(corpus_polytope("p2").normals, dtype=float)
+        ell = np.repeat([[0.7, 1.1, 1.9]], 40, axis=0)
+        nu = oracle._holonomy_grid(2, 12)
+    else:
+        v = np.array(corpus_polytope("p3").normals, dtype=float)
+        ell = np.repeat(np.linspace(0.05, 3.0, 40)[:, None], 4, axis=1)
+        nu = oracle._holonomy_grid(3, 4)
+    phase = np.exp(1j * (nu @ v.T))
+    args = (ell, phase.real, phase.imag, v, np.array(PROBE_T))
+    full, full_nu = kernels.grid_min_residual(*args)
+    tau = np.sort(full)[2]
+    assert (full == tau).sum() > 3
+    got, got_nu = kernels.pruned_min_residual(*args, 3, oracle.BOUND_ORDER)
+    evaluated = np.isfinite(got)
+    assert evaluated[full <= tau].all()
+    assert np.array_equal(got[evaluated], full[evaluated])
+    assert np.array_equal(got_nu[evaluated], full_nu[evaluated])
+
+
+@pytest.mark.parametrize("name", ["p1", "p2", "p3", "p1xp1", "f1", "f2",
+                                  "f3"])
+def test_pruned_oracle_equals_full_scan_on_corpus(name, monkeypatch):
+    # the criterion-9 grids
+    p = corpus_polytope(name)
+    grids = {"n_a": 120, "n_nu": 48} if p.dim <= 2 else {}
+    full = grid_scan(p, **grids)
+    pruned = grid_scan(p, **grids, keep=400)
+    assert oracle._seeds(*pruned, 40) == oracle._seeds(*full, 40)
+    cands = balanced_oracle(p, **grids)
+    scan = oracle.grid_scan
+    monkeypatch.setattr(oracle, "grid_scan",
+                        lambda p, n_a, n_nu, keep: scan(p, n_a, n_nu))
+    assert cands == balanced_oracle(p, **grids)

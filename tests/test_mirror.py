@@ -16,7 +16,8 @@ from toricfloer.mirror import (CriticalPoint, MirrorCoordinates, MirrorPoint,
                                constraint_residuals_exact, critical_points,
                                gradient_W, mirror_coordinates,
                                mirror_coordinates_exact, obstruction_class)
-from toricfloer.lattice import kernel_lattice, normal_fan, parse_polytope
+from toricfloer.lattice import (PolytopeError, kernel_lattice, normal_fan,
+                                parse_polytope)
 
 from conftest import CORPUS, assert_record, corpus_polytope
 
@@ -237,6 +238,79 @@ class TestCriticalPoints:
         with pytest.warns(UserWarning, match="found 3 of 2"):
             critical_points(build_superpotential(p), p, grid_im=2,
                             grid_re=2)
+
+
+    def test_entry_cap_checked_on_each_grid(self, corpus, monkeypatch):
+        # p1xp1 reaches its count on the 2 x 4 grid (64 starts, 256 Hessian
+        # entries); the caller's 5 x 8 grid (6 400 entries) never runs
+        grids = []
+        search = mirror._newton_search
+
+        def recorded(w, p, grid_re, grid_im, *args):
+            grids.append((grid_re, grid_im))
+            return search(w, p, grid_re, grid_im, *args)
+
+        monkeypatch.setattr(mirror, "_newton_search", recorded)
+        p = corpus["p1xp1"]
+        for cap in (256, 1599):
+            grids.clear()
+            monkeypatch.setattr(mirror, "MAX_NEWTON_ENTRIES", cap)
+            assert len(critical_points(build_superpotential(p), p)) == 4
+            assert grids == [mirror.NEWTON_FIRST_GRID]
+        monkeypatch.setattr(mirror, "MAX_NEWTON_ENTRIES", 255)
+        with pytest.raises(PolytopeError,
+                           match="the 2x4 grid in dimension 2 needs 64 "
+                                 "starts, 256 entries"):
+            critical_points(build_superpotential(p), p)
+
+    def test_entry_cap_stops_the_next_grid(self, corpus, monkeypatch):
+        # f1 finds 3 of its 4 points on a 2 x 2 first grid; the 5 x 8 grid
+        # over the cap then raises, after the first grid has run
+        p = corpus["f1"]
+        w = build_superpotential(p)
+        first = mirror._newton_search(w, p, 2, 2, 1e-12, 1e-8)
+        assert sum(not cp.degenerate for cp in first) == 3
+        grids = []
+        search = mirror._newton_search
+
+        def recorded(w, p, grid_re, grid_im, *args):
+            grids.append((grid_re, grid_im))
+            return search(w, p, grid_re, grid_im, *args)
+
+        monkeypatch.setattr(mirror, "_newton_search", recorded)
+        monkeypatch.setattr(mirror, "NEWTON_FIRST_GRID", (2, 2))
+        monkeypatch.setattr(mirror, "MAX_NEWTON_ENTRIES", 6399)
+        with pytest.raises(PolytopeError,
+                           match="the 5x8 grid in dimension 2 needs 1600 "
+                                 "starts, 6400 entries"):
+            critical_points(w, p)
+        assert grids == [(2, 2)]
+
+    def test_equal_residuals_in_start_order(self, corpus, monkeypatch):
+        # Newton steps of 0 and residuals 0, 1e-16, 2e-16, 0, ... by start
+        # index: the dedup sees the starts by residual, equal residuals in
+        # start order
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda h, g: np.zeros_like(g))
+        monkeypatch.setattr(np.linalg, "norm",
+                            lambda x, axis: np.arange(len(x)) % 3 * 1e-16)
+        seen = []
+        dedup = mirror.dedup_mod_2pi
+
+        def recorded(re, im, tol):
+            seen.append((re, im))
+            return dedup(re, im, tol)
+
+        monkeypatch.setattr(mirror, "dedup_mod_2pi", recorded)
+        p = corpus["p1"]
+        mirror._newton_search(build_superpotential(p), p, 40, 40, 1e-12,
+                              1e-8)
+        lo, hi = sorted(float(x[0]) for x in p.vertices())
+        re = np.repeat(np.linspace(lo - 1, hi + 1, 40), 40)
+        im = mirror.wrap_angle(np.tile(np.arange(40) * (math.pi / 20), 40))
+        order = np.argsort(np.arange(1600) % 3, kind="stable")
+        assert np.array_equal(seen[0][0][:, 0], re[order])
+        assert np.array_equal(seen[0][1][:, 0], im[order])
 
 
 class TestCorrespondence:
