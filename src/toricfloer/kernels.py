@@ -150,8 +150,12 @@ def pruned_min_residual(ell, p_re, p_im, v, t, keep, order):
     chunk = _chunk_rows(t.shape[0], form[3].shape[1])
 
     def evaluate(rows):
-        blocks = np.unique(rows // chunk)
-        rows = (blocks[:, None] * chunk + np.arange(chunk)).ravel()
+        # the rows' chunks by a mask: a first np.unique call adds 1.4 MB
+        # to the process RSS
+        blocks = np.zeros(-(-ma // chunk), dtype=bool)
+        blocks[rows // chunk] = True
+        rows = (np.flatnonzero(blocks)[:, None] * chunk
+                + np.arange(chunk)).ravel()
         rows = rows[rows < ma]
         minres[rows], argnu[rows] = grid_min_residual(ell[rows], p_re, p_im,
                                                       v, t)

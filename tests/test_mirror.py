@@ -35,6 +35,19 @@ def test_record_semantics(make, field):
     assert_record(make, field)
 
 
+def _record_grids(monkeypatch):
+    """The (grid_re, grid_im) of every Newton search run from now on."""
+    grids = []
+    search = mirror._newton_search
+
+    def recorded(w, p, grid_re, grid_im, *args):
+        grids.append((grid_re, grid_im))
+        return search(w, p, grid_re, grid_im, *args)
+
+    monkeypatch.setattr(mirror, "_newton_search", recorded)
+    return grids
+
+
 class TestSuperpotential:
     def test_value_p2(self, corpus):
         w = build_superpotential(corpus["p2"])
@@ -145,14 +158,7 @@ class TestCriticalPoints:
             critical_points(build_superpotential(p), p, grid_im=1, grid_re=1)
 
     def test_p3_stops_at_first_grid(self, corpus, monkeypatch):
-        grids = []
-        search = mirror._newton_search
-
-        def recorded(w, p, grid_re, grid_im, *args):
-            grids.append((grid_re, grid_im))
-            return search(w, p, grid_re, grid_im, *args)
-
-        monkeypatch.setattr(mirror, "_newton_search", recorded)
+        grids = _record_grids(monkeypatch)
         p = corpus["p3"]
         cps = critical_points(build_superpotential(p), p)
         assert len(cps) == 4
@@ -243,14 +249,7 @@ class TestCriticalPoints:
     def test_entry_cap_checked_on_each_grid(self, corpus, monkeypatch):
         # p1xp1 reaches its count on the 2 x 4 grid (64 starts, 256 Hessian
         # entries); the caller's 5 x 8 grid (6 400 entries) never runs
-        grids = []
-        search = mirror._newton_search
-
-        def recorded(w, p, grid_re, grid_im, *args):
-            grids.append((grid_re, grid_im))
-            return search(w, p, grid_re, grid_im, *args)
-
-        monkeypatch.setattr(mirror, "_newton_search", recorded)
+        grids = _record_grids(monkeypatch)
         p = corpus["p1xp1"]
         for cap in (256, 1599):
             grids.clear()
@@ -270,14 +269,7 @@ class TestCriticalPoints:
         w = build_superpotential(p)
         first = mirror._newton_search(w, p, 2, 2, 1e-12, 1e-8)
         assert sum(not cp.degenerate for cp in first) == 3
-        grids = []
-        search = mirror._newton_search
-
-        def recorded(w, p, grid_re, grid_im, *args):
-            grids.append((grid_re, grid_im))
-            return search(w, p, grid_re, grid_im, *args)
-
-        monkeypatch.setattr(mirror, "_newton_search", recorded)
+        grids = _record_grids(monkeypatch)
         monkeypatch.setattr(mirror, "NEWTON_FIRST_GRID", (2, 2))
         monkeypatch.setattr(mirror, "MAX_NEWTON_ENTRIES", 6399)
         with pytest.raises(PolytopeError,
