@@ -375,41 +375,24 @@ def test_pruned_scan_keeps_the_smallest_rows(problem, chunk_entries, data):
         kernels.CHUNK_ENTRIES = saved
 
 
-def test_pruning_evaluates_rows_tied_with_tau(monkeypatch):
-    # five copies of each of 12 fiber rows, shuffled, in chunks of one
-    # row; keep = 7 cuts the second tie group, and all of that group's
-    # rows are evaluated
+@pytest.mark.parametrize("case, keep", [
+    ("groups", 7), ("copies", 3), ("balanced", 3)])
+def test_pruning_evaluates_every_row_tied_at_tau(case, keep, monkeypatch):
+    # chunks of one row, and more than keep rows at or below tau: five
+    # shuffled copies of each of 12 rows (keep = 7 cuts the second group),
+    # 40 copies of one row, or P^3 with equal facet distances at nu = 0,
+    # where the residual is 0 and its computed square rounds to either
+    # side of 0, in the bound pass too (min_residual reads 0 on 26 of the
+    # 40 rows here)
     monkeypatch.setattr(kernels, "CHUNK_ENTRIES", 1)
-    v = np.array(corpus_polytope("p2").normals, dtype=float)
     rng = np.random.default_rng(1)
-    ell = rng.permutation(np.repeat(rng.uniform(0.2, 2.5, (12, 3)), 5,
-                                    axis=0))
-    phase = np.exp(1j * (oracle._holonomy_grid(2, 12) @ v.T))
-    args = (ell, phase.real, phase.imag, v, np.array(PROBE_T))
-    full, full_nu = kernels.grid_min_residual(*args)
-    tau = np.sort(full)[6]
-    assert (full == tau).sum() == 5 and (full < tau).sum() == 5
-    got, got_nu = kernels.pruned_min_residual(*args, 7, oracle.BOUND_ORDER)
-    evaluated = np.isfinite(got)
-    assert evaluated[full <= tau].all() and not evaluated.all()
-    assert np.array_equal(got[evaluated], full[evaluated])
-    assert np.array_equal(got_nu[evaluated], full_nu[evaluated])
-    assert (got_nu[~evaluated] == -1).all()
-    none, none_nu = kernels.pruned_min_residual(*args, 0, oracle.BOUND_ORDER)
-    assert np.isinf(none).all() and (none_nu == -1).all()
-
-
-@pytest.mark.parametrize("case", ["copies", "balanced"])
-def test_pruning_evaluates_every_row_tied_at_tau(case, monkeypatch):
-    # keep = 3 of 40 rows, with more than 3 tied at tau: 40 copies of one
-    # row, or P^3 with equal facet distances at nu = 0, where the residual
-    # is 0 and its computed square rounds to either side of 0, in the
-    # bound pass too (min_residual reads 0 on 26 of the 40 rows here)
-    monkeypatch.setattr(kernels, "CHUNK_ENTRIES", 1)
-    if case == "copies":
-        v = np.array(corpus_polytope("p2").normals, dtype=float)
+    v = np.array(corpus_polytope("p2").normals, dtype=float)
+    nu = oracle._holonomy_grid(2, 12)
+    if case == "groups":
+        ell = rng.permutation(np.repeat(rng.uniform(0.2, 2.5, (12, 3)), 5,
+                                        axis=0))
+    elif case == "copies":
         ell = np.repeat([[0.7, 1.1, 1.9]], 40, axis=0)
-        nu = oracle._holonomy_grid(2, 12)
     else:
         v = np.array(corpus_polytope("p3").normals, dtype=float)
         ell = np.repeat(np.linspace(0.05, 3.0, 40)[:, None], 4, axis=1)
@@ -417,13 +400,19 @@ def test_pruning_evaluates_every_row_tied_at_tau(case, monkeypatch):
     phase = np.exp(1j * (nu @ v.T))
     args = (ell, phase.real, phase.imag, v, np.array(PROBE_T))
     full, full_nu = kernels.grid_min_residual(*args)
-    tau = np.sort(full)[2]
-    assert (full == tau).sum() > 3
-    got, got_nu = kernels.pruned_min_residual(*args, 3, oracle.BOUND_ORDER)
+    tau = np.sort(full)[keep - 1]
+    assert (full <= tau).sum() > keep
+    got, got_nu = kernels.pruned_min_residual(*args, keep, oracle.BOUND_ORDER)
     evaluated = np.isfinite(got)
     assert evaluated[full <= tau].all()
     assert np.array_equal(got[evaluated], full[evaluated])
     assert np.array_equal(got_nu[evaluated], full_nu[evaluated])
+    assert (got_nu[~evaluated] == -1).all()
+    if case == "groups":
+        assert not evaluated.all()
+        none, none_nu = kernels.pruned_min_residual(*args, 0,
+                                                    oracle.BOUND_ORDER)
+        assert np.isinf(none).all() and (none_nu == -1).all()
 
 
 @pytest.mark.parametrize("name", ["p1", "p2", "p3", "p1xp1", "f1", "f2",
