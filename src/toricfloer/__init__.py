@@ -19,21 +19,21 @@ _EXPORTS = {
     "floer": ("AreaPartition", "BalancedDescription", "BalancedSolution",
               "HolonomyVector", "NovikovTerm", "NovikovVector",
               "UnsupportedRegimeError", "UnsupportedRegimeWarning",
-              "balanced_fibers_novikov", "balanced_fibers_with_holonomy",
-              "delta2_point", "delta_k_vanishing", "describe_balanced",
-              "equal_area_certificate", "hf_rank", "holonomy_search",
+              "balanced_fibers_novikov", "delta2_point", "delta_k_vanishing",
+              "describe_balanced", "equal_area_certificate", "hf_rank",
               "spectral_rank_check"),
     "lattice": ("Cone", "Fan", "FanError", "KernelLattice", "Polytope",
                 "PolytopeError", "PrimitiveCollection", "chart_coordinates",
                 "euler_characteristic", "is_fano", "is_smooth",
                 "kernel_lattice", "normal_fan", "parse_polytope",
                 "primitive_collections", "serialize_polytope"),
-    "mirror": ("CriticalPoint", "MirrorCoordinates", "MirrorPoint",
-               "Superpotential", "build_superpotential",
+    "mirror": ("CriticalPoint", "LevelTest", "MirrorCoordinates",
+               "MirrorPoint", "Superpotential",
+               "balanced_fibers_with_holonomy", "build_superpotential",
                "check_delta2_equals_gradW", "check_o_equals_W",
                "constraint_residuals_exact", "critical_points", "gradient_W",
-               "mirror_coordinates", "mirror_coordinates_exact",
-               "obstruction_class"),
+               "holonomy_balanced", "mirror_coordinates",
+               "mirror_coordinates_exact", "obstruction_class"),
     "oracle": ("balanced_oracle",),
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}

@@ -17,9 +17,10 @@ from .discs import (FiberPoint, OverflowGuardError, SingularFiberError,
                     WindingError, disc_area, index_two_classes)
 from .floer import (HolonomyVector, UnsupportedRegimeError,
                     UnsupportedRegimeWarning, balanced_fibers_novikov,
-                    check_partition_scale, delta2_point, delta2_vanishes,
-                    describe_balanced, hf_rank, holonomy_search)
-from .lattice import (FanError, PolytopeError, normal_fan, parse_polytope)
+                    delta2_point, delta2_vanishes, describe_balanced,
+                    hf_rank)
+from .lattice import (FanError, PolytopeError, kushnirenko_count, normal_fan,
+                      parse_polytope)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -160,54 +161,35 @@ def cmd_balanced(args) -> tuple[int, dict]:
             r["balanced"] = {"mode": "novikov", "solutions": records,
                              "diagnostics": []}
         else:
-            res = holonomy_search(p, fan)
-            records = [rep.balanced_solution_record(s) for s in res.solutions]
-            diags = []
-            for d in res.diagnostics:
-                diags.append({
-                    "blocks": [list(b) for b in d.blocks],
-                    "consistent": d.consistent,
-                    "unique": d.unique,
-                    "solution": None if d.solution is None
-                    else list(d.solution),
-                    "violations": [[i, j, resid]
-                                   for i, j, resid in d.violations],
-                    "converged": d.converged,
-                    "message": d.message,
-                })
-            r["balanced"] = {"mode": "holonomy", "solutions": records,
-                             "diagnostics": diags}
+            from .mirror import (build_superpotential, critical_points,
+                                 holonomy_balanced)
+
+            warnings.simplefilter("always")
+            sols, tests = holonomy_balanced(
+                p, critical_points(build_superpotential(p), p), fan)
+            r["balanced"] = {
+                "mode": "holonomy",
+                "solutions": [rep.balanced_solution_record(s) for s in sols],
+                "diagnostics": [rep.level_test_record(t) for t in tests]}
     r["warnings"].extend(_collect_warnings(rec))
     return EXIT_OK, r
 
 
 def cmd_critical(args) -> tuple[int, dict]:
     from .mirror import (build_superpotential, check_delta2_equals_gradW,
-                         check_o_equals_W, critical_points)
-    from .solve import circ_dist
+                         check_o_equals_W, critical_points, holonomy_balanced)
 
     p = _load(args.path)
     fan = normal_fan(p)
     r = rep.base_report("critical", p, fan)
-    w = build_superpotential(p)
-    if not args.no_match:
-        check_partition_scale(p.num_facets)
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
-        cps = critical_points(w, p)
-        balanced = () if args.no_match else holonomy_search(p, fan).solutions
+        cps = critical_points(build_superpotential(p), p)
+        balanced, tests = holonomy_balanced(p, cps, fan)
     r["warnings"].extend(_collect_warnings(rec))
     records, corresp = [], []
-    for cp in cps:
-        matched = None
-        for i, s in enumerate(balanced):
-            da = max(abs(a - b) for a, b in
-                     zip(cp.point.fiber, s.point.as_floats()))
-            dn = circ_dist(cp.point.holonomy, s.nu.nu).max()
-            if max(da, dn) < 1e-6:
-                matched = i
-                break
-        records.append(rep.critical_point_record(cp, matched))
+    for cp, test in zip(cps, tests):
+        records.append(rep.critical_point_record(cp, test.solution))
         fiber = FiberPoint.numeric(*cp.point.fiber)
         nu = HolonomyVector(cp.point.holonomy)
         try:
@@ -220,6 +202,7 @@ def cmd_critical(args) -> tuple[int, dict]:
     r["critical"] = {
         "points": records,
         "count": len(cps),
+        "kushnirenko_count": kushnirenko_count(p.dim, p.normals),
         "euler_characteristic": r["fan"]["euler_characteristic"],
         "balanced_solutions": [rep.balanced_solution_record(s)
                                for s in balanced],
@@ -259,16 +242,15 @@ def _print_human(r: dict, out) -> None:
                   file=out)
             if "description" in s:
                 print(f"    {s['description']}", file=out)
-        for d in b.get("diagnostics", []):
-            if d["violations"]:
-                vio = "; ".join(f"ell_{i} - ell_{j} = {v}"
-                                for i, j, v in d["violations"])
-                print(f"  partition {d['blocks']}: infeasible ({vio})",
-                      file=out)
+        for d in b["diagnostics"]:
+            if d["message"]:
+                print(f"  critical point A={d['point']} "
+                      f"nu={d['holonomy']}: {d['message']}", file=out)
     if "critical" in r:
         c = r["critical"]
         print(f"critical points: {c['count']} "
-              f"(Euler characteristic {c['euler_characteristic']})", file=out)
+              f"(Kushnirenko count {c['kushnirenko_count']}, "
+              f"Euler characteristic {c['euler_characteristic']})", file=out)
         for cp in c["points"]:
             print(f"  Re Theta {cp['theta_re']}  Im Theta {cp['theta_im']}  "
                   f"residual {cp['residual']:.3g}  "
@@ -309,8 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("critical", help="superpotential critical points")
     common(sp)
-    sp.add_argument("--no-match", action="store_true",
-                    help="skip matching against balanced fibers")
     sp.set_defaults(func=cmd_critical)
     return ap
 

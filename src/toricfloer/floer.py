@@ -3,8 +3,11 @@
 The boundary delta_2<pt> is a Novikov-weighted sum of ray generators; its
 vanishing (per area level over the formal ring, or after the T^{2pi}=e^{-1}
 specialization) decides whether the fiber's Floer cohomology is 0 or 2^n.
-Balanced fibers are found exactly over the formal ring and by damped
-least-squares over fiber position and holonomy in the twisted case.
+Balanced fibers over the formal ring come from the one level partition the
+offsets force and one exact equal-area solve. Balanced fibers with
+holonomy are critical points of the mirror superpotential, so
+`mirror.balanced_fibers_with_holonomy` finds them among those; the
+equal-area certificate here makes their fiber positions exact.
 """
 
 from __future__ import annotations
@@ -126,21 +129,6 @@ class BalancedDescription(NamedTuple):
     text: str
 
 
-class PartitionDiagnostic(NamedTuple):
-    blocks: tuple[tuple[int, ...], ...]
-    consistent: bool
-    unique: bool
-    solution: tuple | None
-    violations: tuple  # (facet_i, facet_j, Fraction: ell_i - ell_j at solution)
-    converged: int
-    message: str
-
-
-class HolonomySearchResult(NamedTuple):
-    solutions: tuple[BalancedSolution, ...]
-    diagnostics: tuple[PartitionDiagnostic, ...]
-
-
 def delta2_point(p: Polytope, a: FiberPoint,
                  nu: HolonomyVector | None = None) -> NovikovVector:
     """Floer coboundary of the point class, merged by equal area level.
@@ -254,8 +242,8 @@ def delta_k_vanishing(k: int) -> bool:
 
 
 def check_partition_scale(n_facets: int) -> None:
-    """Input error when the zero-sum subset scan (2^N subsets) or the
-    set-partition enumeration would blow up."""
+    """Input error when the zero-sum subset scan (2^N subsets) would blow
+    up."""
     if n_facets > MAX_FACETS_FOR_PARTITIONS:
         raise PolytopeError(
             f"balanced-fiber search enumerates facet partitions and is "
@@ -271,47 +259,6 @@ def _zero_sum_subsets(gens) -> list[frozenset]:
             if all(sum(gens[j][i] for j in sub) == 0 for i in range(n)):
                 out.append(frozenset(sub))
     return out
-
-
-def _unit_feasible_subsets(gens) -> list[frozenset]:
-    """Blocks that could support sum_j h_j v_j = 0 with unimodular h_j.
-
-    Necessary coordinatewise polygon inequality: no single |v_j^alpha| may
-    exceed the sum of the others.
-    """
-    n = len(gens[0])
-    out = []
-    for size in range(2, len(gens) + 1):
-        for sub in itertools.combinations(range(len(gens)), size):
-            ok = True
-            for i in range(n):
-                mags = sorted(abs(gens[j][i]) for j in sub)
-                if sum(mags) > 0 and mags[-1] > sum(mags[:-1]):
-                    ok = False
-                    break
-            if ok:
-                out.append(frozenset(sub))
-    return out
-
-
-def _covers(n_facets: int, subsets: list[frozenset]):
-    """Exact covers of {0..N-1} by the given blocks, deterministic order.
-
-    Each step takes a block holding the least uncovered facet, so every
-    cover comes out once, with its blocks ordered by their least element.
-    """
-    blocks = sorted({tuple(sorted(s)) for s in subsets})
-
-    def rec(remaining: frozenset, chosen: tuple):
-        if not remaining:
-            yield chosen
-            return
-        lead = min(remaining)
-        for b in blocks:
-            if b[0] == lead and remaining.issuperset(b):
-                yield from rec(remaining.difference(b), chosen + (b,))
-
-    yield from rec(frozenset(range(n_facets)), ())
 
 
 def _equal_area_system(p: Polytope, blocks):
@@ -405,100 +352,6 @@ def balanced_fibers_novikov(p: Polytope, fan: Fan | None = None
     d2 = delta2_point(p, point, None)
     assert d2.is_zero(), "balanced candidate fails exact delta2 check"
     return [BalancedSolution(point, None, _level_partition(p, point), 0.0)]
-
-
-def _holonomy_residual(p: Polytope, blocks, vfloat, lam):
-    """Row-wise residuals of the equal-area and per-block balancing
-    equations at points x = (A, nu), one point per row."""
-    import numpy as np
-
-    n = p.dim
-
-    def fun(x):
-        a, nu = x[:, :n], x[:, n:]
-        ell = a @ vfloat.T - lam
-        phase = np.exp(1j * (nu @ vfloat.T))
-        cols = []
-        for block in blocks:
-            i0 = block[0]
-            for i in block[1:]:
-                cols.append(ell[:, i0] - ell[:, i])
-            idx = list(block)
-            s = phase[:, idx] @ vfloat[idx]
-            cols.extend(s.real.T)
-            cols.extend(s.imag.T)
-        return np.column_stack(cols)
-
-    return fun
-
-
-def holonomy_search(p: Polytope, fan: Fan | None = None, grid: int = 6,
-                    residual_tol: float = 1e-10, dedup_tol: float = 1e-6
-                    ) -> HolonomySearchResult:
-    """Balanced fibers with flat line bundle twists.
-
-    Candidate partitions come from unit-feasibility pruning; the equal-area
-    part is solved exactly and the holonomy equations by damped least
-    squares from a 2 pi / grid lattice of starts, one batch per partition.
-    """
-    import numpy as np
-
-    from .solve import dedup_mod_2pi, least_squares, sort_key, wrap_angle
-
-    _warn_non_fano(p, fan)
-    check_partition_scale(p.num_facets)
-    n = p.dim
-    gens = p.normals
-    vfloat = np.array(gens, dtype=float)
-    lam = np.array([float(l) for l in p.offsets])
-    verts = p.vertices()
-    centroid = np.array(
-        [float(sum(v[i] for v in verts)) / len(verts) for i in range(n)])
-
-    found = []  # (a, nu, residual) in partition order, then start order
-    diagnostics: list[PartitionDiagnostic] = []
-    nu_axis = [2 * math.pi * k / grid for k in range(grid)]
-    nu_starts = np.array(list(itertools.product(nu_axis, repeat=n)))
-    for blocks in _covers(p.num_facets, _unit_feasible_subsets(gens)):
-        sol, violations = equal_area_certificate(p, blocks)
-        if violations:
-            diagnostics.append(PartitionDiagnostic(
-                blocks, False, False, None, violations, 0,
-                "equal-area constraints inconsistent"))
-            continue
-        a_start = (np.array([float(x) for x in sol.particular])
-                   if sol.unique else centroid)
-        x0 = np.hstack([np.tile(a_start, (len(nu_starts), 1)), nu_starts])
-        x, resid = least_squares(_holonomy_residual(p, blocks, vfloat, lam),
-                                 x0)
-        converged = 0
-        for row in np.flatnonzero(resid <= residual_tol):
-            a_sol = tuple(float(v) for v in x[row, :n])
-            if any(float(l) <= 0 for l in p.ell(a_sol)):
-                continue
-            converged += 1
-            found.append((a_sol, wrap_angle(x[row, n:]), float(resid[row])))
-        diagnostics.append(PartitionDiagnostic(
-            blocks, True, sol.unique,
-            tuple(sol.particular) if sol.unique else None, (), converged,
-            "" if converged else "no start converged to a balanced solution"))
-    solutions = []
-    if found:
-        a_all, nu_all, _ = zip(*found)
-        for i in dedup_mod_2pi(a_all, nu_all, dedup_tol):
-            a_sol, nu_sol, resid = found[i]
-            point = FiberPoint(a_sol, exact=False)
-            solutions.append(BalancedSolution(
-                point, HolonomyVector(tuple(float(v) for v in nu_sol)),
-                _level_partition(p, point, tol=1e-7), resid))
-    solutions.sort(key=lambda s: sort_key(s.point.coords + s.nu.nu,
-                                          dedup_tol))
-    return HolonomySearchResult(tuple(solutions), tuple(diagnostics))
-
-
-def balanced_fibers_with_holonomy(p: Polytope, fan: Fan | None = None,
-                                  **kw) -> list[BalancedSolution]:
-    return list(holonomy_search(p, fan, **kw).solutions)
 
 
 def describe_balanced(p: Polytope, s: BalancedSolution) -> BalancedDescription:

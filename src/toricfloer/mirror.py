@@ -3,6 +3,8 @@
 W(Theta) = sum_i exp(lambda_i - <Theta, v_i>) on the complex torus; its
 critical points at the T^{2pi} = e^{-1} specialization match the balanced
 fibers (Theta = A - i nu), and the obstruction class matches W itself.
+The balanced fibers with holonomy are found that way: as the critical
+points that pass the per-level test of `holonomy_balanced`.
 """
 
 from __future__ import annotations
@@ -15,8 +17,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .discs import FiberPoint, OverflowGuardError
-from .floer import HolonomyVector, NovikovTerm, NovikovVector, delta2_point
-from .lattice import KernelLattice, Polytope, PolytopeError, kushnirenko_count
+from .floer import (AreaPartition, BalancedSolution, HolonomyVector,
+                    NovikovTerm, NovikovVector, _level_partition,
+                    _warn_non_fano, delta2_point, equal_area_certificate)
+from .lattice import (Fan, KernelLattice, Polytope, PolytopeError,
+                      kushnirenko_count)
 from .solve import dedup_mod_2pi, sort_key, wrap_angle
 
 EXP_CLAMP = 700.0
@@ -79,6 +84,24 @@ class CriticalPoint(NamedTuple):
     degenerate: bool
 
 
+class LevelTest(NamedTuple):
+    """The per-level test of one critical point Theta = A - i nu.
+
+    partition is the level partition at A, None when A is not interior to
+    the polytope; failed_level is the first block whose unit-weight sum
+    does not vanish, and residual its norm (the norm over all blocks when
+    none fails); solution indexes the balanced fiber the point gave.
+    """
+
+    fiber: tuple[float, ...]
+    nu: tuple[float, ...]
+    partition: AreaPartition | None
+    failed_level: int | None
+    residual: float | None
+    message: str
+    solution: int | None = None
+
+
 def build_superpotential(p: Polytope) -> Superpotential:
     return Superpotential(p.dim, p.normals, p.offsets)
 
@@ -125,8 +148,8 @@ NEWTON_FIRST_GRID = (2, 4)
 
 
 def critical_points(w: Superpotential, p: Polytope, grid_im: int = 8,
-                    grid_re: int = 5, residual_tol: float = 1e-12,
-                    dedup_tol: float = 1e-8) -> list[CriticalPoint]:
+                    grid_re: int = 5, dedup_tol: float = 1e-8
+                    ) -> list[CriticalPoint]:
     """All critical points of W with Im(Theta) in [0, 2 pi)^n.
 
     Multistart Newton: real parts on a grid over the polytope bounding box
@@ -156,7 +179,7 @@ def critical_points(w: Superpotential, p: Polytope, grid_im: int = 8,
                 f"Hessian entries (Newton starts x dimension^2), the "
                 f"{g_re}x{g_im} grid in dimension {n} needs {n_starts} "
                 f"starts, {n_starts * n * n} entries")
-        found = _newton_search(w, p, g_re, g_im, residual_tol, dedup_tol)
+        found = _newton_search(w, p, g_re, g_im, dedup_tol)
         if count is None:
             count = kushnirenko_count(p.dim, p.normals)
         distinct = sum(not cp.degenerate for cp in found)
@@ -170,9 +193,18 @@ def critical_points(w: Superpotential, p: Polytope, grid_im: int = 8,
     return found
 
 
+# Newton's tolerances are relative to the size 1 + |Theta|_inf of a point:
+# a row stops once its step is below STOP_STEP of it, a point is accepted
+# when its last step is below ACCEPT_STEP of it, and it is degenerate when
+# the least singular value of its scaled Hessian is below DEGENERATE_SV
+# times the dimension
+STOP_STEP = 1e-15
+ACCEPT_STEP = 1e-10
+DEGENERATE_SV = 1e-8
+
+
 def _newton_search(w: Superpotential, p: Polytope, grid_re: int,
-                   grid_im: int, residual_tol: float, dedup_tol: float
-                   ) -> list[CriticalPoint]:
+                   grid_im: int, dedup_tol: float) -> list[CriticalPoint]:
     """One multistart Newton run from a grid_re^n x grid_im^n start grid."""
     n = w.dim
     verts = p.vertices()
@@ -186,7 +218,12 @@ def _newton_search(w: Superpotential, p: Polytope, grid_re: int,
     starts = (re_grid[:, None, :] - 1j * im_grid[None, :, :]).reshape(-1, n)
 
     v = np.array(w.exponents, dtype=float)
-    lam = np.array([float(l) for l in w.offsets])
+    # W and e^c W have the same critical points and the same Newton steps;
+    # the shift c that makes the largest weight at the vertex centroid 1
+    # keeps the iterates' exponents in range on large polytopes
+    centroid = [sum(x[i] for x in verts) / len(verts) for i in range(n)]
+    shift = float(min(p.ell(centroid)))
+    lam = np.array([float(l) for l in w.offsets]) + shift
 
     def batch_grad_hess(z):
         arg = lam[None, :] - z @ v.T
@@ -198,49 +235,139 @@ def _newton_search(w: Superpotential, p: Polytope, grid_re: int,
         h = np.einsum("si,ia,ib->sab", ew, v, v)
         return g, h
 
-    z = starts.copy()
-    alive = np.ones(len(z), dtype=bool)
-    for _ in range(80):
-        g, h = batch_grad_hess(z[alive])
-        gn = np.linalg.norm(g, axis=1)
+    def newton_step(z):
+        g, h = batch_grad_hess(z)
         try:
-            step = np.linalg.solve(h, g[..., None])[..., 0]
+            return np.linalg.solve(h, g[..., None])[..., 0]
         except np.linalg.LinAlgError:
-            step = np.linalg.solve(
-                h + 1e-12 * np.eye(n)[None, :, :], g[..., None])[..., 0]
+            # far from every critical point one weight can dominate, and
+            # the Hessian is rank one to working precision: regularise
+            # each Hessian relative to its largest entry
+            reg = 1e-12 * np.abs(h).max(axis=(1, 2))
+            return np.linalg.solve(h + reg[:, None, None] * np.eye(n),
+                                   g[..., None])[..., 0]
+
+    def size(z):
+        return 1.0 + np.abs(z).max(axis=1)
+
+    z = starts.copy()
+    last = np.full(len(z), np.inf)
+    alive = np.arange(len(z))
+    for _ in range(80):
+        step = newton_step(z[alive])
         step_norm = np.linalg.norm(step, axis=1)
+        last[alive] = step_norm
         step[step_norm > 2.0] *= (2.0 / step_norm[step_norm > 2.0])[:, None]
         z[alive] -= step
-        done = gn < 1e-15
-        idx = np.flatnonzero(alive)
-        alive[idx[done]] = False
-        if not alive.any():
+        alive = alive[step_norm > STOP_STEP * size(z[alive])]
+        if not alive.size:
             break
 
     g, _ = batch_grad_hess(z)
-    resid = np.linalg.norm(g, axis=1)
+    resid = np.linalg.norm(g, axis=1) * math.exp(-shift)
     order = np.argsort(resid, kind="stable")
-    order = order[resid[order] <= residual_tol]
+    order = order[last[order] <= ACCEPT_STEP * size(z[order])]
     re, im = z.real[order], wrap_angle(-z.imag[order])
     keep = dedup_mod_2pi(re, im, dedup_tol)
     zk = re[keep] - 1j * im[keep]
     # one stacked Hessian and SVD over the kept points; _weights raises
     # OverflowGuardError on an out-of-range exponent
     ew = w._weights(zk)
-    sv = np.linalg.svd(np.einsum("si,ia,ib->sab", ew, v, v),
-                       compute_uv=False)
-    # sum_i |w_i| |v_i|^2 bounds every Hessian entry and its largest
-    # singular value; a Hessian that is rounding noise next to it is 0
-    scale = np.abs(ew) @ (v * v).sum(axis=1)
+    h = np.einsum("si,ia,ib->sab", ew, v, v)
+    sv = np.linalg.svd(h, compute_uv=False)
+    # D = diag(sum_j |w_j| v_ja^2) bounds the Hessian's diagonal, and
+    # D^-1/2 H D^-1/2 has entries of size 1 even where the weights of
+    # different coordinates differ by orders of magnitude
+    d = 1.0 / np.sqrt(np.abs(ew) @ (v * v))
+    sv_scaled = np.linalg.svd(h * d[:, :, None] * d[:, None, :],
+                              compute_uv=False)
     found = [CriticalPoint(
         MirrorPoint(tuple(zi)), float(resid[order[i]]),
         float(s[0] / s[-1]) if s[-1] > 0 else math.inf,
-        bool(s[-1] <= 1e-8 * sc))
-        for i, zi, s, sc in zip(keep, zk, sv, scale)]
+        bool(s_min <= DEGENERATE_SV * n))
+        for i, zi, s, s_min in zip(keep, zk, sv, sv_scaled[:, -1])]
     found.sort(key=lambda cp: sort_key(
         [t.real for t in cp.point.theta] + [t.imag for t in cp.point.theta],
         dedup_tol))
     return found
+
+
+# facets whose areas at A differ by at most LEVEL_TOL share a level; a
+# block balances when its unit-weight sum is at most BALANCE_TOL times the
+# total length of its normals; balanced fibers within HOLONOMY_DEDUP_TOL
+# of each other, nu taken mod 2 pi, are one
+LEVEL_TOL = 1e-7
+BALANCE_TOL = 1e-9
+HOLONOMY_DEDUP_TOL = 1e-6
+
+
+def holonomy_balanced(p: Polytope, cps, fan: Fan | None = None
+                      ) -> tuple[list[BalancedSolution], list[LevelTest]]:
+    """The balanced fibers with holonomy among the critical points cps of W.
+
+    At T^{2pi} = e^{-1}, delta_2<pt> at (A, nu) is -grad W at
+    Theta = A - i nu, so every balanced fiber is a critical point of W
+    with A interior. A critical point is one exactly when, at its A, every
+    level block's unit-weight sum sum_j e^{i <nu, v_j>} v_j vanishes. The
+    exact equal-area solve of each passing partition certifies it, and
+    its unique solution replaces A. Returns the balanced fibers, merged
+    mod 2 pi and sorted, and one LevelTest per critical point, in order.
+    """
+    _warn_non_fano(p, fan)
+    lengths = [math.sqrt(sum(c * c for c in v)) for v in p.normals]
+    found, tests = [], []
+    for cp in cps:
+        a, nu = cp.point.fiber, HolonomyVector(cp.point.holonomy)
+        if any(l <= 0 for l in p.ell(a)):
+            tests.append(LevelTest(a, nu.nu, None, None, None,
+                                   "A lies outside the polytope"))
+            continue
+        part = _level_partition(p, FiberPoint(a, exact=False), LEVEL_TOL)
+        sums = []
+        for block in part.blocks:
+            vec = [sum(nu.factor(p.normals[j]) * p.normals[j][i]
+                       for j in block) for i in range(p.dim)]
+            sums.append(math.sqrt(sum(abs(x) ** 2 for x in vec)))
+        failed = next((k for k, block in enumerate(part.blocks) if sums[k]
+                       > BALANCE_TOL * sum(lengths[j] for j in block)), None)
+        if failed is not None:
+            tests.append(LevelTest(
+                a, nu.nu, part, failed, sums[failed],
+                f"level {failed} (facets {list(part.blocks[failed])}) "
+                f"does not balance"))
+            continue
+        sol, violations = equal_area_certificate(p, part.blocks)
+        if violations:
+            vio = "; ".join(f"ell_{i} - ell_{j} = {v}"
+                            for i, j, v in violations)
+            tests.append(LevelTest(a, nu.nu, part, None, None,
+                                   f"equal areas infeasible ({vio})"))
+            continue
+        resid = math.hypot(*sums)
+        point = FiberPoint(tuple(float(x) for x in sol.particular)
+                           if sol.unique else a, exact=False)
+        found.append((len(tests), BalancedSolution(
+            point, nu, _level_partition(p, point, LEVEL_TOL), resid)))
+        tests.append(LevelTest(a, nu.nu, part, None, resid, ""))
+    kept = dedup_mod_2pi([s.point.coords for _, s in found],
+                         [s.nu.nu for _, s in found], HOLONOMY_DEDUP_TOL)
+    for i in set(range(len(found))) - set(kept.tolist()):
+        t = found[i][0]
+        tests[t] = tests[t]._replace(
+            message="merged with another balanced critical point")
+    solutions = sorted((found[i] for i in kept), key=lambda ts: sort_key(
+        ts[1].point.coords + ts[1].nu.nu, HOLONOMY_DEDUP_TOL))
+    for index, (t, _) in enumerate(solutions):
+        tests[t] = tests[t]._replace(solution=index)
+    return [s for _, s in solutions], tests
+
+
+def balanced_fibers_with_holonomy(p: Polytope, fan: Fan | None = None
+                                  ) -> list[BalancedSolution]:
+    """Balanced fibers with flat line bundle twists: the critical points
+    of W that pass the per-level test of holonomy_balanced."""
+    return holonomy_balanced(
+        p, critical_points(build_superpotential(p), p), fan)[0]
 
 
 def obstruction_class(p: Polytope, a: FiberPoint,

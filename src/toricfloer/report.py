@@ -14,7 +14,7 @@ from .lattice import (Fan, KernelLattice, Polytope, euler_characteristic,
                       is_fano, is_smooth, kernel_lattice, normal_fan,
                       primitive_collections)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def format_float(x: float) -> str:
@@ -119,6 +119,18 @@ def balanced_solution_record(s) -> dict:
         "residual": float(s.residual),
     }
     return rec
+
+
+def level_test_record(t) -> dict:
+    return {
+        "point": [float(c) for c in t.fiber],
+        "holonomy": [float(x) for x in t.nu],
+        "partition": (None if t.partition is None
+                      else [list(b) for b in t.partition.blocks]),
+        "failed_level": t.failed_level,
+        "residual": None if t.residual is None else float(t.residual),
+        "message": t.message,
+    }
 
 
 def critical_point_record(cp, matched: int | None = None) -> dict:

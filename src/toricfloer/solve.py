@@ -1,6 +1,5 @@
-"""Numerics shared by the three searches: batched least squares, the angle
-wrap, the circle distance, deduplication modulo 2 pi and the sort key of
-their results.
+"""Numerics shared by the searches: batched least squares, the angle wrap,
+deduplication modulo 2 pi and the sort key of their results.
 
 `least_squares` is Levenberg-Marquardt with a forward-difference Jacobian
 and Marquardt's scaling by the running maximum of the squared Jacobian
@@ -100,12 +99,6 @@ def wrap_angle(x) -> np.ndarray:
     return out
 
 
-def circ_dist(x, y):
-    """Distance between angles on the circle, elementwise."""
-    d = np.abs(np.subtract(x, y)) % TWO_PI
-    return np.minimum(d, TWO_PI - d)
-
-
 def dedup_mod_2pi(lin, ang, tol: float) -> np.ndarray:
     """Indices of the rows kept by deduplication, best-ranked first.
 
@@ -130,8 +123,8 @@ def dedup_mod_2pi(lin, ang, tol: float) -> np.ndarray:
     lin, ang = lin[lead].tolist(), ang[lead].tolist()
 
     def duplicate(i: int, j: int) -> bool:
-        # the lin test and the circle test of circ_dist, on Python floats:
-        # a leader meets few candidates, and a numpy call costs more
+        # the lin test and the circle distance, on Python floats: a leader
+        # meets few candidates, and a numpy call costs more
         return (all(abs(x - y) <= tol for x, y in zip(lin[i], lin[j]))
                 and all(min(d, TWO_PI - d) <= tol for d in (
                     abs(x - y) % TWO_PI for x, y in zip(ang[i], ang[j]))))

@@ -19,11 +19,11 @@ from toricfloer.discs import (DiscClass, FiberPoint, disc_area_exact,
                               winding_maslov)
 from toricfloer.floer import (HolonomyVector, UnsupportedRegimeWarning,
                               balanced_fibers_novikov,
-                              balanced_fibers_with_holonomy,
                               equal_area_certificate, hf_rank,
                               spectral_rank_check)
 from toricfloer.lattice import kernel_lattice, normal_fan
-from toricfloer.mirror import (build_superpotential,
+from toricfloer.mirror import (balanced_fibers_with_holonomy,
+                               build_superpotential,
                                check_delta2_equals_gradW, check_o_equals_W,
                                constraint_residuals_exact, critical_points)
 from toricfloer.oracle import balanced_oracle

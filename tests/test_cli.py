@@ -83,7 +83,9 @@ class TestExitCodes:
                                       ["balanced", "--mode", "holonomy"],
                                       ["critical"]))
     def test_partition_limit(self, args, tmp_path, capsys):
-        # P^12 has 13 facets, one more than set-partition enumeration takes
+        # P^12 has 13 facets, one more than the zero-sum subset scan of
+        # novikov mode takes; holonomy mode and critical run Newton, whose
+        # first grid is over its entry limit in dimension 12
         lines = ["dim 12"]
         for i in range(12):
             lines.append("normal " + " ".join(
@@ -93,7 +95,11 @@ class TestExitCodes:
         big.write_text("\n".join(lines) + "\n")
         code, _, err = run_cli([args[0], str(big), *args[1:]], capsys)
         assert code == 2
-        assert "limited to 12 facets" in err and "has 13" in err
+        if args == ["balanced"]:
+            assert "limited to 12 facets" in err and "has 13" in err
+        else:
+            assert "limited to 40960000 Hessian entries" in err
+            assert "the 2x4 grid in dimension 12" in err
 
     @pytest.mark.parametrize("k", (7, 8))
     def test_newton_start_limit(self, k, tmp_path, capsys):
@@ -107,7 +113,7 @@ class TestExitCodes:
                     + f" offset {offset}")
         path = tmp_path / "p1k.poly"
         path.write_text("\n".join(lines) + "\n")
-        code, _, err = run_cli(["critical", str(path), "--no-match"], capsys)
+        code, _, err = run_cli(["critical", str(path)], capsys)
         assert code == 2
         assert "limited to 40960000 Hessian entries" in err
         assert (f"the 2x4 grid in dimension {k} needs {2 ** k * 4 ** k} "
@@ -118,7 +124,7 @@ class TestExitCodes:
         # of W is -1000
         path = tmp_path / "big.poly"
         path.write_text("dim 1\nnormal 1 offset 0\nnormal -1 offset -2000\n")
-        code, _, err = run_cli(["critical", str(path), "--no-match"], capsys)
+        code, _, err = run_cli(["critical", str(path)], capsys)
         assert code == 3
         assert "exponent out of range" in err
 
@@ -187,7 +193,21 @@ class TestCommands:
     def test_critical_p1(self, capsys):
         code, out, _ = run_cli(["critical", poly_path("p1")], capsys)
         assert code == 0
-        assert "critical points: 2 (Euler characteristic 2)" in out
+        assert ("critical points: 2 (Kushnirenko count 2, Euler "
+                "characteristic 2)") in out
+
+    @pytest.mark.parametrize("args", (["critical"],
+                                      ["balanced", "--mode", "holonomy"]))
+    def test_rank_one_hessian(self, args, tmp_path, capsys):
+        # from the corner starts of P^2 of side 21 one weight dominates and
+        # the Hessian is rank one to working precision
+        path = tmp_path / "p2_21.poly"
+        path.write_text("dim 2\nnormal 1 0 offset 0\nnormal 0 1 offset 0\n"
+                        "normal -1 -1 offset -21\n")
+        code, out, _ = run_cli([args[0], str(path), *args[1:]], capsys)
+        assert code == 0
+        assert ("critical points: 3 (" if args[0] == "critical"
+                else "balanced fibers (holonomy mode): 3") in out
 
     @pytest.mark.parametrize("name", ("f1", "f3"))
     def test_critical_prints_plain_floats(self, name, capsys):

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -8,14 +9,15 @@ import pytest
 
 from toricfloer import mirror
 from toricfloer.discs import FiberPoint
-from toricfloer.floer import HolonomyVector
-from toricfloer.mirror import (CriticalPoint, MirrorCoordinates, MirrorPoint,
-                               OverflowGuardError, Superpotential,
+from toricfloer.floer import AreaPartition, HolonomyVector
+from toricfloer.mirror import (CriticalPoint, LevelTest, MirrorCoordinates,
+                               MirrorPoint, OverflowGuardError, Superpotential,
                                build_superpotential,
                                check_delta2_equals_gradW, check_o_equals_W,
                                constraint_residuals_exact, critical_points,
-                               gradient_W, mirror_coordinates,
-                               mirror_coordinates_exact, obstruction_class)
+                               gradient_W, holonomy_balanced,
+                               mirror_coordinates, mirror_coordinates_exact,
+                               obstruction_class)
 from toricfloer.lattice import (PolytopeError, kernel_lattice, normal_fan,
                                 parse_polytope)
 
@@ -29,8 +31,12 @@ from conftest import CORPUS, assert_record, corpus_polytope
     (lambda: MirrorCoordinates((1 + 0j, -2j)), "y"),
     (lambda: CriticalPoint(MirrorPoint((1 + 0j,)), 1e-14, 2.0, False),
      "degenerate"),
+    (lambda: LevelTest((1.0, 2.0), (0.0, math.pi),
+                       AreaPartition(((0,), (1, 2)), (0.5, 1.0)), 0, 1.0,
+                       "level 0 (facets [0]) does not balance"),
+     "failed_level"),
 ], ids=["Superpotential", "MirrorPoint", "MirrorCoordinates",
-        "CriticalPoint"])
+        "CriticalPoint", "LevelTest"])
 def test_record_semantics(make, field):
     assert_record(make, field)
 
@@ -146,8 +152,8 @@ class TestCriticalPoints:
         # critical points invariant mod 2 pi i
         p = corpus["p1"]
         w = build_superpotential(p)
-        a = mirror._newton_search(w, p, 5, 8, 1e-12, 1e-8)
-        b = mirror._newton_search(w, p, 5, 12, 1e-12, 1e-8)
+        a = mirror._newton_search(w, p, 5, 8, 1e-8)
+        b = mirror._newton_search(w, p, 5, 12, 1e-8)
         assert len(a) == len(b)
         for x, y in zip(a, b):
             assert np.allclose(x.point.theta, y.point.theta, atol=1e-8)
@@ -220,13 +226,16 @@ class TestCriticalPoints:
         else:
             p = corpus_polytope(name)
         w = build_superpotential(p)
-        norms2 = (np.array(p.normals, dtype=float) ** 2).sum(axis=1)
-        found = mirror._newton_search(w, p, 2, 4, 1e-12, 1e-8)
+        v2 = np.array(p.normals, dtype=float) ** 2
+        found = mirror._newton_search(w, p, 2, 4, 1e-8)
         assert found
         for cp in found:
             z = np.array(cp.point.theta)
-            sv = np.linalg.svd(w.hessian(z), compute_uv=False)
-            degenerate = sv[-1] <= 1e-8 * (np.abs(w._weights(z)) @ norms2)
+            h = w.hessian(z)
+            sv = np.linalg.svd(h, compute_uv=False)
+            d = np.diag(1 / np.sqrt(np.abs(w._weights(z)) @ v2))
+            scaled = np.linalg.svd(d @ h @ d, compute_uv=False)
+            degenerate = scaled[-1] <= 1e-8 * p.dim
             assert cp.degenerate == degenerate
             if not degenerate:
                 assert cp.hessian_cond == pytest.approx(sv[0] / sv[-1],
@@ -267,7 +276,7 @@ class TestCriticalPoints:
         # over the cap then raises, after the first grid has run
         p = corpus["f1"]
         w = build_superpotential(p)
-        first = mirror._newton_search(w, p, 2, 2, 1e-12, 1e-8)
+        first = mirror._newton_search(w, p, 2, 2, 1e-8)
         assert sum(not cp.degenerate for cp in first) == 3
         grids = _record_grids(monkeypatch)
         monkeypatch.setattr(mirror, "NEWTON_FIRST_GRID", (2, 2))
@@ -295,14 +304,58 @@ class TestCriticalPoints:
 
         monkeypatch.setattr(mirror, "dedup_mod_2pi", recorded)
         p = corpus["p1"]
-        mirror._newton_search(build_superpotential(p), p, 40, 40, 1e-12,
-                              1e-8)
+        mirror._newton_search(build_superpotential(p), p, 40, 40, 1e-8)
         lo, hi = sorted(float(x[0]) for x in p.vertices())
         re = np.repeat(np.linspace(lo - 1, hi + 1, 40), 40)
         im = mirror.wrap_angle(np.tile(np.arange(40) * (math.pi / 20), 40))
         order = np.argsort(np.arange(1600) % 3, kind="stable")
         assert np.array_equal(seen[0][0][:, 0], re[order])
         assert np.array_equal(seen[0][1][:, 0], im[order])
+
+
+def _scaled_polytope(kind, s):
+    """P^2 of side s, P^2 of side 3 times P^1 of length s, or (P^1)^3 of
+    lengths s, s + 1, s + 2, with their balanced fibers in closed form:
+    A at the barycentre, nu = 2 pi m / (k + 1) on each P^k factor."""
+    factors = {"p2": [(2, s)], "p2xp1": [(2, 3), (1, s)],
+               "p1^3": [(1, s), (1, s + 1), (1, s + 2)]}[kind]
+    dim = sum(k for k, _ in factors)
+    lines, a, nus, start = [f"dim {dim}"], [], [[]], 0
+    for k, size in factors:
+        coords = range(start, start + k)
+        for i in coords:
+            lines.append("normal " + " ".join(
+                "1" if j == i else "0" for j in range(dim)) + " offset 0")
+        lines.append("normal " + " ".join(
+            "-1" if j in coords else "0" for j in range(dim))
+            + f" offset {-size}")
+        a += [size / (k + 1)] * k
+        nus = [nu + [2 * math.pi * m / (k + 1)] * k
+               for nu in nus for m in range(k + 1)]
+        start += k
+    return parse_polytope("\n".join(lines) + "\n"), a, nus
+
+
+@pytest.mark.parametrize("size", (21, 60, 100))
+@pytest.mark.parametrize("kind", ("p2", "p2xp1", "p1^3"))
+def test_balanced_fibers_at_scale(kind, size):
+    # the weights at the critical points are e^-(size / 3) and smaller, so
+    # an absolute gradient tolerance would accept or reject them wrongly
+    p, a, nus = _scaled_polytope(kind, size)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cps = critical_points(build_superpotential(p), p)
+        sols, tests = holonomy_balanced(p, cps)
+    assert len(cps) == len(sols) == len(nus)
+    assert not any(cp.degenerate for cp in cps)
+    assert sorted(t.solution for t in tests) == list(range(len(nus)))
+    for s in sols:
+        assert s.point.coords == pytest.approx(a, abs=1e-12)
+    for nu in nus:
+        assert sum(max(min(abs(x - y) % (2 * math.pi),
+                           -abs(x - y) % (2 * math.pi))
+                       for x, y in zip(s.nu.nu, nu)) < 1e-8
+                   for s in sols) == 1, nu
 
 
 class TestCorrespondence:

@@ -6,8 +6,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricfloer.solve import (TWO_PI, circ_dist, dedup_mod_2pi,
-                              least_squares, sort_key, wrap_angle)
+from toricfloer.solve import (TWO_PI, dedup_mod_2pi, least_squares,
+                              sort_key, wrap_angle)
+
+
+def circ_dist(x, y):
+    """Distance between angles on the circle, elementwise."""
+    d = np.abs(np.subtract(x, y)) % TWO_PI
+    return np.minimum(d, TWO_PI - d)
 
 
 def _dedup_pairwise(lin, ang, tol):
