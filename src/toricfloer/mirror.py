@@ -26,8 +26,8 @@ from .solve import dedup_mod_2pi, sort_key, wrap_angle
 
 EXP_CLAMP = 700.0
 # the Newton search holds the n x n Hessians of all its starts at once, so
-# a grid of S starts in dimension n holds S n^2 entries; dimension 4 at the
-# default grids (5^4 x 8^4 starts) is the largest it takes
+# S starts in dimension n hold S n^2 entries; at the default grid (P^1)^6
+# runs 65 x 4^6 starts and (P^1)^7 is refused
 MAX_NEWTON_ENTRIES = 4 ** 2 * 40 ** 4
 
 
@@ -142,54 +142,31 @@ def gradient_W(w: Superpotential, theta: MirrorPoint) -> np.ndarray:
     return w.gradient(np.array(theta.theta, dtype=complex))
 
 
-# start grid (grid_re, grid_im) tried before the caller's own; every corpus
-# polytope reaches its count on it (f1 finds 3 of its 4 points at 2 x 2)
-NEWTON_FIRST_GRID = (2, 4)
-
-
-def critical_points(w: Superpotential, p: Polytope, grid_im: int = 8,
-                    grid_re: int = 5, dedup_tol: float = 1e-8
-                    ) -> list[CriticalPoint]:
+def critical_points(w: Superpotential, p: Polytope, grid_im: int = 4,
+                    grid_re: int = 2) -> list[CriticalPoint]:
     """All critical points of W with Im(Theta) in [0, 2 pi)^n.
 
-    Multistart Newton: real parts on a grid over the polytope bounding box
-    inflated by 1, imaginary parts on a 2 pi / grid_im lattice; converged
+    One multistart Newton run: real parts at the vertex centroid and at
+    grid_re - 1 evenly spaced points on its segment to each vertex, moved
+    one unit outward along every coordinate (those vertices themselves at
+    grid_re = 2), imaginary parts on a 2 pi / grid_im lattice; converged
     points deduplicated mod 2 pi i, keeping the smallest gradient. The
-    search runs on NEWTON_FIRST_GRID if it fits in (grid_re, grid_im),
-    then on that grid itself, and stops at the first grid that finds as
-    many distinct nondegenerate points as the Kushnirenko count
-    n! Vol(conv{v_j}) of the facet normals. That count bounds the isolated
-    critical points counted with multiplicity, so the search is then
-    complete. A last grid that finds another number warns. Each grid is
-    checked just before it runs: one whose starts hold more than
-    MAX_NEWTON_ENTRIES Hessian entries raises PolytopeError naming it.
+    Kushnirenko count n! Vol(conv{v_j}) of the facet normals bounds the
+    isolated critical points counted with multiplicity, so a search that
+    finds that many distinct nondegenerate points is complete; one that
+    finds another number warns. A search whose starts hold more than
+    MAX_NEWTON_ENTRIES Hessian entries raises PolytopeError before it
+    runs.
     """
-    n = w.dim
-    count = None
-    first_re, first_im = NEWTON_FIRST_GRID
-    grids = [(grid_re, grid_im)]
-    if (first_re <= grid_re and first_im <= grid_im
-            and NEWTON_FIRST_GRID != (grid_re, grid_im)):
-        grids.insert(0, NEWTON_FIRST_GRID)
-    for g_re, g_im in grids:
-        n_starts = g_re ** n * g_im ** n
-        if n_starts * n * n > MAX_NEWTON_ENTRIES:
-            raise PolytopeError(
-                f"critical point search is limited to {MAX_NEWTON_ENTRIES} "
-                f"Hessian entries (Newton starts x dimension^2), the "
-                f"{g_re}x{g_im} grid in dimension {n} needs {n_starts} "
-                f"starts, {n_starts * n * n} entries")
-        found = _newton_search(w, p, g_re, g_im, dedup_tol)
-        if count is None:
-            count = kushnirenko_count(p.dim, p.normals)
-        distinct = sum(not cp.degenerate for cp in found)
-        if distinct == count:
-            return found
-    why = ("search incomplete or roots degenerate" if distinct < count
-           else "more than the bound allows, so duplicates or degenerate "
-           "roots were counted")
-    warnings.warn(f"found {distinct} of {count} (Kushnirenko count): {why}",
-                  stacklevel=2)
+    found = _newton_search(w, p, grid_re, grid_im)
+    count = kushnirenko_count(p.dim, p.normals)
+    distinct = sum(not cp.degenerate for cp in found)
+    if distinct != count:
+        why = ("search incomplete or roots degenerate" if distinct < count
+               else "more than the bound allows, so duplicates or "
+               "degenerate roots were counted")
+        warnings.warn(f"found {distinct} of {count} (Kushnirenko count): "
+                      f"{why}", stacklevel=2)
     return found
 
 
@@ -197,31 +174,56 @@ def critical_points(w: Superpotential, p: Polytope, grid_im: int = 8,
 # a row stops once its step is below STOP_STEP of it, a point is accepted
 # when its last step is below ACCEPT_STEP of it, and it is degenerate when
 # the least singular value of its scaled Hessian is below DEGENERATE_SV
-# times the dimension
+# times the dimension; accepted points within DEDUP_TOL of each other,
+# Im taken mod 2 pi, are one
 STOP_STEP = 1e-15
 ACCEPT_STEP = 1e-10
 DEGENERATE_SV = 1e-8
+DEDUP_TOL = 1e-8
+
+
+def _newton_step(h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The Newton steps h^-1 g of stacked Hessians h and gradients g."""
+    try:
+        return np.linalg.solve(h, g[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        # far from every critical point one weight can dominate, and a
+        # Hessian is then rank one to working precision: regularise each
+        # singular one relative to its largest entry, and no other
+        reg = 1e-12 * np.abs(h).max(axis=(1, 2)) * (np.linalg.det(h) == 0)
+        return np.linalg.solve(h + reg[:, None, None] * np.eye(h.shape[-1]),
+                               g[..., None])[..., 0]
 
 
 def _newton_search(w: Superpotential, p: Polytope, grid_re: int,
-                   grid_im: int, dedup_tol: float) -> list[CriticalPoint]:
-    """One multistart Newton run from a grid_re^n x grid_im^n start grid."""
+                   grid_im: int) -> list[CriticalPoint]:
+    """One multistart Newton run from the starts of critical_points."""
     n = w.dim
     verts = p.vertices()
-    lo = [min(float(v[i]) for v in verts) - 1.0 for i in range(n)]
-    hi = [max(float(v[i]) for v in verts) + 1.0 for i in range(n)]
-    re_axes = [np.linspace(lo[i], hi[i], grid_re) for i in range(n)]
+    n_starts = (1 + len(verts) * (grid_re - 1)) * grid_im ** n
+    if n_starts * n * n > MAX_NEWTON_ENTRIES:
+        raise PolytopeError(
+            f"critical point search is limited to {MAX_NEWTON_ENTRIES} "
+            f"Hessian entries (Newton starts x dimension^2), the "
+            f"{grid_re}x{grid_im} grid in dimension {n} needs {n_starts} "
+            f"starts, {n_starts * n * n} entries")
+    centroid = [sum(x[i] for x in verts) / len(verts) for i in range(n)]
+    c, vs = np.array(centroid, dtype=float), np.array(verts, dtype=float)
+    # the centroid, then grid_re - 1 points from each vertex towards it,
+    # the vertex moved one unit outward along every coordinate: on a
+    # non-Fano polytope some critical points lie just outside a vertex
+    vs += np.sign(vs - c)
+    frac = np.arange(grid_re - 1) / (grid_re - 1)
+    re_starts = np.vstack([c, (vs[:, None] + frac[:, None]
+                               * (c - vs)[:, None]).reshape(-1, n)])
     im_axis = np.arange(grid_im) * (2 * math.pi / grid_im)
-    re_grid = np.stack([g.ravel() for g in np.meshgrid(*re_axes)], axis=-1)
     im_grid = np.stack([g.ravel() for g in np.meshgrid(
         *([im_axis] * n))], axis=-1)
-    starts = (re_grid[:, None, :] - 1j * im_grid[None, :, :]).reshape(-1, n)
 
     v = np.array(w.exponents, dtype=float)
     # W and e^c W have the same critical points and the same Newton steps;
     # the shift c that makes the largest weight at the vertex centroid 1
     # keeps the iterates' exponents in range on large polytopes
-    centroid = [sum(x[i] for x in verts) / len(verts) for i in range(n)]
     shift = float(min(p.ell(centroid)))
     lam = np.array([float(l) for l in w.offsets]) + shift
 
@@ -235,26 +237,15 @@ def _newton_search(w: Superpotential, p: Polytope, grid_re: int,
         h = np.einsum("si,ia,ib->sab", ew, v, v)
         return g, h
 
-    def newton_step(z):
-        g, h = batch_grad_hess(z)
-        try:
-            return np.linalg.solve(h, g[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            # far from every critical point one weight can dominate, and
-            # the Hessian is rank one to working precision: regularise
-            # each Hessian relative to its largest entry
-            reg = 1e-12 * np.abs(h).max(axis=(1, 2))
-            return np.linalg.solve(h + reg[:, None, None] * np.eye(n),
-                                   g[..., None])[..., 0]
-
     def size(z):
         return 1.0 + np.abs(z).max(axis=1)
 
-    z = starts.copy()
+    z = (re_starts[:, None] - 1j * im_grid[None]).reshape(-1, n)
     last = np.full(len(z), np.inf)
     alive = np.arange(len(z))
     for _ in range(80):
-        step = newton_step(z[alive])
+        g, h = batch_grad_hess(z[alive])
+        step = _newton_step(h, g)
         step_norm = np.linalg.norm(step, axis=1)
         last[alive] = step_norm
         step[step_norm > 2.0] *= (2.0 / step_norm[step_norm > 2.0])[:, None]
@@ -268,7 +259,7 @@ def _newton_search(w: Superpotential, p: Polytope, grid_re: int,
     order = np.argsort(resid, kind="stable")
     order = order[last[order] <= ACCEPT_STEP * size(z[order])]
     re, im = z.real[order], wrap_angle(-z.imag[order])
-    keep = dedup_mod_2pi(re, im, dedup_tol)
+    keep = dedup_mod_2pi(re, im, DEDUP_TOL)
     zk = re[keep] - 1j * im[keep]
     # one stacked Hessian and SVD over the kept points; _weights raises
     # OverflowGuardError on an out-of-range exponent
@@ -288,7 +279,7 @@ def _newton_search(w: Superpotential, p: Polytope, grid_re: int,
         for i, zi, s, s_min in zip(keep, zk, sv, sv_scaled[:, -1])]
     found.sort(key=lambda cp: sort_key(
         [t.real for t in cp.point.theta] + [t.imag for t in cp.point.theta],
-        dedup_tol))
+        DEDUP_TOL))
     return found
 
 

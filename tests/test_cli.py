@@ -85,7 +85,7 @@ class TestExitCodes:
     def test_partition_limit(self, args, tmp_path, capsys):
         # P^12 has 13 facets, one more than the zero-sum subset scan of
         # novikov mode takes; holonomy mode and critical run Newton, whose
-        # first grid is over its entry limit in dimension 12
+        # starts are over its entry limit in dimension 12
         lines = ["dim 12"]
         for i in range(12):
             lines.append("normal " + " ".join(
@@ -103,8 +103,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("k", (7, 8))
     def test_newton_start_limit(self, k, tmp_path, capsys):
-        # (P^1)^k on the first grid, 2 x 4, holds 2^k 4^k starts' k x k
-        # Hessians, over the limit for k > 6
+        # (P^1)^k has 2^k vertices, so the 2 x 4 grid holds
+        # (2^k + 1) 4^k starts' k x k Hessians, over the limit for k > 6
         lines = [f"dim {k}"]
         for i in range(k):
             for sign, offset in ((1, 0), (-1, -1)):
@@ -116,8 +116,9 @@ class TestExitCodes:
         code, _, err = run_cli(["critical", str(path)], capsys)
         assert code == 2
         assert "limited to 40960000 Hessian entries" in err
-        assert (f"the 2x4 grid in dimension {k} needs {2 ** k * 4 ** k} "
-                f"starts, {2 ** k * 4 ** k * k * k} entries") in err
+        starts = (2 ** k + 1) * 4 ** k
+        assert (f"the 2x4 grid in dimension {k} needs {starts} starts, "
+                f"{starts * k * k} entries") in err
 
     def test_superpotential_overflow(self, tmp_path, capsys):
         # the critical point of W sits at the centre, where every exponent

@@ -200,6 +200,20 @@ class TestBalanced:
             assert t.residual == pytest.approx(1.0)
             assert t.solution is None and "does not balance" in t.message
 
+    def test_holonomy_merges_repeated_point(self, corpus):
+        # a copy of P^2's first critical point moved by 1e-9 gives the same
+        # balanced fiber, which is kept once
+        p = corpus["p2"]
+        cps = critical_points(build_superpotential(p), p)
+        moved = cps[0]._replace(point=cps[0].point._replace(
+            theta=tuple(t + 1e-9 for t in cps[0].point.theta)))
+        sols, tests = holonomy_balanced(p, cps + [moved])
+        assert len(sols) == 3 and len(tests) == 4
+        assert sorted(t.solution for t in tests[:3]) == [0, 1, 2]
+        assert tests[3].solution is None
+        assert tests[3].message == ("merged with another balanced critical "
+                                    "point")
+
     def test_describe_rejects_twisted(self, corpus):
         sols = balanced_fibers_with_holonomy(corpus["p1"])
         twisted = [s for s in sols if not s.nu.trivial][0]

@@ -41,19 +41,6 @@ def test_record_semantics(make, field):
     assert_record(make, field)
 
 
-def _record_grids(monkeypatch):
-    """The (grid_re, grid_im) of every Newton search run from now on."""
-    grids = []
-    search = mirror._newton_search
-
-    def recorded(w, p, grid_re, grid_im, *args):
-        grids.append((grid_re, grid_im))
-        return search(w, p, grid_re, grid_im, *args)
-
-    monkeypatch.setattr(mirror, "_newton_search", recorded)
-    return grids
-
-
 class TestSuperpotential:
     def test_value_p2(self, corpus):
         w = build_superpotential(corpus["p2"])
@@ -152,8 +139,8 @@ class TestCriticalPoints:
         # critical points invariant mod 2 pi i
         p = corpus["p1"]
         w = build_superpotential(p)
-        a = mirror._newton_search(w, p, 5, 8, 1e-8)
-        b = mirror._newton_search(w, p, 5, 12, 1e-8)
+        a = mirror._newton_search(w, p, 5, 8)
+        b = mirror._newton_search(w, p, 5, 12)
         assert len(a) == len(b)
         for x, y in zip(a, b):
             assert np.allclose(x.point.theta, y.point.theta, atol=1e-8)
@@ -162,29 +149,6 @@ class TestCriticalPoints:
         p = corpus["p2"]
         with pytest.warns(UserWarning, match="Kushnirenko count"):
             critical_points(build_superpotential(p), p, grid_im=1, grid_re=1)
-
-    def test_p3_stops_at_first_grid(self, corpus, monkeypatch):
-        grids = _record_grids(monkeypatch)
-        p = corpus["p3"]
-        cps = critical_points(build_superpotential(p), p)
-        assert len(cps) == 4
-        assert grids == [mirror.NEWTON_FIRST_GRID]
-
-    def test_grid_grows_until_count(self, corpus, monkeypatch):
-        # a first grid that misses a point is not taken as complete
-        grids = []
-        search = mirror._newton_search
-
-        def lossy(w, p, grid_re, grid_im, *args):
-            grids.append((grid_re, grid_im))
-            found = search(w, p, grid_re, grid_im, *args)
-            return found[1:] if len(grids) == 1 else found
-
-        monkeypatch.setattr(mirror, "_newton_search", lossy)
-        p = corpus["f1"]
-        cps = critical_points(build_superpotential(p), p)
-        assert len(cps) == 4
-        assert grids == [mirror.NEWTON_FIRST_GRID, (5, 8)]
 
     @pytest.mark.parametrize("normals, offsets, count, points", [
         # octahedron |x| + |y| + |z| <= 1: W = e^-1 prod 2 cosh(Theta_i),
@@ -227,7 +191,7 @@ class TestCriticalPoints:
             p = corpus_polytope(name)
         w = build_superpotential(p)
         v2 = np.array(p.normals, dtype=float) ** 2
-        found = mirror._newton_search(w, p, 2, 4, 1e-8)
+        found = mirror._newton_search(w, p, 2, 4)
         assert found
         for cp in found:
             z = np.array(cp.point.theta)
@@ -256,36 +220,32 @@ class TestCriticalPoints:
 
 
     def test_entry_cap_checked_on_each_grid(self, corpus, monkeypatch):
-        # p1xp1 reaches its count on the 2 x 4 grid (64 starts, 256 Hessian
-        # entries); the caller's 5 x 8 grid (6 400 entries) never runs
-        grids = _record_grids(monkeypatch)
-        p = corpus["p1xp1"]
-        for cap in (256, 1599):
-            grids.clear()
-            monkeypatch.setattr(mirror, "MAX_NEWTON_ENTRIES", cap)
-            assert len(critical_points(build_superpotential(p), p)) == 4
-            assert grids == [mirror.NEWTON_FIRST_GRID]
-        monkeypatch.setattr(mirror, "MAX_NEWTON_ENTRIES", 255)
-        with pytest.raises(PolytopeError,
-                           match="the 2x4 grid in dimension 2 needs 64 "
-                                 "starts, 256 entries"):
-            critical_points(build_superpotential(p), p)
+        # p1xp1 has 4 vertices: the 2 x 4 grid runs 5 real starts against
+        # 4^2 imaginary ones, 80 starts and 320 Hessian entries, and the
+        # 3 x 4 grid runs 9 real starts, 144 starts and 576 entries; a
+        # grid over the cap raises before its first Newton step
+        steps = []
+        newton_step = mirror._newton_step
 
-    def test_entry_cap_stops_the_next_grid(self, corpus, monkeypatch):
-        # f1 finds 3 of its 4 points on a 2 x 2 first grid; the 5 x 8 grid
-        # over the cap then raises, after the first grid has run
-        p = corpus["f1"]
+        def recorded(h, g):
+            steps.append(len(h))
+            return newton_step(h, g)
+
+        monkeypatch.setattr(mirror, "_newton_step", recorded)
+        p = corpus["p1xp1"]
         w = build_superpotential(p)
-        first = mirror._newton_search(w, p, 2, 2, 1e-8)
-        assert sum(not cp.degenerate for cp in first) == 3
-        grids = _record_grids(monkeypatch)
-        monkeypatch.setattr(mirror, "NEWTON_FIRST_GRID", (2, 2))
-        monkeypatch.setattr(mirror, "MAX_NEWTON_ENTRIES", 6399)
-        with pytest.raises(PolytopeError,
-                           match="the 5x8 grid in dimension 2 needs 1600 "
-                                 "starts, 6400 entries"):
-            critical_points(w, p)
-        assert grids == [(2, 2)]
+        monkeypatch.setattr(mirror, "MAX_NEWTON_ENTRIES", 320)
+        assert len(critical_points(w, p)) == 4
+        assert steps[0] == 80
+        for grid_re, entries in ((2, 320), (3, 576)):
+            steps.clear()
+            monkeypatch.setattr(mirror, "MAX_NEWTON_ENTRIES", entries - 1)
+            with pytest.raises(PolytopeError,
+                               match=f"the {grid_re}x4 grid in dimension 2 "
+                                     f"needs {entries // 4} starts, "
+                                     f"{entries} entries"):
+                critical_points(w, p, grid_re=grid_re)
+            assert steps == []
 
     def test_equal_residuals_in_start_order(self, corpus, monkeypatch):
         # Newton steps of 0 and residuals 0, 1e-16, 2e-16, 0, ... by start
@@ -304,13 +264,36 @@ class TestCriticalPoints:
 
         monkeypatch.setattr(mirror, "dedup_mod_2pi", recorded)
         p = corpus["p1"]
-        mirror._newton_search(build_superpotential(p), p, 40, 40, 1e-8)
-        lo, hi = sorted(float(x[0]) for x in p.vertices())
-        re = np.repeat(np.linspace(lo - 1, hi + 1, 40), 40)
-        im = mirror.wrap_angle(np.tile(np.arange(40) * (math.pi / 20), 40))
-        order = np.argsort(np.arange(1600) % 3, kind="stable")
+        mirror._newton_search(build_superpotential(p), p, 40, 40)
+        # the real starts: the centroid, then 39 points towards it from
+        # each vertex moved one unit outward, each against the 40
+        # imaginary starts
+        (lo,), (hi,) = p.vertices()
+        mid = (lo + hi) / 2
+        re = np.repeat([float(mid)] + [float(x) + k / 39 * float(mid - x)
+                                       for x in (lo - 1, hi + 1)
+                                       for k in range(39)], 40)
+        im = mirror.wrap_angle(np.tile(np.arange(40) * (math.pi / 20), 79))
+        order = np.argsort(np.arange(3160) % 3, kind="stable")
         assert np.array_equal(seen[0][0][:, 0], re[order])
         assert np.array_equal(seen[0][1][:, 0], im[order])
+
+    def test_newton_step_regularises_only_singular_rows(self):
+        # one rank-one Hessian in the batch makes the batched solve raise;
+        # only that row is regularised, and every other row keeps the
+        # step of its own solve
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+        h = a @ a.transpose(0, 2, 1)
+        u = np.array([1.0, 2.0, -1.0])
+        h[2] = np.outer(u, u)
+        g = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(h, g[..., None])
+        step = mirror._newton_step(h, g)
+        assert np.isfinite(step).all()
+        for i in (0, 1, 3, 4):
+            assert np.array_equal(step[i], np.linalg.solve(h[i], g[i]))
 
 
 def _scaled_polytope(kind, s):
@@ -336,7 +319,7 @@ def _scaled_polytope(kind, s):
     return parse_polytope("\n".join(lines) + "\n"), a, nus
 
 
-@pytest.mark.parametrize("size", (21, 60, 100))
+@pytest.mark.parametrize("size", (21, 60, 100, 200, 1000))
 @pytest.mark.parametrize("kind", ("p2", "p2xp1", "p1^3"))
 def test_balanced_fibers_at_scale(kind, size):
     # the weights at the critical points are e^-(size / 3) and smaller, so
@@ -356,6 +339,37 @@ def test_balanced_fibers_at_scale(kind, size):
                            -abs(x - y) % (2 * math.pi))
                        for x, y in zip(s.nu.nu, nu)) < 1e-8
                    for s in sols) == 1, nu
+
+
+
+@pytest.mark.parametrize("facets, count, warning", [
+    # F_1 trapezoids y <= 300, x + y <= 1000 and y <= 1000, x + y <= 1500,
+    # whose 4 points lie hundreds of units from every vertex
+    ("normal 0 -1 offset -300\nnormal -1 -1 offset -1000", 4, None),
+    ("normal 0 -1 offset -1000\nnormal -1 -1 offset -1500", 4, None),
+    # the blowup 100 <= x + y <= 300 of P^2
+    ("normal -1 -1 offset -300\nnormal 1 1 offset 100", 4, None),
+    # the Hirzebruch surface F_5 with y <= 119/4, x + 5 y <= 339/2: not
+    # Fano, and 4 of the count 7 are found
+    ("normal 0 -1 offset -119/4\nnormal -1 -5 offset -339/2", 4,
+     "found 4 of 7"),
+    # F_4 with y <= 26, x + 4 y <= 108: 2 of its 6 points lie outside,
+    # at y = 26.61 near the vertex (0, 26)
+    ("normal 0 -1 offset -26\nnormal -1 -4 offset -108", 6, None),
+], ids=["f1-300-1000", "f1-1000-1500", "blowup-100-300", "f5", "f4"])
+def test_critical_points_on_hard_inputs(facets, count, warning):
+    p = parse_polytope("dim 2\nnormal 1 0 offset 0\nnormal 0 1 offset 0\n"
+                       + facets + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cps = critical_points(build_superpotential(p), p)
+    messages = [str(w.message) for w in caught]
+    if warning is None:
+        assert messages == [] and len(cps) == count
+        assert not any(cp.degenerate for cp in cps)
+    else:
+        assert len(messages) == 1 and warning in messages[0]
+        assert sum(not cp.degenerate for cp in cps) >= count
 
 
 class TestCorrespondence:
