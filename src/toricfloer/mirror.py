@@ -24,7 +24,6 @@ from .lattice import (Fan, KernelLattice, Polytope, PolytopeError,
                       kushnirenko_count)
 from .solve import dedup_mod_2pi, sort_key, wrap_angle
 
-EXP_CLAMP = 700.0
 # the Newton search holds the n x n Hessians of all its starts at once, so
 # S starts in dimension n hold S n^2 entries; at the default grid (P^1)^6
 # runs 65 x 4^6 starts and (P^1)^7 is refused
@@ -38,27 +37,38 @@ class Superpotential(NamedTuple):
     exponents: tuple[tuple[int, ...], ...]
     offsets: tuple[Fraction, ...]
 
-    def _weights(self, theta: np.ndarray) -> np.ndarray:
+    def scaled(self, theta: np.ndarray) -> tuple[np.ndarray, ...]:
+        """W at each row of a stacked theta (k, n), divided by e^c.
+
+        Returns c, the largest Re exponent of each row, and the weights,
+        gradient and Hessian of W e^-c: no weight exceeds 1 in modulus,
+        and W e^-c has W's critical points and Newton steps.
+        """
         v = np.array(self.exponents, dtype=float)
-        z = np.asarray(theta, dtype=complex)
-        # one row of weights per row of a stacked theta (k, n)
-        arg = np.array([float(l) for l in self.offsets]) - (v @ z.T).T
-        if np.any(np.abs(arg.real) > EXP_CLAMP):
-            raise OverflowGuardError(
-                "superpotential exponent out of range (|Re| > 700)")
-        return np.exp(arg)
+        arg = (np.array([float(l) for l in self.offsets])
+               - np.asarray(theta, dtype=complex) @ v.T)
+        c = arg.real.max(axis=1)
+        ew = np.exp(arg - c[:, None])
+        return c, ew, -ew @ v, np.einsum("si,ia,ib->sab", ew, v, v)
+
+    def _unscaled(self, theta) -> list[np.ndarray]:
+        """W's weights, gradient and Hessian at one theta (n,)."""
+        c, *terms = self.scaled(np.asarray(theta, dtype=complex)[None])
+        try:
+            scale = math.exp(c[0])
+        except OverflowError:
+            raise OverflowGuardError(f"superpotential exponent out of "
+                                     f"range (Re {c[0]:.6g})") from None
+        return [scale * t[0] for t in terms]
 
     def value(self, theta) -> complex:
-        return complex(self._weights(theta).sum())
+        return complex(self._unscaled(theta)[0].sum())
 
     def gradient(self, theta) -> np.ndarray:
-        v = np.array(self.exponents, dtype=float)
-        return -(self._weights(theta)[:, None] * v).sum(axis=0)
+        return self._unscaled(theta)[1]
 
     def hessian(self, theta) -> np.ndarray:
-        v = np.array(self.exponents, dtype=float)
-        w = self._weights(theta)
-        return np.einsum("i,ia,ib->ab", w, v, v)
+        return self._unscaled(theta)[2]
 
 
 class MirrorPoint(NamedTuple):
@@ -220,23 +230,6 @@ def _newton_search(w: Superpotential, p: Polytope, grid_re: int,
     im_grid = np.stack([g.ravel() for g in np.meshgrid(
         *([im_axis] * n))], axis=-1)
 
-    v = np.array(w.exponents, dtype=float)
-    # W and e^c W have the same critical points and the same Newton steps;
-    # the shift c that makes the largest weight at the vertex centroid 1
-    # keeps the iterates' exponents in range on large polytopes
-    shift = float(min(p.ell(centroid)))
-    lam = np.array([float(l) for l in w.offsets]) + shift
-
-    def batch_grad_hess(z):
-        arg = lam[None, :] - z @ v.T
-        # keep exp finite for runaway iterates without letting a huge
-        # positive exponent collapse to zero gradient
-        arg = np.clip(arg.real, -745.0, 50.0) + 1j * arg.imag
-        ew = np.exp(arg)
-        g = -np.einsum("si,ia->sa", ew, v)
-        h = np.einsum("si,ia,ib->sab", ew, v, v)
-        return g, h
-
     def size(z):
         return 1.0 + np.abs(z).max(axis=1)
 
@@ -244,7 +237,7 @@ def _newton_search(w: Superpotential, p: Polytope, grid_re: int,
     last = np.full(len(z), np.inf)
     alive = np.arange(len(z))
     for _ in range(80):
-        g, h = batch_grad_hess(z[alive])
+        _, _, g, h = w.scaled(z[alive])
         step = _newton_step(h, g)
         step_norm = np.linalg.norm(step, axis=1)
         last[alive] = step_norm
@@ -254,29 +247,33 @@ def _newton_search(w: Superpotential, p: Polytope, grid_re: int,
         if not alive.size:
             break
 
-    g, _ = batch_grad_hess(z)
-    resid = np.linalg.norm(g, axis=1) * math.exp(-shift)
+    # rows ranked by |grad W| e^-c, their gradient relative to their
+    # largest weight; the Hessians and SVDs below reuse the same rows
+    top, ew, g, h = w.scaled(z)
+    resid = np.linalg.norm(g, axis=1)
     order = np.argsort(resid, kind="stable")
     order = order[last[order] <= ACCEPT_STEP * size(z[order])]
     re, im = z.real[order], wrap_angle(-z.imag[order])
     keep = dedup_mod_2pi(re, im, DEDUP_TOL)
-    zk = re[keep] - 1j * im[keep]
-    # one stacked Hessian and SVD over the kept points; _weights raises
-    # OverflowGuardError on an out-of-range exponent
-    ew = w._weights(zk)
-    h = np.einsum("si,ia,ib->sab", ew, v, v)
+    rows = order[keep]
+    h = h[rows]
     sv = np.linalg.svd(h, compute_uv=False)
     # D = diag(sum_j |w_j| v_ja^2) bounds the Hessian's diagonal, and
     # D^-1/2 H D^-1/2 has entries of size 1 even where the weights of
-    # different coordinates differ by orders of magnitude
-    d = 1.0 / np.sqrt(np.abs(ew) @ (v * v))
+    # different coordinates differ by orders of magnitude; where every
+    # weight of a coordinate underflows next to the largest, D^-1/2 is 0
+    # on it, so the scaled Hessian is singular and the point degenerate
+    v = np.array(w.exponents, dtype=float)
+    dd = np.abs(ew[rows]) @ (v * v)
+    d = np.divide(1.0, np.sqrt(dd), out=np.zeros_like(dd), where=dd > 0)
     sv_scaled = np.linalg.svd(h * d[:, :, None] * d[:, None, :],
                               compute_uv=False)
     found = [CriticalPoint(
-        MirrorPoint(tuple(zi)), float(resid[order[i]]),
+        MirrorPoint(tuple(re[i] - 1j * im[i])),
+        float(resid[r] * np.exp(top[r])),
         float(s[0] / s[-1]) if s[-1] > 0 else math.inf,
         bool(s_min <= DEGENERATE_SV * n))
-        for i, zi, s, s_min in zip(keep, zk, sv, sv_scaled[:, -1])]
+        for i, r, s, s_min in zip(keep, rows, sv, sv_scaled[:, -1])]
     found.sort(key=lambda cp: sort_key(
         [t.real for t in cp.point.theta] + [t.imag for t in cp.point.theta],
         DEDUP_TOL))

@@ -121,13 +121,19 @@ class TestExitCodes:
                 f"{starts * k * k} entries") in err
 
     def test_superpotential_overflow(self, tmp_path, capsys):
-        # the critical point of W sits at the centre, where every exponent
-        # of W is -1000
+        # the critical points of W sit at the centre, where every exponent
+        # of W is -1000 and W itself underflows; W e^-c does not
         path = tmp_path / "big.poly"
         path.write_text("dim 1\nnormal 1 offset 0\nnormal -1 offset -2000\n")
-        code, _, err = run_cli(["critical", str(path)], capsys)
-        assert code == 3
-        assert "exponent out of range" in err
+        code, out, _ = run_cli(["critical", str(path), "--json"], capsys)
+        assert code == 0
+        r = json.loads(out)
+        assert r["warnings"] == []
+        points = r["critical"]["points"]
+        assert len(points) == 2
+        for pt in points:
+            assert pt["theta_re"] == pytest.approx([1000], abs=1e-9)
+            assert not pt["degenerate"]
 
     def test_critical_enumerates_vertices_once(self, monkeypatch, capsys):
         calls = []

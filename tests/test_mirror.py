@@ -194,10 +194,9 @@ class TestCriticalPoints:
         found = mirror._newton_search(w, p, 2, 4)
         assert found
         for cp in found:
-            z = np.array(cp.point.theta)
-            h = w.hessian(z)
+            _, (ew,), _, (h,) = w.scaled(np.array([cp.point.theta]))
             sv = np.linalg.svd(h, compute_uv=False)
-            d = np.diag(1 / np.sqrt(np.abs(w._weights(z)) @ v2))
+            d = np.diag(1 / np.sqrt(np.abs(ew) @ v2))
             scaled = np.linalg.svd(d @ h @ d, compute_uv=False)
             degenerate = scaled[-1] <= 1e-8 * p.dim
             assert cp.degenerate == degenerate
@@ -342,24 +341,38 @@ def test_balanced_fibers_at_scale(kind, size):
 
 
 
-@pytest.mark.parametrize("facets, count, warning", [
+def _quadrant(facets):
+    return "dim 2\nnormal 1 0 offset 0\nnormal 0 1 offset 0\n" + facets
+
+
+@pytest.mark.parametrize("text, count, warning", [
     # F_1 trapezoids y <= 300, x + y <= 1000 and y <= 1000, x + y <= 1500,
     # whose 4 points lie hundreds of units from every vertex
-    ("normal 0 -1 offset -300\nnormal -1 -1 offset -1000", 4, None),
-    ("normal 0 -1 offset -1000\nnormal -1 -1 offset -1500", 4, None),
-    # the blowup 100 <= x + y <= 300 of P^2
-    ("normal -1 -1 offset -300\nnormal 1 1 offset 100", 4, None),
+    (_quadrant("normal 0 -1 offset -300\nnormal -1 -1 offset -1000"), 4,
+     None),
+    (_quadrant("normal 0 -1 offset -1000\nnormal -1 -1 offset -1500"), 4,
+     None),
+    # the blowups 100 <= x + y <= 300 and 31 <= x + y <= 291 of P^2
+    (_quadrant("normal -1 -1 offset -300\nnormal 1 1 offset 100"), 4, None),
+    (_quadrant("normal -1 -1 offset -291\nnormal 1 1 offset 31"), 4, None),
+    # P^2 of side 5000, where every weight at the points is e^-5000/3
+    (_quadrant("normal -1 -1 offset -5000"), 3, None),
     # the Hirzebruch surface F_5 with y <= 119/4, x + 5 y <= 339/2: not
     # Fano, and 4 of the count 7 are found
-    ("normal 0 -1 offset -119/4\nnormal -1 -5 offset -339/2", 4,
+    (_quadrant("normal 0 -1 offset -119/4\nnormal -1 -5 offset -339/2"), 4,
      "found 4 of 7"),
     # F_4 with y <= 26, x + 4 y <= 108: 2 of its 6 points lie outside,
     # at y = 26.61 near the vertex (0, 26)
-    ("normal 0 -1 offset -26\nnormal -1 -4 offset -108", 6, None),
-], ids=["f1-300-1000", "f1-1000-1500", "blowup-100-300", "f5", "f4"])
-def test_critical_points_on_hard_inputs(facets, count, warning):
-    p = parse_polytope("dim 2\nnormal 1 0 offset 0\nnormal 0 1 offset 0\n"
-                       + facets + "\n")
+    (_quadrant("normal 0 -1 offset -26\nnormal -1 -4 offset -108"), 6, None),
+    # P^2(3) x P^1(5000): the P^2 weights underflow next to the P^1 ones,
+    # so every point is degenerate to working precision
+    ("dim 3\nnormal 1 0 0 offset 0\nnormal 0 1 0 offset 0\n"
+     "normal -1 -1 0 offset -3\nnormal 0 0 1 offset 0\n"
+     "normal 0 0 -1 offset -5000\n", 0, "found 0 of 6"),
+], ids=["f1-300-1000", "f1-1000-1500", "blowup-100-300", "blowup-31-291",
+        "p2-5000", "f5", "f4", "p2xp1-5000"])
+def test_critical_points_on_hard_inputs(text, count, warning):
+    p = parse_polytope(text)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         cps = critical_points(build_superpotential(p), p)
@@ -369,7 +382,19 @@ def test_critical_points_on_hard_inputs(facets, count, warning):
         assert not any(cp.degenerate for cp in cps)
     else:
         assert len(messages) == 1 and warning in messages[0]
-        assert sum(not cp.degenerate for cp in cps) >= count
+        assert sum(not cp.degenerate for cp in cps) == count
+    # the gradient of W e^-c, recomputed term by term, vanishes relative
+    # to the size of its terms
+    for cp in cps:
+        if cp.degenerate:
+            continue
+        args = [float(lam) - sum(t * x for t, x in zip(cp.point.theta, v))
+                for v, lam in p.facets]
+        c = max(a.real for a in args)
+        terms = [(cmath.exp(a - c), v) for a, (v, _) in zip(args, p.facets)]
+        grad = [sum(e * v[i] for e, v in terms) for i in range(p.dim)]
+        assert math.hypot(*map(abs, grad)) <= 1e-8 * sum(
+            abs(e) * math.hypot(*v) for e, v in terms)
 
 
 class TestCorrespondence:
