@@ -10,7 +10,6 @@ matrix at once and rejects non-finite trial points itself.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -107,10 +106,8 @@ def dedup_mod_2pi(lin, ang, tol: float) -> np.ndarray:
     ang (m, b) by at most tol on the circle; each cluster keeps its
     best-ranked row. Rows are grouped by their coordinates rounded to the
     tol grid, and each group leader, in rank order, is compared with the
-    leaders kept so far, which also merges clusters split by a grid line or
-    by the 0 / 2 pi seam. The kept leaders are indexed by their cell
-    floor(lin / tol), so a leader is compared only with those in the cells
-    at most one away in every coordinate. Memory stays linear in the number
+    array of leaders kept so far, which also merges clusters split by a
+    grid line or by the 0 / 2 pi seam. Memory stays linear in the number
     of leaders.
     """
     lin = np.asarray(lin, dtype=float)
@@ -120,42 +117,18 @@ def dedup_mod_2pi(lin, ang, tol: float) -> np.ndarray:
     keys = np.round(np.hstack([lin, ang]) / tol)
     _, first = np.unique(keys, axis=0, return_index=True)
     lead = np.sort(first)
-    lin, ang = lin[lead].tolist(), ang[lead].tolist()
-
-    def duplicate(i: int, j: int) -> bool:
-        # the lin test and the circle distance, on Python floats: a leader
-        # meets few candidates, and a numpy call costs more
-        return (all(abs(x - y) <= tol for x, y in zip(lin[i], lin[j]))
-                and all(min(d, TWO_PI - d) <= tol for d in (
-                    abs(x - y) % TWO_PI for x, y in zip(ang[i], ang[j]))))
-
-    by_cell: dict[tuple[int, ...], list[int]] = {}
-    # kept leaders with some |lin / tol| of 2^49 or more, or not finite:
-    # they are compared with every leader
-    wide: list[int] = []
+    lin, ang = lin[lead], ang[lead]
     kept: list[int] = []
-    for i, row in enumerate(lin):
-        q = [x / tol for x in row]
-        if all(abs(x) < 2.0 ** 49 for x in q):
-            cell = tuple(map(math.floor, q))
-            # each x in q carries a rounding error of up to 2^-53 |x|, so
-            # two leaders within tol can lie a little more than one cell
-            # apart: the range is widened by a bound on that error (to 4
-            # cells at most)
-            near = [j for c in itertools.product(*[
-                range(math.floor(x - pad), math.floor(x + pad) + 1)
-                for x in q for pad in (1.0 + 2.0 ** -50 * (abs(x) + 1.0),)])
-                for j in by_cell.get(c, ())] if by_cell else []
-            near += wide
-        else:
-            cell, near = None, kept
-        if any(duplicate(i, j) for j in near):
-            continue
-        kept.append(i)
-        if cell is None:
-            wide.append(i)
-        else:
-            by_cell.setdefault(cell, []).append(i)
+    # inf - inf is nan, which is never within tol
+    with np.errstate(invalid="ignore"):
+        for i in range(len(lead)):
+            # the kept leaders are moved to the front: rows :k
+            k = len(kept)
+            near = (np.abs(lin[:k] - lin[i]) <= tol).all(axis=1)
+            d = np.abs(ang[:k][near] - ang[i]) % TWO_PI
+            if not (np.minimum(d, TWO_PI - d) <= tol).all(axis=1).any():
+                lin[k], ang[k] = lin[i], ang[i]
+                kept.append(i)
     return lead[kept]
 
 

@@ -115,8 +115,8 @@ class TestDedup:
 
 
     def test_far_and_non_finite_rows(self):
-        # |lin / tol| of 2^50 and more leaves the cell index: those rows
-        # are compared with every leader; inf and nan are never near
+        # rows at |lin / tol| of 2^50 and more, where one ulp exceeds tol,
+        # and rows on both sides of +-2^49 tol; inf and nan are never near
         tol = 1e-6
         base = 2.0 ** 50 * tol
         step = np.spacing(base)
@@ -134,6 +134,15 @@ class TestDedup:
         with np.errstate(invalid="ignore"):
             assert kept.tolist() == _dedup_pairwise(lin, ang, tol).tolist()
         assert kept.tolist() == [0, 4, 5, 7, 8, 10]
+        # distinct leaders sharing an infinite coordinate: inf - inf is nan,
+        # and the comparison stays silent
+        lin = np.array([[np.inf, 0.0], [np.inf, 1.0], [np.nan, 0.0],
+                        [-np.inf, 0.0], [np.inf, 0.0]])
+        ang = np.zeros((len(lin), 1))
+        kept = dedup_mod_2pi(lin, ang, tol)
+        with np.errstate(invalid="ignore"):
+            assert kept.tolist() == _dedup_pairwise(lin, ang, tol).tolist()
+        assert kept.tolist() == [0, 1, 2, 3]
 
     def test_kept_leaders_beside_a_cell(self):
         # leaders within tol of each other in neighbouring floor(lin / tol)
@@ -157,8 +166,8 @@ _ANG_CENTRES = [0.0, 0.5 * _TOL, TWO_PI - 0.5 * _TOL, TWO_PI - 3 * _TOL,
 
 @st.composite
 def _clustered_rows(draw):
-    a = draw(st.integers(1, 2))
-    b = draw(st.integers(1, 2))
+    a = draw(st.integers(1, 6))
+    b = draw(st.integers(1, 6))
     coord = st.floats(-1.0, 1.0)
     centres = draw(st.lists(
         st.tuples(st.lists(st.sampled_from(_LIN_CENTRES), min_size=a,
