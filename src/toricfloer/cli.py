@@ -14,11 +14,10 @@ from fractions import Fraction
 
 from . import report as rep
 from .discs import (FiberPoint, OverflowGuardError, SingularFiberError,
-                    WindingError, disc_area, index_two_classes)
+                    disc_area, index_two_classes)
 from .floer import (HolonomyVector, UnsupportedRegimeError,
-                    UnsupportedRegimeWarning, balanced_fibers_novikov,
-                    delta2_point, delta2_vanishes, describe_balanced,
-                    hf_rank)
+                    balanced_fibers_novikov, delta2_point, delta2_vanishes,
+                    describe_balanced, hf_rank)
 from .lattice import (FanError, PolytopeError, kushnirenko_count, normal_fan,
                       parse_polytope)
 
@@ -28,11 +27,7 @@ EXIT_NUMERIC = 3
 
 
 class NonConvergence(RuntimeError):
-    """A numerical stage failed; a partial report is attached."""
-
-    def __init__(self, message: str, partial: dict):
-        super().__init__(message)
-        self.partial = partial
+    """A numerical stage failed; the report built so far is still emitted."""
 
 
 def _load(path: str):
@@ -41,6 +36,8 @@ def _load(path: str):
             text = fh.read()
     except OSError as e:
         raise PolytopeError(f"{path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise PolytopeError(f"{path}: {e}") from None
     try:
         p = parse_polytope(text)
     except PolytopeError as e:
@@ -74,10 +71,6 @@ def _parse_holonomy(arg: str, dim: int) -> HolonomyVector:
     return HolonomyVector.of(*angles)
 
 
-def _collect_warnings(record) -> list[str]:
-    return [str(w.message) for w in record]
-
-
 def _print_base(r: dict, out) -> None:
     p, f = r["polytope"], r["fan"]
     print(f"polytope: dim {p['dim']}, {len(p['facets'])} facets", file=out)
@@ -94,17 +87,7 @@ def _print_base(r: dict, out) -> None:
         print(f"warning: {w}", file=out)
 
 
-def cmd_analyze(args) -> tuple[int, dict]:
-    p = _load(args.path)
-    fan = normal_fan(p)
-    r = rep.base_report("analyze", p, fan)
-    return EXIT_OK, r
-
-
-def cmd_hf(args) -> tuple[int, dict]:
-    p = _load(args.path)
-    fan = normal_fan(p)
-    r = rep.base_report("hf", p, fan)
+def cmd_hf(args, p, fan, r: dict) -> None:
     fiber = _parse_fiber(args.fiber, p.dim)
     nu = _parse_holonomy(args.holonomy, p.dim) if args.holonomy else None
     try:
@@ -124,15 +107,11 @@ def cmd_hf(args) -> tuple[int, dict]:
     discs = [{"facet": j, "exponents": list(p.normals[j]),
               "area": disc_area(d, fiber, p)}
              for j, d in enumerate(index_two_classes(p))]
-    with warnings.catch_warnings(record=True) as rec:
-        warnings.simplefilter("always", UnsupportedRegimeWarning)
-        try:
-            rank = hf_rank(p, fiber, nu, coefficients=args.coefficients,
-                           fan=fan)
-        except UnsupportedRegimeError as e:
-            r["warnings"].append(f"unsupported regime: {e}")
-            rank = None
-    r["warnings"].extend(_collect_warnings(rec))
+    try:
+        rank = hf_rank(p, fiber, nu, coefficients=args.coefficients, fan=fan)
+    except UnsupportedRegimeError as e:
+        r["warnings"].append(f"unsupported regime: {e}")
+        rank = None
     r["hf"] = {
         "fiber": list(fiber.coords),
         "holonomy": None if nu is None else [float(x) for x in nu.nu],
@@ -142,51 +121,36 @@ def cmd_hf(args) -> tuple[int, dict]:
         "rank": rank,
         "discs": discs,
     }
-    return EXIT_OK, r
 
 
-def cmd_balanced(args) -> tuple[int, dict]:
-    p = _load(args.path)
-    fan = normal_fan(p)
-    r = rep.base_report("balanced", p, fan)
-    with warnings.catch_warnings(record=True) as rec:
-        warnings.simplefilter("always", UnsupportedRegimeWarning)
-        if args.mode == "novikov":
-            sols = balanced_fibers_novikov(p, fan)
-            records = []
-            for s in sols:
-                d = rep.balanced_solution_record(s)
-                d["description"] = describe_balanced(p, s).text
-                records.append(d)
-            r["balanced"] = {"mode": "novikov", "solutions": records,
-                             "diagnostics": []}
-        else:
-            from .mirror import (build_superpotential, critical_points,
-                                 holonomy_balanced)
+def cmd_balanced(args, p, fan, r: dict) -> None:
+    if args.mode == "novikov":
+        sols = balanced_fibers_novikov(p, fan)
+        records = []
+        for s in sols:
+            d = rep.balanced_solution_record(s)
+            d["description"] = describe_balanced(p, s).text
+            records.append(d)
+        r["balanced"] = {"mode": "novikov", "solutions": records,
+                         "diagnostics": []}
+    else:
+        from .mirror import (build_superpotential, critical_points,
+                             holonomy_balanced)
 
-            warnings.simplefilter("always")
-            sols, tests = holonomy_balanced(
-                p, critical_points(build_superpotential(p), p), fan)
-            r["balanced"] = {
-                "mode": "holonomy",
-                "solutions": [rep.balanced_solution_record(s) for s in sols],
-                "diagnostics": [rep.level_test_record(t) for t in tests]}
-    r["warnings"].extend(_collect_warnings(rec))
-    return EXIT_OK, r
+        sols, tests = holonomy_balanced(
+            p, critical_points(build_superpotential(p), p), fan)
+        r["balanced"] = {
+            "mode": "holonomy",
+            "solutions": [rep.balanced_solution_record(s) for s in sols],
+            "diagnostics": [rep.level_test_record(t) for t in tests]}
 
 
-def cmd_critical(args) -> tuple[int, dict]:
+def cmd_critical(args, p, fan, r: dict) -> None:
     from .mirror import (build_superpotential, check_delta2_equals_gradW,
                          check_o_equals_W, critical_points, holonomy_balanced)
 
-    p = _load(args.path)
-    fan = normal_fan(p)
-    r = rep.base_report("critical", p, fan)
-    with warnings.catch_warnings(record=True) as rec:
-        warnings.simplefilter("always")
-        cps = critical_points(build_superpotential(p), p)
-        balanced, tests = holonomy_balanced(p, cps, fan)
-    r["warnings"].extend(_collect_warnings(rec))
+    cps = critical_points(build_superpotential(p), p)
+    balanced, tests = holonomy_balanced(p, cps, fan)
     records, corresp = [], []
     for cp, test in zip(cps, tests):
         records.append(rep.critical_point_record(cp, test.solution))
@@ -209,8 +173,7 @@ def cmd_critical(args) -> tuple[int, dict]:
         "correspondence": corresp,
     }
     if not cps:
-        raise NonConvergence("no critical point converged", r)
-    return EXIT_OK, r
+        raise NonConvergence("no critical point converged")
 
 
 def _print_human(r: dict, out) -> None:
@@ -271,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("analyze", help="fan combinatorics and flags")
     common(sp)
-    sp.set_defaults(func=cmd_analyze)
+    sp.set_defaults(func=None)
 
     sp = sub.add_parser("hf", help="Floer cohomology rank at a fiber")
     common(sp)
@@ -298,19 +261,30 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code, r = args.func(args)
+        p = _load(args.path)
+        fan = normal_fan(p)
+        r = rep.base_report(args.command, p, fan)
+        # every warning the command raises goes to the report, whatever
+        # filters the caller has set
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            try:
+                if args.func is not None:
+                    args.func(args, p, fan, r)
+            finally:
+                r["warnings"].extend(str(w.message) for w in rec)
     except (PolytopeError, FanError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except NonConvergence as e:
         print(f"error: {e}", file=sys.stderr)
-        _emit(e.partial, args)
+        _emit(r, args)
         return EXIT_NUMERIC
-    except (WindingError, OverflowGuardError) as e:
+    except OverflowGuardError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     _emit(r, args)
-    return code
+    return EXIT_OK
 
 
 def _emit(r: dict, args) -> None:

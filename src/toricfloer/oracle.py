@@ -28,6 +28,10 @@ PROBE_T = (0.31830988618379067, 0.5641895835477563, 0.7853981633974483)
 BOUND_ORDER = (0, 2, 1)
 # candidates closer than this in every coordinate are one candidate
 DEDUP_TOL = 1e-4
+# balanced_oracle polishes at most this many seeds
+POLISH_TOP = 40
+# a polished point whose residual is at most this is a candidate
+ACCEPT_TOL = 1e-8
 # fiber grid points times holonomy grid points the scan takes; dimension 2
 # and 3 at the default grids (200^2 x 60^2, 32^3 x 16^3) stay below it
 MAX_GRID_CELLS = 2 ** 28
@@ -163,17 +167,17 @@ def _seeds(a_grid, nu_best, minres, polish_top: int):
 
 
 def balanced_oracle(p: Polytope, n_a: int | None = None,
-                    n_nu: int | None = None, polish_top: int = 40,
-                    accept_tol: float = 1e-8) -> list[OracleCandidate]:
+                    n_nu: int | None = None) -> list[OracleCandidate]:
     """Balanced candidates from a grid scan plus local polishing.
 
-    The seeds come from the 10 * polish_top cells of lowest residual, so
-    the scan runs with keep = 10 * polish_top: the rows it proves to lie
+    The seeds come from the 10 * POLISH_TOP cells of lowest residual, so
+    the scan runs with keep = 10 * POLISH_TOP: the rows it proves to lie
     outside that many read +inf and are never seeds, and the seeds are
-    those of the full scan.
+    those of the full scan. A polished point is a candidate when its
+    residual is at most ACCEPT_TOL.
     """
-    seeds = _seeds(*grid_scan(p, n_a, n_nu, keep=10 * polish_top),
-                   polish_top)
+    seeds = _seeds(*grid_scan(p, n_a, n_nu, keep=10 * POLISH_TOP),
+                   POLISH_TOP)
     # per-coordinate holonomy restart offsets so mixed holonomies such as
     # (0, pi) are reachable from any seed cell
     offs = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
@@ -187,7 +191,7 @@ def balanced_oracle(p: Polytope, n_a: int | None = None,
                    for shift in shifts]
     x, resid = least_squares(_residual_fun(p),
                              np.array(starts).reshape(-1, 2 * p.dim))
-    found = [row for row in np.flatnonzero(resid <= accept_tol)
+    found = [row for row in np.flatnonzero(resid <= ACCEPT_TOL)
              if all(float(l) > 1e-9 for l in p.ell(x[row, :p.dim]))]
     a_found, nu_found = x[found, :p.dim], wrap_angle(x[found, p.dim:])
     out = [OracleCandidate(tuple(float(c) for c in a_found[i]),

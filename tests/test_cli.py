@@ -58,6 +58,26 @@ class TestExitCodes:
         assert code == 2
         assert f"{bad}:2" in err and "non-primitive" in err
 
+    def test_non_utf8_file(self, tmp_path, capsys):
+        bad = tmp_path / "utf16.poly"
+        bad.write_bytes(b"\xff\xfe" + "dim 1\n".encode("utf-16-le"))
+        code, out, err = run_cli(["analyze", str(bad)], capsys)
+        assert code == 2
+        assert err.startswith(f"error: {bad}: ") and "utf-8" in err
+        assert out == ""
+
+    def test_non_convergence_emits_report(self, monkeypatch, capsys):
+        from toricfloer import mirror
+        monkeypatch.setattr(mirror, "critical_points", lambda w, p: [])
+        code, out, err = run_cli(["critical", poly_path("p2"), "--json"],
+                                 capsys)
+        assert code == 3
+        assert err == "error: no critical point converged\n"
+        doc = json.loads(out)
+        jsonschema.validate(doc, SCHEMA)
+        assert doc["critical"]["count"] == 0
+        assert doc["critical"]["kushnirenko_count"] == 3
+
     def test_boundary_fiber(self, capsys):
         code, _, err = run_cli(
             ["hf", poly_path("p2"), "--fiber", "0,3"], capsys)
@@ -215,6 +235,29 @@ class TestCommands:
         assert code == 0
         assert ("critical points: 3 (" if args[0] == "critical"
                 else "balanced fibers (holonomy mode): 3") in out
+
+    NON_FANO = "non-Fano fan: balanced-fiber results are conjectural"
+    UNSUPPORTED = ("unsupported regime: Floer vanishing criterion requires "
+                   "a smooth Fano fan")
+
+    @pytest.mark.parametrize("args, want", (
+        (["analyze", "f3"], []),
+        (["balanced", "f3"], [NON_FANO]),
+        (["balanced", "f3", "--mode", "holonomy"], [NON_FANO]),
+        (["critical", "f3"], [NON_FANO]),
+        (["hf", "f2", "--fiber", "1,1"], [UNSUPPORTED]),
+        (["hf", "f2", "--fiber", "1,1", "--coefficients", "exp"],
+         [UNSUPPORTED]),
+    ))
+    def test_warnings_on_repeated_runs(self, args, want, capsys):
+        # main runs many times in one process; each report holds all of
+        # its warnings, not only the first run's
+        argv = [args[0], poly_path(args[1]), *args[2:], "--json"]
+        first, second = (run_cli(argv, capsys) for _ in range(2))
+        assert first == second
+        warns = json.loads(first[1])["warnings"]
+        assert len(warns) == len(want)
+        assert all(w.startswith(prefix) for w, prefix in zip(warns, want))
 
     @pytest.mark.parametrize("name", ("f1", "f3"))
     def test_critical_prints_plain_floats(self, name, capsys):
