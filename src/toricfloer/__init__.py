@@ -5,8 +5,8 @@ balanced-fiber search and mirror superpotential critical points are
 verified against each other at the T^{2pi} = e^{-1} specialization.
 
 Each exported name is imported from its submodule on first access, so
-that the exact commands never load numpy: only `mirror`, `oracle` and
-the floating-point searches need it.
+that the exact commands never load numpy: only `oracle` and the batched
+floating-point searches need it.
 """
 
 import importlib

@@ -18,8 +18,7 @@ from .discs import (FiberPoint, OverflowGuardError, SingularFiberError,
 from .floer import (HolonomyVector, UnsupportedRegimeError,
                     balanced_fibers_novikov, delta2_point, delta2_vanishes,
                     describe_balanced, hf_rank)
-from .lattice import (FanError, PolytopeError, kushnirenko_count, normal_fan,
-                      parse_polytope)
+from .lattice import FanError, PolytopeError, normal_fan, parse_polytope
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -166,7 +165,7 @@ def cmd_critical(args, p, fan, r: dict) -> None:
     r["critical"] = {
         "points": records,
         "count": len(cps),
-        "kushnirenko_count": kushnirenko_count(p.dim, p.normals),
+        "kushnirenko_count": p.kushnirenko_count,
         "euler_characteristic": r["fan"]["euler_characteristic"],
         "balanced_solutions": [rep.balanced_solution_record(s)
                                for s in balanced],

@@ -75,6 +75,12 @@ class Polytope(_Polytope):
     def vertices(self) -> list[tuple[Fraction, ...]]:
         return [x for x, _, _ in self.vertex_facets]
 
+    @cached_property
+    def kushnirenko_count(self) -> int:
+        """kushnirenko_count of the facet normals, computed once per
+        instance."""
+        return kushnirenko_count(self.dim, self.normals)
+
     def contains_interior(self, x) -> bool:
         return all(l > 0 for l in self.ell(x))
 

@@ -9,20 +9,20 @@ points that pass the per-level test of `holonomy_balanced`.
 
 from __future__ import annotations
 
+import cmath
+import itertools
 import math
 import warnings
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-
 from .discs import FiberPoint, OverflowGuardError
 from .floer import (AreaPartition, BalancedSolution, HolonomyVector,
                     NovikovTerm, NovikovVector, _level_partition,
                     _warn_non_fano, delta2_point, equal_area_certificate)
-from .lattice import (Fan, KernelLattice, Polytope, PolytopeError,
-                      kushnirenko_count)
-from .solve import dedup_mod_2pi, sort_key, wrap_angle
+from .lattice import Fan, KernelLattice, Polytope, PolytopeError
+
+TWO_PI = 2 * math.pi
 
 # the Newton search holds the n x n Hessians of all its starts at once, so
 # S starts in dimension n hold S n^2 entries; at the default grid (P^1)^6
@@ -44,6 +44,8 @@ class Superpotential(NamedTuple):
         gradient and Hessian of W e^-c: no weight exceeds 1 in modulus,
         and W e^-c has W's critical points and Newton steps.
         """
+        import numpy as np
+
         v = np.array(self.exponents, dtype=float)
         arg = (np.array([float(l) for l in self.offsets])
                - np.asarray(theta, dtype=complex) @ v.T)
@@ -51,24 +53,54 @@ class Superpotential(NamedTuple):
         ew = np.exp(arg - c[:, None])
         return c, ew, -ew @ v, np.einsum("si,ia,ib->sab", ew, v, v)
 
-    def _unscaled(self, theta) -> list[np.ndarray]:
+    def scaled_at(self, theta) -> tuple:
+        """`scaled` at one theta (n,) in plain Python: c, and the weights
+        and gradient (lists) and Hessian (list of rows) of W e^-c."""
+        args = [float(lam) - sum([t * x for t, x in zip(theta, v) if x])
+                for v, lam in zip(self.exponents, self.offsets)]
+        c = max([a.real for a in args])
+        ew = [cmath.exp(a - c) for a in args]
+        n = self.dim
+        grad = [0j] * n
+        hess = [[0j] * n for _ in range(n)]
+        # term by term: the normals are sparse
+        for e, v in zip(ew, self.exponents):
+            for a, x in enumerate(v):
+                if x:
+                    ex = e * x
+                    grad[a] -= ex
+                    row = hess[a]
+                    for b in range(a, n):
+                        if v[b]:
+                            row[b] += ex * v[b]
+        for a in range(n):
+            for b in range(a):
+                hess[a][b] = hess[b][a]
+        return c, ew, grad, hess
+
+    def _unscaled(self, theta) -> tuple:
         """W's weights, gradient and Hessian at one theta (n,)."""
-        c, *terms = self.scaled(np.asarray(theta, dtype=complex)[None])
+        c, ew, grad, hess = self.scaled_at(theta)
         try:
-            scale = math.exp(c[0])
+            scale = math.exp(c)
         except OverflowError:
             raise OverflowGuardError(f"superpotential exponent out of "
-                                     f"range (Re {c[0]:.6g})") from None
-        return [scale * t[0] for t in terms]
+                                     f"range (Re {c:.6g})") from None
+        return ([scale * e for e in ew], [scale * g for g in grad],
+                [[scale * x for x in row] for row in hess])
 
     def value(self, theta) -> complex:
-        return complex(self._unscaled(theta)[0].sum())
+        return sum(self._unscaled(theta)[0])
 
     def gradient(self, theta) -> np.ndarray:
-        return self._unscaled(theta)[1]
+        import numpy as np
+
+        return np.array(self._unscaled(theta)[1])
 
     def hessian(self, theta) -> np.ndarray:
-        return self._unscaled(theta)[2]
+        import numpy as np
+
+        return np.array(self._unscaled(theta)[2])
 
 
 class MirrorPoint(NamedTuple):
@@ -117,10 +149,9 @@ def build_superpotential(p: Polytope) -> Superpotential:
 
 
 def mirror_coordinates(p: Polytope, theta: MirrorPoint) -> MirrorCoordinates:
-    z = np.array(theta.theta, dtype=complex)
-    v = np.array(p.normals, dtype=float)
-    lam = np.array([float(l) for l in p.offsets])
-    return MirrorCoordinates(tuple(v @ z - lam))
+    return MirrorCoordinates(tuple(
+        sum(x * t for x, t in zip(v, theta.theta)) - float(lam)
+        for v, lam in p.facets))
 
 
 def mirror_coordinates_exact(p: Polytope, theta_re, theta_im):
@@ -149,27 +180,43 @@ def constraint_residuals_exact(p: Polytope, k: KernelLattice, theta_re,
 
 
 def gradient_W(w: Superpotential, theta: MirrorPoint) -> np.ndarray:
-    return w.gradient(np.array(theta.theta, dtype=complex))
+    return w.gradient(theta.theta)
 
 
 def critical_points(w: Superpotential, p: Polytope, grid_im: int = 4,
                     grid_re: int = 2) -> list[CriticalPoint]:
     """All critical points of W with Im(Theta) in [0, 2 pi)^n.
 
-    One multistart Newton run: real parts at the vertex centroid and at
-    grid_re - 1 evenly spaced points on its segment to each vertex, moved
-    one unit outward along every coordinate (those vertices themselves at
-    grid_re = 2), imaginary parts on a 2 pi / grid_im lattice; converged
-    points deduplicated mod 2 pi i, keeping the smallest gradient. The
-    Kushnirenko count n! Vol(conv{v_j}) of the facet normals bounds the
-    isolated critical points counted with multiplicity, so a search that
-    finds that many distinct nondegenerate points is complete; one that
-    finds another number warns. A search whose starts hold more than
-    MAX_NEWTON_ENTRIES Hessian entries raises PolytopeError before it
-    runs.
+    The starts: real parts at the vertex centroid and at grid_re - 1
+    evenly spaced points on its segment to each vertex, moved one unit
+    outward along every coordinate (those vertices themselves at
+    grid_re = 2), imaginary parts on a 2 pi / grid_im lattice. The
+    Kushnirenko count K = n! Vol(conv{v_j}) of the facet normals bounds
+    the isolated critical points counted with multiplicity, so K
+    certified, pairwise distinct points are all of them. When the
+    centroid's starts number at most CERTIFIED_PASS_STARTS, a pure-Python
+    Newton pass runs them one at a time and stops at K such points.
+    Otherwise, or when it ends with fewer, one batched multistart Newton
+    run takes every start; its converged points are deduplicated mod
+    2 pi i, keeping the smallest gradient, and a run that finds another
+    number than K distinct nondegenerate points warns. A search whose
+    starts hold more than MAX_NEWTON_ENTRIES Hessian entries raises
+    PolytopeError before it runs.
     """
+    n = w.dim
+    n_starts = (1 + len(p.vertices()) * (grid_re - 1)) * grid_im ** n
+    if n_starts * n * n > MAX_NEWTON_ENTRIES:
+        raise PolytopeError(
+            f"critical point search is limited to {MAX_NEWTON_ENTRIES} "
+            f"Hessian entries (Newton starts x dimension^2), the "
+            f"{grid_re}x{grid_im} grid in dimension {n} needs {n_starts} "
+            f"starts, {n_starts * n * n} entries")
+    count = p.kushnirenko_count
+    if grid_im ** n <= CERTIFIED_PASS_STARTS:
+        found = _certified_pass(w, p, grid_im, count)
+        if len(found) == count:
+            return found
     found = _newton_search(w, p, grid_re, grid_im)
-    count = kushnirenko_count(p.dim, p.normals)
     distinct = sum(not cp.degenerate for cp in found)
     if distinct != count:
         why = ("search incomplete or roots degenerate" if distinct < count
@@ -190,10 +237,248 @@ STOP_STEP = 1e-15
 ACCEPT_STEP = 1e-10
 DEGENERATE_SV = 1e-8
 DEDUP_TOL = 1e-8
+# each step is capped at MAX_STEP, and a run stops after MAX_ITER steps
+MAX_STEP = 2.0
+MAX_ITER = 80
+# the pure-Python pass runs when the centroid has at most this many starts
+# (n <= 3 at grid_im = 4); a point it keeps passes Kantorovich's test
+# h = beta |H^-1| L <= KANTOROVICH_H, half of the theorem's 1/2 as margin
+# for the rounding of h itself
+CERTIFIED_PASS_STARTS = 64
+KANTOROVICH_H = 0.25
+
+
+def _size(z) -> float:
+    return 1.0 + max(abs(t) for t in z)
+
+
+def _certified_pass(w: Superpotential, p: Polytope, grid_im: int,
+                    count: int) -> list[CriticalPoint]:
+    """Newton from the vertex centroid's starts, in _newton_search's
+    order, one at a time, until count certified points are kept.
+
+    A converged point is kept when it is more than DEDUP_TOL from every
+    kept point mod 2 pi i and _certify passes it. Each kept point then
+    holds a simple root within 2 beta, far below DEDUP_TOL, so the kept
+    roots are distinct. Returns the kept points, sorted as
+    _newton_search sorts its points.
+    """
+    n, verts = w.dim, p.vertices()
+    centroid = [float(sum(x[i] for x in verts) / len(verts))
+                for i in range(n)]
+    angle = TWO_PI / grid_im
+    kept: list[tuple[list[float], list[float], CriticalPoint]] = []
+    for k in itertools.product(range(grid_im), repeat=n):
+        if n > 1:  # np.meshgrid's order: coordinate 1 varies slowest
+            k = (k[1], k[0]) + k[2:]
+        z = _newton_pure(w, [complex(c, -i * angle)
+                             for c, i in zip(centroid, k)])
+        if z is None:
+            continue
+        re, im = [t.real for t in z], [_wrap(-t.imag) for t in z]
+        if any(_near(re, im, r, i, DEDUP_TOL) for r, i, _ in kept):
+            continue
+        cp = _certify(w, [r - 1j * i for r, i in zip(re, im)])
+        if cp is not None:
+            kept.append((re, im, cp))
+            if len(kept) == count:
+                break
+    return sorted((cp for _, _, cp in kept), key=lambda cp: _sort_key(
+        [t.real for t in cp.point.theta] + [t.imag for t in cp.point.theta],
+        DEDUP_TOL))
+
+
+def _newton_pure(w: Superpotential, z: list[complex]) -> list[complex] | None:
+    """One start of _newton_search's iteration in plain Python: the
+    accepted point, or None."""
+    for _ in range(MAX_ITER):
+        _, _, g, h = w.scaled_at(z)
+        sol = _solve(h, [g])
+        if sol is None:  # regularised as _newton_step does
+            reg = 1e-12 * max(abs(x) for row in h for x in row)
+            sol = _solve([[x + reg * (a == b) for b, x in enumerate(row)]
+                          for a, row in enumerate(h)], [g])
+            if sol is None:
+                return None
+        step = sol[0]
+        norm = _norm(step)
+        if not math.isfinite(norm):
+            return None
+        if norm > MAX_STEP:
+            step = [s * (MAX_STEP / norm) for s in step]
+        z = [t - s for t, s in zip(z, step)]
+        if norm <= STOP_STEP * _size(z):
+            break
+    return z if norm <= ACCEPT_STEP * _size(z) else None
+
+
+def _certify(w: Superpotential, z: list[complex]) -> CriticalPoint | None:
+    """The critical point at z when it passes Kantorovich's test and is
+    nondegenerate, else None.
+
+    With H and the gradient g of W e^-c at z, beta = |H^-1 g| and
+    R = 2 beta, L = sum_j |w_j| e^(R |v_j|) |v_j|^3 bounds the Lipschitz
+    constant of H on the ball of radius R, and h = beta |H^-1| L <= 1/2
+    puts one simple root of grad W in it (Kantorovich 1948), with the
+    Frobenius norm bounding |H^-1|. The scaled Hessian S = D^-1/2 H D^-1/2
+    of _newton_search's degeneracy test has least singular value at least
+    1 / |S^-1|_F, and S^-1 = D^1/2 H^-1 D^1/2.
+    """
+    n = w.dim
+    c, ew, g, h = w.scaled_at(z)
+    # H^-1 g, then the columns of H^-1
+    sol = _solve(h, [g] + [[float(a == b) for b in range(n)]
+                           for a in range(n)])
+    if sol is None:
+        return None
+    step, inv = sol[0], sol[1:]
+    lengths = [math.sqrt(sum(x * x for x in v)) for v in w.exponents]
+    dd = [sum(abs(e) * v[a] ** 2 for e, v in zip(ew, w.exponents))
+          for a in range(n)]
+    try:
+        beta = _norm(step)
+        lip = sum(abs(e) * math.exp(2 * beta * r) * r ** 3
+                  for e, r in zip(ew, lengths))
+        inv_f = _norm([x for row in inv for x in row])
+        root = [math.sqrt(x) for x in dd]
+        s_inv_f = _norm([inv[a][b] * root[a] * root[b]
+                         for a in range(n) for b in range(n)])
+        residual = _norm(g) * math.exp(c)
+    except OverflowError:
+        return None
+    # a coordinate whose weights all underflow makes S singular; points
+    # more than DEDUP_TOL apart have disjoint balls when 4 beta is less
+    if not (beta * inv_f * lip <= KANTOROVICH_H and 4 * beta < DEDUP_TOL
+            and min(dd) > 0 and s_inv_f * DEGENERATE_SV * n < 1.0):
+        return None
+    sv = _singular_values(h)
+    return CriticalPoint(MirrorPoint(tuple(z)), residual,
+                         sv[0] / sv[-1] if sv[-1] > 0 else math.inf, False)
+
+
+def _norm(x) -> float:
+    return math.hypot(*[c for t in x for c in (t.real, t.imag)])
+
+
+def _solve(h, rhs) -> list[list[complex]] | None:
+    """h^-1 b for each vector b of rhs, by Gaussian elimination with
+    partial pivoting; None when a pivot is 0."""
+    n, m = len(h), len(rhs)
+    # row i of h, then entry i of each right-hand side
+    a = [list(h[i]) + [b[i] for b in rhs] for i in range(n)]
+    for k in range(n):
+        piv = max(range(k, n), key=lambda i: abs(a[i][k]))
+        a[k], a[piv] = a[piv], a[k]
+        top = a[k]
+        if not top[k]:
+            return None
+        for row in a[k + 1:]:
+            f = row[k] / top[k]
+            if f:
+                for j in range(k + 1, n + m):
+                    row[j] -= f * top[j]
+    x = [[0j] * n for _ in range(m)]
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        for c, xc in enumerate(x):
+            xc[i] = (row[n + c] - sum([row[j] * xc[j]
+                                       for j in range(i + 1, n)])) / row[i]
+    return x
+
+
+def _singular_values(h) -> list[float]:
+    """The singular values of a square complex matrix, largest first.
+
+    One-sided Jacobi (Hestenes 1958): each pair of columns is rotated
+    until they are orthogonal to working precision, and the column norms
+    are then the singular values.
+    """
+    n = len(h)
+    cols = [[complex(h[i][j]) for i in range(n)] for j in range(n)]
+    for _ in range(60):
+        rotated = False
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                x, y = cols[p], cols[q]
+                nx, ny = _norm(x), _norm(y)
+                gamma = sum(a.conjugate() * b for a, b in zip(x, y))
+                off = abs(gamma)
+                if off <= 1e-15 * nx * ny:
+                    continue
+                rotated = True
+                # turn y by the phase of gamma so that x^H y = |gamma|,
+                # then rotate the pair as in the real method
+                y = [b * (gamma.conjugate() / off) for b in y]
+                zeta = (ny - nx) / off * ((ny + nx) / 2)
+                t = math.copysign(1.0, zeta) / (abs(zeta)
+                                                + math.hypot(1.0, zeta))
+                c = 1 / math.sqrt(1 + t * t)
+                s = c * t
+                cols[p] = [c * a - s * b for a, b in zip(x, y)]
+                cols[q] = [s * a + c * b for a, b in zip(x, y)]
+        if not rotated:
+            break
+    return sorted((_norm(col) for col in cols), reverse=True)
+
+
+def _wrap(x: float) -> float:
+    """solve.wrap_angle of one angle."""
+    x %= TWO_PI
+    return 0.0 if x > TWO_PI - 1e-9 or x < 1e-9 else x
+
+
+def _near(lin_a, ang_a, lin_b, ang_b, tol: float) -> bool:
+    """Within tol in every coordinate, and every angle on the circle:
+    solve.dedup_mod_2pi's test of two rows."""
+    if any(abs(x - y) > tol for x, y in zip(lin_a, lin_b)):
+        return False
+    for x, y in zip(ang_a, ang_b):
+        d = abs(x - y) % TWO_PI
+        if not min(d, TWO_PI - d) <= tol:
+            return False
+    return True
+
+
+def _merge_mod_2pi(lin, ang, tol: float) -> list[int]:
+    """solve.dedup_mod_2pi on a few rows of finite floats, in plain
+    Python: the indices of the rows kept, best-ranked first."""
+    ang = [[_wrap(x) for x in row] for row in ang]
+    leaders, cells = [], set()
+    for i, row in enumerate(zip(lin, ang)):
+        cell = tuple(round(x / tol) for part in row for x in part)
+        if cell not in cells:
+            cells.add(cell)
+            leaders.append(i)
+    kept: list[int] = []
+    for i in leaders:
+        if not any(_near(lin[i], ang[i], lin[k], ang[k], tol) for k in kept):
+            kept.append(i)
+    return kept
+
+
+def _sort_key(x, tol: float) -> tuple[int, ...]:
+    """solve.sort_key in plain Python: the same order."""
+    return tuple(round(t / tol) for t in x)
+
+
+def dedup_mod_2pi(lin, ang, tol: float):
+    """solve.dedup_mod_2pi, imported on first use with numpy."""
+    from .solve import dedup_mod_2pi
+
+    return dedup_mod_2pi(lin, ang, tol)
+
+
+def wrap_angle(x):
+    """solve.wrap_angle, imported on first use with numpy."""
+    from .solve import wrap_angle
+
+    return wrap_angle(x)
 
 
 def _newton_step(h: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The Newton steps h^-1 g of stacked Hessians h and gradients g."""
+    import numpy as np
+
     try:
         return np.linalg.solve(h, g[..., None])[..., 0]
     except np.linalg.LinAlgError:
@@ -207,16 +492,12 @@ def _newton_step(h: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def _newton_search(w: Superpotential, p: Polytope, grid_re: int,
                    grid_im: int) -> list[CriticalPoint]:
-    """One multistart Newton run from the starts of critical_points."""
+    """One batched multistart Newton run from the starts of
+    critical_points."""
+    import numpy as np
+
     n = w.dim
     verts = p.vertices()
-    n_starts = (1 + len(verts) * (grid_re - 1)) * grid_im ** n
-    if n_starts * n * n > MAX_NEWTON_ENTRIES:
-        raise PolytopeError(
-            f"critical point search is limited to {MAX_NEWTON_ENTRIES} "
-            f"Hessian entries (Newton starts x dimension^2), the "
-            f"{grid_re}x{grid_im} grid in dimension {n} needs {n_starts} "
-            f"starts, {n_starts * n * n} entries")
     centroid = [sum(x[i] for x in verts) / len(verts) for i in range(n)]
     c, vs = np.array(centroid, dtype=float), np.array(verts, dtype=float)
     # the centroid, then grid_re - 1 points from each vertex towards it,
@@ -236,12 +517,13 @@ def _newton_search(w: Superpotential, p: Polytope, grid_re: int,
     z = (re_starts[:, None] - 1j * im_grid[None]).reshape(-1, n)
     last = np.full(len(z), np.inf)
     alive = np.arange(len(z))
-    for _ in range(80):
+    for _ in range(MAX_ITER):
         _, _, g, h = w.scaled(z[alive])
         step = _newton_step(h, g)
         step_norm = np.linalg.norm(step, axis=1)
         last[alive] = step_norm
-        step[step_norm > 2.0] *= (2.0 / step_norm[step_norm > 2.0])[:, None]
+        cap = step_norm > MAX_STEP
+        step[cap] *= (MAX_STEP / step_norm[cap])[:, None]
         z[alive] -= step
         alive = alive[step_norm > STOP_STEP * size(z[alive])]
         if not alive.size:
@@ -274,7 +556,7 @@ def _newton_search(w: Superpotential, p: Polytope, grid_re: int,
         float(s[0] / s[-1]) if s[-1] > 0 else math.inf,
         bool(s_min <= DEGENERATE_SV * n))
         for i, r, s, s_min in zip(keep, rows, sv, sv_scaled[:, -1])]
-    found.sort(key=lambda cp: sort_key(
+    found.sort(key=lambda cp: _sort_key(
         [t.real for t in cp.point.theta] + [t.imag for t in cp.point.theta],
         DEDUP_TOL))
     return found
@@ -337,13 +619,13 @@ def holonomy_balanced(p: Polytope, cps, fan: Fan | None = None
         found.append((len(tests), BalancedSolution(
             point, nu, _level_partition(p, point, LEVEL_TOL), resid)))
         tests.append(LevelTest(a, nu.nu, part, None, resid, ""))
-    kept = dedup_mod_2pi([s.point.coords for _, s in found],
-                         [s.nu.nu for _, s in found], HOLONOMY_DEDUP_TOL)
-    for i in set(range(len(found))) - set(kept.tolist()):
+    kept = _merge_mod_2pi([s.point.coords for _, s in found],
+                          [s.nu.nu for _, s in found], HOLONOMY_DEDUP_TOL)
+    for i in set(range(len(found))) - set(kept):
         t = found[i][0]
         tests[t] = tests[t]._replace(
             message="merged with another balanced critical point")
-    solutions = sorted((found[i] for i in kept), key=lambda ts: sort_key(
+    solutions = sorted((found[i] for i in kept), key=lambda ts: _sort_key(
         ts[1].point.coords + ts[1].nu.nu, HOLONOMY_DEDUP_TOL))
     for index, (t, _) in enumerate(solutions):
         tests[t] = tests[t]._replace(solution=index)
@@ -379,21 +661,20 @@ def check_o_equals_W(p: Polytope, a: FiberPoint,
     o = obstruction_class(p, a, nu)
     lhs = complex(sum(complex(t.coefficient) * math.exp(-float(t.level))
                       for t in o.terms))
-    w = build_superpotential(p)
-    theta = np.array(a.as_floats(), dtype=float) - 1j * np.array(
-        nu.nu if nu is not None else [0.0] * p.dim)
-    return abs(lhs - w.value(theta))
+    return abs(lhs - build_superpotential(p).value(_theta(a, nu)))
 
 
 def check_delta2_equals_gradW(p: Polytope, a: FiberPoint,
                               nu: HolonomyVector | None = None) -> float:
     """||delta2<pt> at T^{2pi}=e^{-1} (sign, q dropped) + grad W||."""
-    d2 = delta2_point(p, a, nu)
-    vec = np.array(d2.specialize())
-    if vec.size == 0:  # all area levels cancelled exactly
-        vec = np.zeros(p.dim, dtype=complex)
+    # no terms when all area levels cancelled exactly
+    vec = delta2_point(p, a, nu).specialize() or (0j,) * p.dim
     sign = (-1) ** p.dim
-    w = build_superpotential(p)
-    theta = np.array(a.as_floats(), dtype=float) - 1j * np.array(
-        nu.nu if nu is not None else [0.0] * p.dim)
-    return float(np.linalg.norm(sign * vec + w.gradient(theta)))
+    grad = build_superpotential(p)._unscaled(_theta(a, nu))[1]
+    return _norm([sign * x + g for x, g in zip(vec, grad)])
+
+
+def _theta(a: FiberPoint, nu: HolonomyVector | None) -> list[complex]:
+    """Theta = A - i nu."""
+    return [x - 1j * y for x, y in zip(
+        a.as_floats(), nu.nu if nu is not None else [0.0] * len(a.coords))]

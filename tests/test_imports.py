@@ -1,6 +1,6 @@
-"""numpy is loaded only by the code that computes in floating point, and
-no command loads dataclasses or inspect, slow imports that the package
-does not need."""
+"""numpy is loaded only by the batched floating-point code, and no command
+loads dataclasses or inspect, slow imports that the package does not
+need."""
 
 import importlib
 import subprocess
@@ -10,6 +10,8 @@ from importlib import resources
 import pytest
 
 import toricfloer
+
+from conftest import CORPUS
 
 SRC = str(resources.files("toricfloer").parent)
 
@@ -42,7 +44,8 @@ loaded("import")
 path = sys.argv[1]
 for argv in (["analyze", path], ["hf", path, "--fiber", "3,3"],
              ["hf", path, "--fiber", "1,2", "--coefficients", "exp"],
-             ["balanced", path], ["critical", path]):
+             ["balanced", path], ["balanced", path, "--mode", "holonomy"],
+             ["critical", path]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv + ["--json"])
     loaded(code)
@@ -51,11 +54,40 @@ for module in pkgutil.iter_modules(sys.modules["toricfloer"].__path__):
 loaded("all")
 """
     got = run_python(code, path)
-    assert got[:20] == ["import", "False", "False", "False"] + [
-        "0", "False", "False", "False"] * 4
+    # the pure-Python Newton pass settles critical and holonomy mode on p2
+    assert got[:28] == ["import", "False", "False", "False"] + [
+        "0", "False", "False", "False"] * 6
     # numpy itself loads inspect; no toricfloer module loads dataclasses
-    assert got[20:23] == ["0", "True", "False"]
-    assert got[24:27] == ["all", "True", "False"]
+    assert got[28:31] == ["all", "True", "False"]
+
+
+MIRROR_COMMANDS = """
+import contextlib, io, sys
+from toricfloer import cli
+
+codes = []
+for path in sys.argv[1:]:
+    for command in (["critical"], ["balanced", "--mode", "holonomy"]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes.append(cli.main(command + [path, "--json"]))
+print(*codes, "numpy" in sys.modules)
+"""
+
+
+def test_corpus_mirror_commands_load_no_numpy():
+    paths = [str(resources.files("toricfloer") / "data" / "polytopes"
+                 / f"{name}.poly") for name in CORPUS]
+    assert run_python(MIRROR_COMMANDS, *paths) == ["0"] * 14 + ["False"]
+
+
+def test_fallback_search_loads_numpy(tmp_path):
+    # the pass finds 6 of this 3-fold's 11 points, so the batched search
+    # runs after it
+    path = tmp_path / "planted.poly"
+    path.write_text("dim 3\nnormal -1 0 0 offset -6\nnormal 0 1 1 offset -6\n"
+                    "normal 1 -1 -1 offset -6\nnormal -1 0 -1 offset -5/2\n"
+                    "normal -1 1 -1 offset -8\nnormal 1 -1 0 offset 1/2\n")
+    assert run_python(MIRROR_COMMANDS, str(path)) == ["0", "0", "True"]
 
 
 def test_all_names_resolve_to_their_submodule():

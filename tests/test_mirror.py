@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricfloer import mirror
 from toricfloer.discs import FiberPoint
@@ -205,12 +207,14 @@ class TestCriticalPoints:
                                                         rel=1e-12)
 
     def test_surplus_warning(self, corpus, monkeypatch):
+        # the pure-Python pass finds nothing, so the batched search runs
         search = mirror._newton_search
 
         def doubled(*args):
             found = search(*args)
             return found + found[:1]
 
+        monkeypatch.setattr(mirror, "_certified_pass", lambda *args: [])
         monkeypatch.setattr(mirror, "_newton_search", doubled)
         p = corpus["p1"]
         with pytest.warns(UserWarning, match="found 3 of 2"):
@@ -222,7 +226,9 @@ class TestCriticalPoints:
         # p1xp1 has 4 vertices: the 2 x 4 grid runs 5 real starts against
         # 4^2 imaginary ones, 80 starts and 320 Hessian entries, and the
         # 3 x 4 grid runs 9 real starts, 144 starts and 576 entries; a
-        # grid over the cap raises before its first Newton step
+        # grid over the cap raises before its first Newton step of either
+        # pass. The pure-Python pass finds nothing here, so the batched
+        # search runs after it.
         steps = []
         newton_step = mirror._newton_step
 
@@ -230,12 +236,17 @@ class TestCriticalPoints:
             steps.append(len(h))
             return newton_step(h, g)
 
+        def no_pass(*args):
+            steps.append("pass")
+            return []
+
         monkeypatch.setattr(mirror, "_newton_step", recorded)
+        monkeypatch.setattr(mirror, "_certified_pass", no_pass)
         p = corpus["p1xp1"]
         w = build_superpotential(p)
         monkeypatch.setattr(mirror, "MAX_NEWTON_ENTRIES", 320)
         assert len(critical_points(w, p)) == 4
-        assert steps[0] == 80
+        assert steps[:2] == ["pass", 80]
         for grid_re, entries in ((2, 320), (3, 576)):
             steps.clear()
             monkeypatch.setattr(mirror, "MAX_NEWTON_ENTRIES", entries - 1)
@@ -345,32 +356,51 @@ def _quadrant(facets):
     return "dim 2\nnormal 1 0 offset 0\nnormal 0 1 offset 0\n" + facets
 
 
-@pytest.mark.parametrize("text, count, warning", [
+# inputs that defeat a plain search: id -> (polytope, nondegenerate
+# points, warning)
+HARD_INPUTS = {
     # F_1 trapezoids y <= 300, x + y <= 1000 and y <= 1000, x + y <= 1500,
     # whose 4 points lie hundreds of units from every vertex
-    (_quadrant("normal 0 -1 offset -300\nnormal -1 -1 offset -1000"), 4,
-     None),
-    (_quadrant("normal 0 -1 offset -1000\nnormal -1 -1 offset -1500"), 4,
-     None),
+    "f1-300-1000": (_quadrant("normal 0 -1 offset -300\n"
+                              "normal -1 -1 offset -1000"), 4, None),
+    "f1-1000-1500": (_quadrant("normal 0 -1 offset -1000\n"
+                               "normal -1 -1 offset -1500"), 4, None),
     # the blowups 100 <= x + y <= 300 and 31 <= x + y <= 291 of P^2
-    (_quadrant("normal -1 -1 offset -300\nnormal 1 1 offset 100"), 4, None),
-    (_quadrant("normal -1 -1 offset -291\nnormal 1 1 offset 31"), 4, None),
+    "blowup-100-300": (_quadrant("normal -1 -1 offset -300\n"
+                                 "normal 1 1 offset 100"), 4, None),
+    "blowup-31-291": (_quadrant("normal -1 -1 offset -291\n"
+                                "normal 1 1 offset 31"), 4, None),
     # P^2 of side 5000, where every weight at the points is e^-5000/3
-    (_quadrant("normal -1 -1 offset -5000"), 3, None),
+    "p2-5000": (_quadrant("normal -1 -1 offset -5000"), 3, None),
     # the Hirzebruch surface F_5 with y <= 119/4, x + 5 y <= 339/2: not
     # Fano, and 4 of the count 7 are found
-    (_quadrant("normal 0 -1 offset -119/4\nnormal -1 -5 offset -339/2"), 4,
-     "found 4 of 7"),
+    "f5": (_quadrant("normal 0 -1 offset -119/4\n"
+                     "normal -1 -5 offset -339/2"), 4, "found 4 of 7"),
     # F_4 with y <= 26, x + 4 y <= 108: 2 of its 6 points lie outside,
     # at y = 26.61 near the vertex (0, 26)
-    (_quadrant("normal 0 -1 offset -26\nnormal -1 -4 offset -108"), 6, None),
+    "f4": (_quadrant("normal 0 -1 offset -26\nnormal -1 -4 offset -108"),
+           6, None),
     # P^2(3) x P^1(5000): the P^2 weights underflow next to the P^1 ones,
     # so every point is degenerate to working precision
-    ("dim 3\nnormal 1 0 0 offset 0\nnormal 0 1 0 offset 0\n"
-     "normal -1 -1 0 offset -3\nnormal 0 0 1 offset 0\n"
-     "normal 0 0 -1 offset -5000\n", 0, "found 0 of 6"),
-], ids=["f1-300-1000", "f1-1000-1500", "blowup-100-300", "blowup-31-291",
-        "p2-5000", "f5", "f4", "p2xp1-5000"])
+    "p2xp1-5000": ("dim 3\nnormal 1 0 0 offset 0\nnormal 0 1 0 offset 0\n"
+                   "normal -1 -1 0 offset -3\nnormal 0 0 1 offset 0\n"
+                   "normal 0 0 -1 offset -5000\n", 0, "found 0 of 6"),
+    # a non-Fano 3-fold drawn by the planted-point generator of
+    # test_floer: the search finds 10 of its 11 points
+    "planted-3fold": ("dim 3\nnormal -1 0 0 offset -6\n"
+                      "normal 0 1 1 offset -6\nnormal 1 -1 -1 offset -6\n"
+                      "normal -1 0 -1 offset -5/2\n"
+                      "normal -1 1 -1 offset -8\n"
+                      "normal 1 -1 0 offset 1/2\n", 10, "found 10 of 11"),
+    # the thin strip 290 <= x + y <= 300: the Hessian eigenvalues at its 4
+    # roots differ by about e^-142, so each is degenerate in this basis
+    "strip-290-300": (_quadrant("normal -1 -1 offset -300\n"
+                                "normal 1 1 offset 290"), 0, "found 0 of 4"),
+}
+
+
+@pytest.mark.parametrize("text, count, warning", HARD_INPUTS.values(),
+                         ids=HARD_INPUTS.keys())
 def test_critical_points_on_hard_inputs(text, count, warning):
     p = parse_polytope(text)
     with warnings.catch_warnings(record=True) as caught:
@@ -395,6 +425,61 @@ def test_critical_points_on_hard_inputs(text, count, warning):
         grad = [sum(e * v[i] for e, v in terms) for i in range(p.dim)]
         assert math.hypot(*map(abs, grad)) <= 1e-8 * sum(
             abs(e) * math.hypot(*v) for e, v in terms)
+
+
+# the hard inputs whose centroid starts hold K certified points
+SETTLED = ("f1-1000-1500", "blowup-100-300", "p2-5000")
+
+
+@pytest.mark.parametrize("name", CORPUS + SETTLED)
+def test_certified_pass_matches_batched_search(name):
+    p = (corpus_polytope(name) if name in CORPUS
+         else parse_polytope(HARD_INPUTS[name][0]))
+    w = build_superpotential(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = critical_points(w, p)
+    assert got == mirror._certified_pass(w, p, 4, p.kushnirenko_count)
+    want = mirror._newton_search(w, p, 2, 4)
+    assert len(got) == len(want) == p.kushnirenko_count
+    for a, b in zip(got, want):
+        assert not a.degenerate and not b.degenerate
+        for x, y in zip(a.point.theta, b.point.theta):
+            assert abs(x.real - y.real) <= mirror.DEDUP_TOL
+            d = abs(x.imag - y.imag) % (2 * math.pi)
+            assert min(d, 2 * math.pi - d) <= mirror.DEDUP_TOL
+        assert a.hessian_cond == pytest.approx(b.hessian_cond, abs=1e-9)
+        assert a.residual <= 1e-12
+
+
+def test_certificate_rejects_off_root_and_rank_one(corpus):
+    p = corpus["f1"]
+    w = build_superpotential(p)
+    for cp in critical_points(w, p):
+        z = list(cp.point.theta)
+        assert mirror._certify(w, z) is not None
+        assert mirror._certify(w, [z[0] + 1e-3] + z[1:]) is None
+    # e^Theta_1 + e^-Theta_1 leaves Theta_2 free: every point with
+    # Theta_1 = 0 is critical, and the Hessian there is rank one
+    w = Superpotential(2, ((1, 0), (-1, 0)), (Fraction(0), Fraction(0)))
+    _, _, g, h = w.scaled_at([0j, 0.3j])
+    assert g == [0j, 0j] and h == [[2, 0], [0, 0]]
+    assert mirror._certify(w, [0j, 0.3j]) is None
+
+
+_entries = st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                              allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.lists(_entries, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_singular_values_match_numpy(rows):
+    a = np.array(rows)
+    h = a + a.T
+    want = np.linalg.svd(h, compute_uv=False)
+    got = mirror._singular_values(h.tolist())
+    assert got == pytest.approx(want.tolist(), rel=0, abs=1e-12 * want[0])
 
 
 class TestCorrespondence:

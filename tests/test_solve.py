@@ -6,6 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricfloer import mirror
 from toricfloer.solve import (TWO_PI, dedup_mod_2pi, least_squares,
                               sort_key, wrap_angle)
 
@@ -194,6 +195,17 @@ def test_dedup_matches_pairwise_reference(rows):
     lin, ang = rows
     assert (dedup_mod_2pi(lin, ang, _TOL).tolist()
             == _dedup_pairwise(lin, ang, _TOL).tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_clustered_rows())
+def test_plain_python_merge_matches_dedup(rows):
+    # holonomy mode merges its few balanced fibers without numpy
+    lin, ang = rows
+    assert (mirror._merge_mod_2pi(lin.tolist(), ang.tolist(), _TOL)
+            == dedup_mod_2pi(lin, ang, _TOL).tolist())
+    for x in np.hstack([lin, ang]):
+        assert mirror._sort_key(x.tolist(), _TOL) == sort_key(x, _TOL)
 
 
 def _circle_fun(x):
