@@ -21,8 +21,7 @@ from .floer import (AreaPartition, BalancedSolution, HolonomyVector,
                     NovikovTerm, NovikovVector, _level_partition,
                     _warn_non_fano, delta2_point, equal_area_certificate)
 from .lattice import Fan, KernelLattice, Polytope, PolytopeError
-
-TWO_PI = 2 * math.pi
+from .solve import TWO_PI, dedup_mod_2pi, sort_key, wrap_angle
 
 # the Newton search holds the n x n Hessians of all its starts at once, so
 # S starts in dimension n hold S n^2 entries; at the default grid (P^1)^6
@@ -199,7 +198,9 @@ def critical_points(w: Superpotential, p: Polytope, grid_im: int = 4,
     Otherwise, or when it ends with fewer, one batched multistart Newton
     run takes every start; its converged points are deduplicated mod
     2 pi i, keeping the smallest gradient, and a run that finds another
-    number than K distinct nondegenerate points warns. A search whose
+    number than K distinct nondegenerate points warns. Both paths finish
+    alike: solve.dedup_mod_2pi merges, _critical_point makes each record
+    and solve.sort_key orders them, all in plain Python. A search whose
     starts hold more than MAX_NEWTON_ENTRIES Hessian entries raises
     PolytopeError before it runs.
     """
@@ -257,8 +258,8 @@ def _certified_pass(w: Superpotential, p: Polytope, grid_im: int,
     """Newton from the vertex centroid's starts, in _newton_search's
     order, one at a time, until count certified points are kept.
 
-    A converged point is kept when it is more than DEDUP_TOL from every
-    kept point mod 2 pi i and _certify passes it. Each kept point then
+    A converged point is kept when dedup_mod_2pi keeps it after the kept
+    points, at DEDUP_TOL, and _certify passes it. Each kept point then
     holds a simple root within 2 beta, far below DEDUP_TOL, so the kept
     roots are distinct. Returns the kept points, sorted as
     _newton_search sorts its points.
@@ -267,7 +268,7 @@ def _certified_pass(w: Superpotential, p: Polytope, grid_im: int,
     centroid = [float(sum(x[i] for x in verts) / len(verts))
                 for i in range(n)]
     angle = TWO_PI / grid_im
-    kept: list[tuple[list[float], list[float], CriticalPoint]] = []
+    kept: list[CriticalPoint] = []
     for k in itertools.product(range(grid_im), repeat=n):
         if n > 1:  # np.meshgrid's order: coordinate 1 varies slowest
             k = (k[1], k[0]) + k[2:]
@@ -275,17 +276,18 @@ def _certified_pass(w: Superpotential, p: Polytope, grid_im: int,
                              for c, i in zip(centroid, k)])
         if z is None:
             continue
-        re, im = [t.real for t in z], [_wrap(-t.imag) for t in z]
-        if any(_near(re, im, r, i, DEDUP_TOL) for r, i, _ in kept):
+        re, im = [t.real for t in z], [wrap_angle(-t.imag) for t in z]
+        points = [cp.point for cp in kept]
+        if dedup_mod_2pi([q.fiber for q in points] + [re],
+                         [q.holonomy for q in points] + [im],
+                         DEDUP_TOL)[-1] < len(kept):
             continue
         cp = _certify(w, [r - 1j * i for r, i in zip(re, im)])
         if cp is not None:
-            kept.append((re, im, cp))
+            kept.append(cp)
             if len(kept) == count:
                 break
-    return sorted((cp for _, _, cp in kept), key=lambda cp: _sort_key(
-        [t.real for t in cp.point.theta] + [t.imag for t in cp.point.theta],
-        DEDUP_TOL))
+    return sorted(kept, key=_point_key)
 
 
 def _newton_pure(w: Superpotential, z: list[complex]) -> list[complex] | None:
@@ -313,7 +315,7 @@ def _newton_pure(w: Superpotential, z: list[complex]) -> list[complex] | None:
 
 
 def _certify(w: Superpotential, z: list[complex]) -> CriticalPoint | None:
-    """The critical point at z when it passes Kantorovich's test and is
+    """The _critical_point at z when it passes Kantorovich's test and is
     nondegenerate, else None.
 
     With H and the gradient g of W e^-c at z, beta = |H^-1 g| and
@@ -321,11 +323,11 @@ def _certify(w: Superpotential, z: list[complex]) -> CriticalPoint | None:
     constant of H on the ball of radius R, and h = beta |H^-1| L <= 1/2
     puts one simple root of grad W in it (Kantorovich 1948), with the
     Frobenius norm bounding |H^-1|. The scaled Hessian S = D^-1/2 H D^-1/2
-    of _newton_search's degeneracy test has least singular value at least
-    1 / |S^-1|_F, and S^-1 = D^1/2 H^-1 D^1/2.
+    of the degeneracy test has least singular value at least 1 / |S^-1|_F,
+    and S^-1 = D^1/2 H^-1 D^1/2.
     """
     n = w.dim
-    c, ew, g, h = w.scaled_at(z)
+    _, ew, g, h = w.scaled_at(z)
     # H^-1 g, then the columns of H^-1
     sol = _solve(h, [g] + [[float(a == b) for b in range(n)]
                            for a in range(n)])
@@ -333,8 +335,7 @@ def _certify(w: Superpotential, z: list[complex]) -> CriticalPoint | None:
         return None
     step, inv = sol[0], sol[1:]
     lengths = [math.sqrt(sum(x * x for x in v)) for v in w.exponents]
-    dd = [sum(abs(e) * v[a] ** 2 for e, v in zip(ew, w.exponents))
-          for a in range(n)]
+    dd = _diagonal_bound(w, ew)
     try:
         beta = _norm(step)
         lip = sum(abs(e) * math.exp(2 * beta * r) * r ** 3
@@ -343,7 +344,6 @@ def _certify(w: Superpotential, z: list[complex]) -> CriticalPoint | None:
         root = [math.sqrt(x) for x in dd]
         s_inv_f = _norm([inv[a][b] * root[a] * root[b]
                          for a in range(n) for b in range(n)])
-        residual = _norm(g) * math.exp(c)
     except OverflowError:
         return None
     # a coordinate whose weights all underflow makes S singular; points
@@ -351,9 +351,48 @@ def _certify(w: Superpotential, z: list[complex]) -> CriticalPoint | None:
     if not (beta * inv_f * lip <= KANTOROVICH_H and 4 * beta < DEDUP_TOL
             and min(dd) > 0 and s_inv_f * DEGENERATE_SV * n < 1.0):
         return None
+    return _critical_point(w, z)
+
+
+def _diagonal_bound(w: Superpotential, ew) -> list[float]:
+    """D = diag(sum_j |w_j| v_ja^2) for the weights ew of W e^-c."""
+    return [sum(abs(e) * v[a] ** 2 for e, v in zip(ew, w.exponents))
+            for a in range(w.dim)]
+
+
+def _critical_point(w: Superpotential, z: list[complex]) -> CriticalPoint:
+    """The record of a converged point z: |grad W|, the condition number
+    of W's Hessian H, and whether z is degenerate.
+
+    D bounds H's diagonal, and S = D^-1/2 H D^-1/2 has entries of size 1
+    even where the weights of different coordinates differ by orders of
+    magnitude. z is degenerate when the least singular value of S is at
+    most DEGENERATE_SV times the dimension, or when every weight of some
+    coordinate underflows next to the largest, so that a D_a is 0.
+    """
+    c, ew, g, h = w.scaled_at(z)
+    dd = _diagonal_bound(w, ew)
+    try:
+        residual = _norm(g) * math.exp(c)
+    except OverflowError:
+        residual = math.inf
     sv = _singular_values(h)
+    degenerate = min(dd) == 0
+    if not degenerate:
+        d = [1 / math.sqrt(x) for x in dd]
+        degenerate = _singular_values(
+            [[x * d[a] * d[b] for b, x in enumerate(row)]
+             for a, row in enumerate(h)])[-1] <= DEGENERATE_SV * w.dim
     return CriticalPoint(MirrorPoint(tuple(z)), residual,
-                         sv[0] / sv[-1] if sv[-1] > 0 else math.inf, False)
+                         sv[0] / sv[-1] if sv[-1] > 0 else math.inf,
+                         degenerate)
+
+
+def _point_key(cp: CriticalPoint) -> tuple:
+    """The sort_key of a critical point: Re Theta, then Im Theta."""
+    theta = cp.point.theta
+    return sort_key([t.real for t in theta] + [t.imag for t in theta],
+                    DEDUP_TOL)
 
 
 def _norm(x) -> float:
@@ -391,16 +430,25 @@ def _singular_values(h) -> list[float]:
 
     One-sided Jacobi (Hestenes 1958): each pair of columns is rotated
     until they are orthogonal to working precision, and the column norms
-    are then the singular values.
+    are then the singular values. Scaling by a power of two first keeps
+    tiny entries from underflowing; a column at the matrix's rounding
+    level is 0 and rotated no further, as subnormals lose the phase.
     """
     n = len(h)
-    cols = [[complex(h[i][j]) for i in range(n)] for j in range(n)]
+    big = max((abs(complex(e)) for row in h for e in row), default=0.0)
+    shift = -math.frexp(big)[1] if 0 < big < math.inf else 0
+    cols = [[complex(math.ldexp(h[i][j].real, shift),
+                     math.ldexp(h[i][j].imag, shift)) for i in range(n)]
+            for j in range(n)]
+    negligible = 1e-16 * _norm([e for col in cols for e in col])
     for _ in range(60):
         rotated = False
         for p in range(n - 1):
             for q in range(p + 1, n):
                 x, y = cols[p], cols[q]
                 nx, ny = _norm(x), _norm(y)
+                if min(nx, ny) <= negligible:
+                    continue
                 gamma = sum(a.conjugate() * b for a, b in zip(x, y))
                 off = abs(gamma)
                 if off <= 1e-15 * nx * ny:
@@ -418,61 +466,8 @@ def _singular_values(h) -> list[float]:
                 cols[q] = [s * a + c * b for a, b in zip(x, y)]
         if not rotated:
             break
-    return sorted((_norm(col) for col in cols), reverse=True)
-
-
-def _wrap(x: float) -> float:
-    """solve.wrap_angle of one angle."""
-    x %= TWO_PI
-    return 0.0 if x > TWO_PI - 1e-9 or x < 1e-9 else x
-
-
-def _near(lin_a, ang_a, lin_b, ang_b, tol: float) -> bool:
-    """Within tol in every coordinate, and every angle on the circle:
-    solve.dedup_mod_2pi's test of two rows."""
-    if any(abs(x - y) > tol for x, y in zip(lin_a, lin_b)):
-        return False
-    for x, y in zip(ang_a, ang_b):
-        d = abs(x - y) % TWO_PI
-        if not min(d, TWO_PI - d) <= tol:
-            return False
-    return True
-
-
-def _merge_mod_2pi(lin, ang, tol: float) -> list[int]:
-    """solve.dedup_mod_2pi on a few rows of finite floats, in plain
-    Python: the indices of the rows kept, best-ranked first."""
-    ang = [[_wrap(x) for x in row] for row in ang]
-    leaders, cells = [], set()
-    for i, row in enumerate(zip(lin, ang)):
-        cell = tuple(round(x / tol) for part in row for x in part)
-        if cell not in cells:
-            cells.add(cell)
-            leaders.append(i)
-    kept: list[int] = []
-    for i in leaders:
-        if not any(_near(lin[i], ang[i], lin[k], ang[k], tol) for k in kept):
-            kept.append(i)
-    return kept
-
-
-def _sort_key(x, tol: float) -> tuple[int, ...]:
-    """solve.sort_key in plain Python: the same order."""
-    return tuple(round(t / tol) for t in x)
-
-
-def dedup_mod_2pi(lin, ang, tol: float):
-    """solve.dedup_mod_2pi, imported on first use with numpy."""
-    from .solve import dedup_mod_2pi
-
-    return dedup_mod_2pi(lin, ang, tol)
-
-
-def wrap_angle(x):
-    """solve.wrap_angle, imported on first use with numpy."""
-    from .solve import wrap_angle
-
-    return wrap_angle(x)
+    return sorted((math.ldexp(_norm(col), -shift) for col in cols),
+                  reverse=True)
 
 
 def _newton_step(h: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -493,7 +488,12 @@ def _newton_step(h: np.ndarray, g: np.ndarray) -> np.ndarray:
 def _newton_search(w: Superpotential, p: Polytope, grid_re: int,
                    grid_im: int) -> list[CriticalPoint]:
     """One batched multistart Newton run from the starts of
-    critical_points."""
+    critical_points.
+
+    numpy runs the iteration alone. The accepted rows, ranked by their
+    gradient, go through the pass's finishing path: dedup_mod_2pi, then
+    _critical_point on each kept row, sorted by _point_key.
+    """
     import numpy as np
 
     n = w.dim
@@ -529,37 +529,16 @@ def _newton_search(w: Superpotential, p: Polytope, grid_re: int,
         if not alive.size:
             break
 
-    # rows ranked by |grad W| e^-c, their gradient relative to their
-    # largest weight; the Hessians and SVDs below reuse the same rows
-    top, ew, g, h = w.scaled(z)
-    resid = np.linalg.norm(g, axis=1)
-    order = np.argsort(resid, kind="stable")
+    # accepted rows ranked by |grad W| e^-c, their gradient relative to
+    # their largest weight
+    _, _, g, _ = w.scaled(z)
+    order = np.argsort(np.linalg.norm(g, axis=1), kind="stable")
     order = order[last[order] <= ACCEPT_STEP * size(z[order])]
-    re, im = z.real[order], wrap_angle(-z.imag[order])
-    keep = dedup_mod_2pi(re, im, DEDUP_TOL)
-    rows = order[keep]
-    h = h[rows]
-    sv = np.linalg.svd(h, compute_uv=False)
-    # D = diag(sum_j |w_j| v_ja^2) bounds the Hessian's diagonal, and
-    # D^-1/2 H D^-1/2 has entries of size 1 even where the weights of
-    # different coordinates differ by orders of magnitude; where every
-    # weight of a coordinate underflows next to the largest, D^-1/2 is 0
-    # on it, so the scaled Hessian is singular and the point degenerate
-    v = np.array(w.exponents, dtype=float)
-    dd = np.abs(ew[rows]) @ (v * v)
-    d = np.divide(1.0, np.sqrt(dd), out=np.zeros_like(dd), where=dd > 0)
-    sv_scaled = np.linalg.svd(h * d[:, :, None] * d[:, None, :],
-                              compute_uv=False)
-    found = [CriticalPoint(
-        MirrorPoint(tuple(re[i] - 1j * im[i])),
-        float(resid[r] * np.exp(top[r])),
-        float(s[0] / s[-1]) if s[-1] > 0 else math.inf,
-        bool(s_min <= DEGENERATE_SV * n))
-        for i, r, s, s_min in zip(keep, rows, sv, sv_scaled[:, -1])]
-    found.sort(key=lambda cp: _sort_key(
-        [t.real for t in cp.point.theta] + [t.imag for t in cp.point.theta],
-        DEDUP_TOL))
-    return found
+    re, im = z.real[order].tolist(), (-z.imag[order]).tolist()
+    found = [_critical_point(w, [r - 1j * wrap_angle(a)
+                                 for r, a in zip(re[i], im[i])])
+             for i in dedup_mod_2pi(re, im, DEDUP_TOL)]
+    return sorted(found, key=_point_key)
 
 
 # facets whose areas at A differ by at most LEVEL_TOL share a level; a
@@ -619,13 +598,13 @@ def holonomy_balanced(p: Polytope, cps, fan: Fan | None = None
         found.append((len(tests), BalancedSolution(
             point, nu, _level_partition(p, point, LEVEL_TOL), resid)))
         tests.append(LevelTest(a, nu.nu, part, None, resid, ""))
-    kept = _merge_mod_2pi([s.point.coords for _, s in found],
-                          [s.nu.nu for _, s in found], HOLONOMY_DEDUP_TOL)
+    kept = dedup_mod_2pi([s.point.coords for _, s in found],
+                         [s.nu.nu for _, s in found], HOLONOMY_DEDUP_TOL)
     for i in set(range(len(found))) - set(kept):
         t = found[i][0]
         tests[t] = tests[t]._replace(
             message="merged with another balanced critical point")
-    solutions = sorted((found[i] for i in kept), key=lambda ts: _sort_key(
+    solutions = sorted((found[i] for i in kept), key=lambda ts: sort_key(
         ts[1].point.coords + ts[1].nu.nu, HOLONOMY_DEDUP_TOL))
     for index, (t, _) in enumerate(solutions):
         tests[t] = tests[t]._replace(solution=index)

@@ -4,6 +4,13 @@ Scans a dense grid of interior fiber positions and holonomy vectors for
 small balanced residuals, then polishes the best grid cells with local
 least squares. Serves as an independent completeness check on the exact
 and Newton pipelines; the per-cell scan is the package's hot loop.
+
+`least_squares` is Levenberg-Marquardt with a forward-difference Jacobian
+and Marquardt's scaling by the running maximum of the squared Jacobian
+column norms, as in MINPACK's lmdif (More, "The Levenberg-Marquardt
+algorithm: implementation and theory", 1978). It runs every row of a start
+matrix at once and rejects non-finite trial points itself. The polished
+candidates are merged and sorted by the plain-Python rules of `solve`.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import numpy as np
 
 from .kernels import grid_min_residual, pruned_min_residual
 from .lattice import Polytope, PolytopeError
-from .solve import dedup_mod_2pi, least_squares, sort_key, wrap_angle
+from .solve import dedup_mod_2pi, sort_key, wrap_angle
 
 # probe values separating the area filtration levels: vanishing of the
 # residual at several generic t in (0,1) forces per-level vanishing
@@ -35,6 +42,81 @@ ACCEPT_TOL = 1e-8
 # fiber grid points times holonomy grid points the scan takes; dimension 2
 # and 3 at the default grids (200^2 x 60^2, 32^3 x 16^3) stay below it
 MAX_GRID_CELLS = 2 ** 28
+
+
+# least_squares stops a row after MAX_ITER steps
+MAX_ITER = 200
+# damping schedule: start at LAMBDA0, divide by 10 after an accepted step
+# and multiply by 10 after a rejected one, within [LAMBDA_MIN, LAMBDA_MAX]
+LAMBDA0 = 1e-3
+LAMBDA_MIN = 1e-12
+LAMBDA_MAX = 1e12
+# a row stops once its step is below XTOL relative to its position
+XTOL = 1e-15
+# forward-difference step: sqrt(machine eps) as in MINPACK, times
+# max(|x_j|, 1) so that coordinates near 0 still get a usable step
+DIFF_STEP = math.sqrt(np.finfo(float).eps)
+
+
+def _cost(r: np.ndarray) -> np.ndarray:
+    c = np.einsum("ij,ij->i", r, r)
+    c[~np.isfinite(c)] = np.inf
+    return c
+
+
+def _jacobian_t(fun, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Forward-difference J^T per row: (m, k, q)."""
+    m, k = x.shape
+    h = DIFF_STEP * np.maximum(np.abs(x), 1.0)
+    xs = x[:, None, :] + h[:, :, None] * np.eye(k)
+    rs = fun(xs.reshape(m * k, k)).reshape(m, k, -1)
+    return (rs - r[:, None, :]) / h[:, :, None]
+
+
+@np.errstate(all="ignore")
+def least_squares(fun, x0):
+    """Minimise ||fun(x)|| from every row of x0 at once.
+
+    fun maps an (m, k) array of points to the (m, q) array of their
+    residuals, row by row. Returns (x, norm): the final points and their
+    residual norms. A row whose start is not finite keeps it and ends with
+    norm inf.
+    """
+    x = np.array(x0, dtype=float)
+    r = fun(x)
+    cost = _cost(r)
+    lam = np.full(len(x), LAMBDA0)
+    scale = np.zeros(x.shape)
+    active = np.flatnonzero(np.isfinite(cost) & (cost > 0))
+    for _ in range(MAX_ITER):
+        if not active.size:
+            break
+        xa, ra = x[active], r[active]
+        jt = _jacobian_t(fun, xa, ra)
+        hess = jt @ jt.transpose(0, 2, 1)
+        finite = np.isfinite(hess).all(axis=(1, 2))
+        active, xa, ra, jt, hess = (active[finite], xa[finite], ra[finite],
+                                    jt[finite], hess[finite])
+        grad = (jt @ ra[..., None])[..., 0]
+        s = np.maximum(scale[active], np.diagonal(hess, axis1=1, axis2=2))
+        s[s == 0] = 1.0
+        scale[active] = s
+        la = lam[active]
+        damped = hess + (la[:, None] * s)[:, :, None] * np.eye(x.shape[1])
+        step = -np.linalg.solve(damped, grad[..., None])[..., 0]
+        xn = xa + step
+        rn = fun(xn)
+        cn = _cost(rn)
+        better = cn < cost[active]
+        acc = active[better]
+        x[acc], r[acc], cost[acc] = xn[better], rn[better], cn[better]
+        lam[active] = np.where(better, np.maximum(la / 10, LAMBDA_MIN),
+                               la * 10)
+        tiny = (np.linalg.norm(step, axis=1)
+                <= XTOL * (np.linalg.norm(xa, axis=1) + XTOL))
+        done = tiny | (cost[active] == 0) | (lam[active] > LAMBDA_MAX)
+        active = active[~done]
+    return x, np.sqrt(cost)
 
 
 class OracleCandidate(NamedTuple):
@@ -193,10 +275,11 @@ def balanced_oracle(p: Polytope, n_a: int | None = None,
                              np.array(starts).reshape(-1, 2 * p.dim))
     found = [row for row in np.flatnonzero(resid <= ACCEPT_TOL)
              if all(float(l) > 1e-9 for l in p.ell(x[row, :p.dim]))]
-    a_found, nu_found = x[found, :p.dim], wrap_angle(x[found, p.dim:])
+    a_found, nu_found = x[found, :p.dim], x[found, p.dim:]
     out = [OracleCandidate(tuple(float(c) for c in a_found[i]),
-                           tuple(float(c) for c in nu_found[i]),
+                           tuple(wrap_angle(float(c)) for c in nu_found[i]),
                            float(resid[found[i]]))
-           for i in dedup_mod_2pi(a_found, nu_found, DEDUP_TOL)]
+           for i in dedup_mod_2pi(a_found.tolist(), nu_found.tolist(),
+                                  DEDUP_TOL)]
     out.sort(key=lambda c: sort_key(c.point + c.nu, DEDUP_TOL))
     return out

@@ -1,138 +1,73 @@
-"""Numerics shared by the searches: batched least squares, the angle wrap,
-deduplication modulo 2 pi and the sort key of their results.
+"""The rules that finish every search, in plain Python: the angle wrap,
+deduplication modulo 2 pi and the sort key of the results.
 
-`least_squares` is Levenberg-Marquardt with a forward-difference Jacobian
-and Marquardt's scaling by the running maximum of the squared Jacobian
-column norms, as in MINPACK's lmdif (More, "The Levenberg-Marquardt
-algorithm: implementation and theory", 1978). It runs every row of a start
-matrix at once and rejects non-finite trial points itself.
+The Newton searches of `mirror` and the grid oracle all hand their
+converged points to `dedup_mod_2pi` and sort what it keeps by `sort_key`,
+so a point is "the same" and "first" under one rule everywhere.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 TWO_PI = 2 * math.pi
 
-MAX_ITER = 200
-# damping schedule: start at LAMBDA0, divide by 10 after an accepted step
-# and multiply by 10 after a rejected one, within [LAMBDA_MIN, LAMBDA_MAX]
-LAMBDA0 = 1e-3
-LAMBDA_MIN = 1e-12
-LAMBDA_MAX = 1e12
-# a row stops once its step is below XTOL relative to its position
-XTOL = 1e-15
-# forward-difference step: sqrt(machine eps) as in MINPACK, times
-# max(|x_j|, 1) so that coordinates near 0 still get a usable step
-DIFF_STEP = math.sqrt(np.finfo(float).eps)
+
+def wrap_angle(x: float) -> float:
+    """An angle in [0, 2 pi), with values within 1e-9 of the 0 / 2 pi
+    seam, on either side, snapped to 0."""
+    x %= TWO_PI
+    return 0.0 if x > TWO_PI - 1e-9 or x < 1e-9 else x
 
 
-def _cost(r: np.ndarray) -> np.ndarray:
-    c = np.einsum("ij,ij->i", r, r)
-    c[~np.isfinite(c)] = np.inf
-    return c
+def sort_key(x, tol: float) -> tuple:
+    """Coordinates rounded to the tol grid, so that a result's place in a
+    sorted list does not hang on the last bit of a coordinate. A quotient
+    x / tol that is not finite (inf, nan) stays as it is."""
+    return tuple(round(q) if math.isfinite(q) else q
+                 for q in [t / tol for t in x])
 
 
-def _jacobian_t(fun, x: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Forward-difference J^T per row: (m, k, q)."""
-    m, k = x.shape
-    h = DIFF_STEP * np.maximum(np.abs(x), 1.0)
-    xs = x[:, None, :] + h[:, :, None] * np.eye(k)
-    rs = fun(xs.reshape(m * k, k)).reshape(m, k, -1)
-    return (rs - r[:, None, :]) / h[:, :, None]
+def _near(lin_a, ang_a, lin_b, ang_b, tol: float) -> bool:
+    """Within tol in every coordinate, and every angle on the circle; a
+    non-finite coordinate is never within tol."""
+    for x, y in zip(lin_a, lin_b):
+        if not abs(x - y) <= tol:
+            return False
+    for x, y in zip(ang_a, ang_b):
+        d = abs(x - y) % TWO_PI
+        if not min(d, TWO_PI - d) <= tol:
+            return False
+    return True
 
 
-@np.errstate(all="ignore")
-def least_squares(fun, x0):
-    """Minimise ||fun(x)|| from every row of x0 at once.
-
-    fun maps an (m, k) array of points to the (m, q) array of their
-    residuals, row by row. Returns (x, norm): the final points and their
-    residual norms. A row whose start is not finite keeps it and ends with
-    norm inf.
-    """
-    x = np.array(x0, dtype=float)
-    r = fun(x)
-    cost = _cost(r)
-    lam = np.full(len(x), LAMBDA0)
-    scale = np.zeros(x.shape)
-    active = np.flatnonzero(np.isfinite(cost) & (cost > 0))
-    for _ in range(MAX_ITER):
-        if not active.size:
-            break
-        xa, ra = x[active], r[active]
-        jt = _jacobian_t(fun, xa, ra)
-        hess = jt @ jt.transpose(0, 2, 1)
-        finite = np.isfinite(hess).all(axis=(1, 2))
-        active, xa, ra, jt, hess = (active[finite], xa[finite], ra[finite],
-                                    jt[finite], hess[finite])
-        grad = (jt @ ra[..., None])[..., 0]
-        s = np.maximum(scale[active], np.diagonal(hess, axis1=1, axis2=2))
-        s[s == 0] = 1.0
-        scale[active] = s
-        la = lam[active]
-        damped = hess + (la[:, None] * s)[:, :, None] * np.eye(x.shape[1])
-        step = -np.linalg.solve(damped, grad[..., None])[..., 0]
-        xn = xa + step
-        rn = fun(xn)
-        cn = _cost(rn)
-        better = cn < cost[active]
-        acc = active[better]
-        x[acc], r[acc], cost[acc] = xn[better], rn[better], cn[better]
-        lam[active] = np.where(better, np.maximum(la / 10, LAMBDA_MIN),
-                               la * 10)
-        tiny = (np.linalg.norm(step, axis=1)
-                <= XTOL * (np.linalg.norm(xa, axis=1) + XTOL))
-        done = tiny | (cost[active] == 0) | (lam[active] > LAMBDA_MAX)
-        active = active[~done]
-    return x, np.sqrt(cost)
-
-
-def wrap_angle(x) -> np.ndarray:
-    """Angles in [0, 2 pi), with values within 1e-9 of the 0 / 2 pi seam,
-    on either side, snapped to 0."""
-    out = np.mod(np.asarray(x, dtype=float), TWO_PI)
-    out[(out > TWO_PI - 1e-9) | (out < 1e-9)] = 0.0
-    return out
-
-
-def dedup_mod_2pi(lin, ang, tol: float) -> np.ndarray:
+def dedup_mod_2pi(lin, ang, tol: float) -> list[int]:
     """Indices of the rows kept by deduplication, best-ranked first.
 
-    Rows are ranked by position. Two rows are duplicates when every
-    coordinate of lin (m, a) differs by at most tol and every angle of
-    ang (m, b) by at most tol on the circle; each cluster keeps its
-    best-ranked row. Rows are grouped by their coordinates rounded to the
-    tol grid, and each group leader, in rank order, is compared with the
-    array of leaders kept so far, which also merges clusters split by a
-    grid line or by the 0 / 2 pi seam. Memory stays linear in the number
-    of leaders.
+    Rows are ranked by position; lin holds at least one coordinate per
+    row. Two rows are duplicates when every coordinate of lin differs by
+    at most tol and every angle of ang by at most tol on the circle; each
+    cluster keeps its best-ranked row. Rows are grouped by the sort_key of
+    their coordinates, angles wrapped, and the first row of each group, in
+    rank order, is kept unless it is near a row kept before it, which also
+    merges clusters split by a grid line or by the 0 / 2 pi seam.
     """
-    lin = np.asarray(lin, dtype=float)
-    ang = wrap_angle(ang)
-    if not len(lin):
-        return np.empty(0, dtype=np.int64)
-    keys = np.round(np.hstack([lin, ang]) / tol)
-    _, first = np.unique(keys, axis=0, return_index=True)
-    lead = np.sort(first)
-    lin, ang = lin[lead], ang[lead]
-    kept: list[int] = []
-    # inf - inf is nan, which is never within tol
-    with np.errstate(invalid="ignore"):
-        for i in range(len(lead)):
-            # the kept leaders are moved to the front: rows :k
-            k = len(kept)
-            near = (np.abs(lin[:k] - lin[i]) <= tol).all(axis=1)
-            d = np.abs(ang[:k][near] - ang[i]) % TWO_PI
-            if not (np.minimum(d, TWO_PI - d) <= tol).all(axis=1).any():
-                lin[k], ang[k] = lin[i], ang[i]
-                kept.append(i)
-    return lead[kept]
-
-
-def sort_key(x, tol: float) -> tuple[float, ...]:
-    """Coordinates rounded to the tol grid, so that a result's place in a
-    sorted list does not hang on the last bit of a coordinate."""
-    return tuple(np.round(np.asarray(x, dtype=float) / tol).tolist())
+    ang = [[wrap_angle(x) for x in row] for row in ang]
+    cells, kept = set(), []
+    # the kept rows by floor(lin_0 / 4 tol): a row within tol of a kept
+    # row lies in its bin or a neighbouring one, so each row is compared
+    # with those alone; a non-finite quotient is its own bin
+    bins: dict[float, list[int]] = {}
+    for i, (a, b) in enumerate(zip(lin, ang)):
+        cell = sort_key([*a, *b], tol)
+        if cell in cells:
+            continue
+        cells.add(cell)
+        q = a[0] / (4 * tol)
+        if math.isfinite(q):
+            q = math.floor(q)
+        if not any(_near(a, b, lin[k], ang[k], tol)
+                   for d in (q - 1, q, q + 1) for k in bins.get(d, ())):
+            kept.append(i)
+            bins.setdefault(q, []).append(i)
+    return kept

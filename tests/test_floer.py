@@ -25,8 +25,8 @@ from toricfloer.lattice import (FanError, PolytopeError, normal_fan,
 from toricfloer.mirror import (balanced_fibers_with_holonomy,
                                build_superpotential, critical_points,
                                holonomy_balanced)
-from toricfloer.solve import (dedup_mod_2pi, least_squares, sort_key,
-                              wrap_angle)
+from toricfloer.oracle import least_squares
+from toricfloer.solve import dedup_mod_2pi, sort_key, wrap_angle
 
 from conftest import assert_record, corpus_polytope
 
@@ -327,7 +327,8 @@ def _reference_holonomy(p, covers, grid=6, residual_tol=1e-10,
         for row in np.flatnonzero(resid <= residual_tol):
             a_sol = tuple(float(v) for v in x[row, :n])
             if all(float(l) > 0 for l in p.ell(a_sol)):
-                found.append((a_sol, wrap_angle(x[row, n:])))
+                found.append((a_sol, [wrap_angle(c)
+                                      for c in x[row, n:].tolist()]))
     if not found:
         return []
     a_all, nu_all = zip(*found)

@@ -29,6 +29,14 @@ def test_bare_import_loads_no_numpy():
     assert got == ["False"]
 
 
+def test_finishing_rules_load_no_numpy():
+    # the dedup, the sort key and the CriticalPoint record are plain
+    # Python; only the batched search in mirror imports numpy, on use
+    got = run_python("import sys, toricfloer.solve, toricfloer.mirror; "
+                     "print('numpy' in sys.modules)")
+    assert got == ["False"]
+
+
 def test_exact_commands_load_no_numpy():
     path = str(resources.files("toricfloer") / "data" / "polytopes"
                / "p2.poly")

@@ -283,10 +283,12 @@ class TestCriticalPoints:
         re = np.repeat([float(mid)] + [float(x) + k / 39 * float(mid - x)
                                        for x in (lo - 1, hi + 1)
                                        for k in range(39)], 40)
-        im = mirror.wrap_angle(np.tile(np.arange(40) * (math.pi / 20), 79))
+        im = np.array([mirror.wrap_angle(x) for x in np.tile(
+            np.arange(40) * (math.pi / 20), 79)])
         order = np.argsort(np.arange(3160) % 3, kind="stable")
-        assert np.array_equal(seen[0][0][:, 0], re[order])
-        assert np.array_equal(seen[0][1][:, 0], im[order])
+        assert np.array_equal(np.array(seen[0][0])[:, 0], re[order])
+        assert np.array_equal([mirror.wrap_angle(x) for x, in seen[0][1]],
+                              im[order])
 
     def test_newton_step_regularises_only_singular_rows(self):
         # one rank-one Hessian in the batch makes the batched solve raise;

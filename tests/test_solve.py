@@ -6,9 +6,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricfloer import mirror
-from toricfloer.solve import (TWO_PI, dedup_mod_2pi, least_squares,
-                              sort_key, wrap_angle)
+from toricfloer.oracle import least_squares
+from toricfloer.solve import TWO_PI, dedup_mod_2pi, sort_key, wrap_angle
 
 
 def circ_dist(x, y):
@@ -17,11 +16,18 @@ def circ_dist(x, y):
     return np.minimum(d, TWO_PI - d)
 
 
+def _wrap_array(x):
+    """wrap_angle of every entry, in numpy."""
+    out = np.mod(np.asarray(x, dtype=float), TWO_PI)
+    out[(out > TWO_PI - 1e-9) | (out < 1e-9)] = 0.0
+    return out
+
+
 def _dedup_pairwise(lin, ang, tol):
     """The reference: every pair of rounding-group leaders compared at
     once in an L x L array, then the greedy pass in rank order."""
     lin = np.asarray(lin, dtype=float)
-    ang = wrap_angle(ang)
+    ang = _wrap_array(ang)
     if not len(lin):
         return np.empty(0, dtype=np.int64)
     keys = np.round(np.hstack([lin, ang]) / tol)
@@ -40,15 +46,17 @@ def _dedup_pairwise(lin, ang, tol):
 
 
 def test_wrap_angle_snaps_below_two_pi():
-    got = wrap_angle([-math.pi / 2, TWO_PI, TWO_PI - 1e-10, 7.0])
+    got = [wrap_angle(x) for x in (-math.pi / 2, TWO_PI, TWO_PI - 1e-10,
+                                   7.0)]
     assert np.allclose(got, [3 * math.pi / 2, 0.0, 0.0, 7.0 - TWO_PI])
     assert got[2] == 0.0
 
 
 def test_wrap_angle_snaps_above_zero():
     # both sides of the seam give the same representative
-    got = wrap_angle([2.5e-34, -2.5e-34, 1e-10, 2e-9])
-    assert got.tolist() == [0.0, 0.0, 0.0, 2e-9]
+    got = [wrap_angle(x) for x in (2.5e-34, -2.5e-34, 1e-10, 2e-9)]
+    assert got == [0.0, 0.0, 0.0, 2e-9]
+    assert got == _wrap_array([2.5e-34, -2.5e-34, 1e-10, 2e-9]).tolist()
 
 
 def test_circ_dist_across_seam():
@@ -61,21 +69,25 @@ def test_sort_key_ignores_last_bit():
     assert sort_key([1.0, 0.5], 1e-6) == sort_key([0.9999999999999999, 0.5],
                                                   1e-6)
     assert sort_key([1.0], 1e-6) < sort_key([1.0 + 2e-6], 1e-6)
+    # a quotient that is not finite stays as it is
+    assert sort_key([math.inf, -math.inf, 1e303], 1e-6) == (
+        math.inf, -math.inf, math.inf)
+    assert math.isnan(sort_key([math.nan], 1e-6)[0])
 
 
 class TestDedup:
     def test_merges_across_seam(self):
-        ang = np.array([[1e-10], [TWO_PI - 3e-9], [math.pi]])
-        lin = np.zeros((3, 1))
-        assert list(dedup_mod_2pi(lin, ang, 1e-8)) == [0, 2]
+        ang = [[1e-10], [TWO_PI - 3e-9], [math.pi]]
+        lin = [[0.0]] * 3
+        assert dedup_mod_2pi(lin, ang, 1e-8) == [0, 2]
 
     def test_merges_across_rounding_cell(self):
         tol = 1e-6
         # 0.49 tol and 0.51 tol round to different cells but are 0.02 tol
         # apart
-        lin = np.array([[0.51 * tol, 0.0], [0.49 * tol, 0.0], [1.0, 0.0]])
-        ang = np.zeros((3, 1))
-        assert list(dedup_mod_2pi(lin, ang, tol)) == [0, 2]
+        lin = [[0.51 * tol, 0.0], [0.49 * tol, 0.0], [1.0, 0.0]]
+        ang = [[0.0]] * 3
+        assert dedup_mod_2pi(lin, ang, tol) == [0, 2]
 
     def test_keeps_best_ranked_of_each_cluster(self):
         rng = np.random.default_rng(3)
@@ -83,35 +95,34 @@ class TestDedup:
         members = np.repeat(centres, 5, axis=0)
         members += rng.uniform(-1e-9, 1e-9, size=members.shape)
         order = rng.permutation(len(members))
-        lin, ang = members[order, :1], members[order, 1:]
+        lin, ang = members[order, :1].tolist(), members[order, 1:].tolist()
         kept = dedup_mod_2pi(lin, ang, 1e-6)
         assert len(kept) == 3
         # each kept row is the first (best-ranked) row of its cluster
         cluster = order // 5
         firsts = sorted(np.flatnonzero(cluster == c)[0] for c in range(3))
-        assert list(kept) == firsts
+        assert kept == firsts
 
     def test_separated_points_all_kept(self):
-        lin = np.arange(4.0)[:, None]
-        ang = np.arange(4.0)[:, None]
-        assert list(dedup_mod_2pi(lin, ang, 1e-4)) == [0, 1, 2, 3]
+        lin = [[float(i)] for i in range(4)]
+        ang = [[float(i)] for i in range(4)]
+        assert dedup_mod_2pi(lin, ang, 1e-4) == [0, 1, 2, 3]
 
     def test_empty(self):
-        empty = np.zeros((0, 2))
-        assert dedup_mod_2pi(empty, empty, 1e-6).size == 0
+        assert dedup_mod_2pi([], [], 1e-6) == []
 
     def test_memory_linear_in_leaders(self):
         # the pairwise comparison of 3000 leaders needed an array of
         # 3000 x 3000 x 3 floats, 216 MB
-        lin = np.arange(3000.0)[:, None] * np.ones((1, 2))
-        ang = np.full((3000, 1), 1.0)
+        lin = [[float(i)] * 2 for i in range(3000)]
+        ang = [[1.0]] * 3000
         tracemalloc.start()
         try:
             kept = dedup_mod_2pi(lin, ang, 1e-6)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert list(kept) == list(range(3000))
+        assert kept == list(range(3000))
         assert peak < 4 * 2 ** 20
 
 
@@ -131,19 +142,19 @@ class TestDedup:
                         [-edge + 0.6 * tol], [-edge - 0.3 * tol]])
         ang = np.zeros((len(lin), 1))
         ang[2] = TWO_PI - 0.5 * tol
-        kept = dedup_mod_2pi(lin, ang, tol)
+        kept = dedup_mod_2pi(lin.tolist(), ang.tolist(), tol)
         with np.errstate(invalid="ignore"):
-            assert kept.tolist() == _dedup_pairwise(lin, ang, tol).tolist()
-        assert kept.tolist() == [0, 4, 5, 7, 8, 10]
+            assert kept == _dedup_pairwise(lin, ang, tol).tolist()
+        assert kept == [0, 4, 5, 7, 8, 10]
         # distinct leaders sharing an infinite coordinate: inf - inf is nan,
         # and the comparison stays silent
-        lin = np.array([[np.inf, 0.0], [np.inf, 1.0], [np.nan, 0.0],
-                        [-np.inf, 0.0], [np.inf, 0.0]])
-        ang = np.zeros((len(lin), 1))
+        lin = [[math.inf, 0.0], [math.inf, 1.0], [math.nan, 0.0],
+               [-math.inf, 0.0], [math.inf, 0.0]]
+        ang = [[0.0]] * len(lin)
         kept = dedup_mod_2pi(lin, ang, tol)
         with np.errstate(invalid="ignore"):
-            assert kept.tolist() == _dedup_pairwise(lin, ang, tol).tolist()
-        assert kept.tolist() == [0, 1, 2, 3]
+            assert kept == _dedup_pairwise(lin, ang, tol).tolist()
+        assert kept == [0, 1, 2, 3]
 
     def test_kept_leaders_beside_a_cell(self):
         # leaders within tol of each other in neighbouring floor(lin / tol)
@@ -152,9 +163,9 @@ class TestDedup:
         offsets = np.array([(a, b) for a in (-0.9, 0.0, 0.9)
                             for b in (-0.9, 0.0, 0.9)]) * tol
         lin = np.vstack([[[3.02 * tol, -7.5 * tol]],
-                         [3.02 * tol, -7.5 * tol] + offsets])
-        ang = np.zeros((len(lin), 1))
-        assert dedup_mod_2pi(lin, ang, tol).tolist() == [0]
+                         [3.02 * tol, -7.5 * tol] + offsets]).tolist()
+        ang = [[0.0]] * len(lin)
+        assert dedup_mod_2pi(lin, ang, tol) == [0]
 
 
 _TOL = 1e-6
@@ -193,19 +204,21 @@ def _clustered_rows(draw):
 @given(_clustered_rows())
 def test_dedup_matches_pairwise_reference(rows):
     lin, ang = rows
-    assert (dedup_mod_2pi(lin, ang, _TOL).tolist()
+    assert (dedup_mod_2pi(lin, ang, _TOL)
             == _dedup_pairwise(lin, ang, _TOL).tolist())
 
 
 @settings(max_examples=300, deadline=None)
 @given(_clustered_rows())
 def test_plain_python_merge_matches_dedup(rows):
-    # holonomy mode merges its few balanced fibers without numpy
+    # every caller hands the merge plain lists, and holonomy mode merges
+    # its few balanced fibers without numpy
     lin, ang = rows
-    assert (mirror._merge_mod_2pi(lin.tolist(), ang.tolist(), _TOL)
-            == dedup_mod_2pi(lin, ang, _TOL).tolist())
+    assert (dedup_mod_2pi(lin.tolist(), ang.tolist(), _TOL)
+            == _dedup_pairwise(lin, ang, _TOL).tolist())
+    # the sort key is the rounding of the reference's groups
     for x in np.hstack([lin, ang]):
-        assert mirror._sort_key(x.tolist(), _TOL) == sort_key(x, _TOL)
+        assert sort_key(x.tolist(), _TOL) == tuple(np.round(x / _TOL))
 
 
 def _circle_fun(x):
