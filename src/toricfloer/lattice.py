@@ -1,7 +1,9 @@
 """Exact combinatorics of moment polytopes and their normal fans.
 
 All arithmetic in this module is exact: facet offsets are Fractions, fan
-data is integral, and no floating point enters any validity decision.
+data is integral, and no floating point enters any validity decision. A
+basis inverse keeps its integral entries as ints, so the dual basis of a
+unimodular cone is a matrix of machine integers.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import NamedTuple
 from . import _exact
 
 LatticeVector = tuple[int, ...]
-Matrix = tuple[tuple[Fraction, ...], ...]
+Matrix = tuple[tuple[int | Fraction, ...], ...]
 
 
 class PolytopeError(ValueError):
@@ -69,7 +71,8 @@ class Polytope(_Polytope):
                                            tuple[int, ...], Matrix], ...]:
         """Sorted vertices, each with its active facet indices and the
         inverse of its lexicographically least feasible basis (the active
-        set at a simple vertex); enumerated once per instance."""
+        set at a simple vertex), whose integral entries are ints;
+        enumerated once per instance."""
         return _enumerate_vertices(self)
 
     def vertices(self) -> list[tuple[Fraction, ...]]:
@@ -102,7 +105,8 @@ class _Fan(NamedTuple):
 
 class Fan(_Fan):
     """``duals`` maps each maximal cone's generator indices to the inverse
-    of its generator matrix, whose columns are the dual basis."""
+    of its generator matrix, whose columns are the dual basis; integral
+    entries are ints, the others Fractions."""
 
     # no __slots__: the instance dict holds the cached smooth and fano
     __setattr__ = __delattr__ = _immutable
@@ -125,14 +129,18 @@ class Fan(_Fan):
     @cached_property
     def fano(self) -> bool:
         """Strict convexity of the support function that is 1 on every
-        generator."""
+        generator. On a smooth fan the duals are int matrices, so this
+        runs on machine integers."""
+        # generators are sparse on products: keep each one's nonzero entries
+        sparse = [[(i, c) for i, c in enumerate(v) if c]
+                  for v in self.generators]
         for gens, inv in self.duals.items():
             # u with <v_j, u> = 1 on the cone's generators is B^-1 (1, ..., 1)
             u = [sum(row) for row in inv]
-            for k, v in enumerate(self.generators):
+            for k, v in enumerate(sparse):
                 if k in gens:
                     continue
-                if sum(ui * vi for ui, vi in zip(u, v)) >= 1:
+                if sum(u[i] * c for i, c in v) >= 1:
                     return False
         return True
 
@@ -350,7 +358,8 @@ def _active(ext, n: int) -> tuple[int, ...]:
 
 
 def _enumerate_vertices(p: Polytope):
-    # each vertex keeps the inverse of its lexicographically least basis
+    # each vertex keeps the inverse of its lexicographically least basis,
+    # with its integral entries narrowed to int
     n = p.dim
     found = {}
     for basis, m, ext in _feasible_bases(p):
@@ -360,7 +369,9 @@ def _enumerate_vertices(p: Polytope):
             order = sorted(range(n), key=basis.__getitem__)
             found[x] = (key, _active(ext, n),
                         tuple(tuple(row[c] for c in order) for row in m[:n]))
-    return tuple((x, act, inv) for x, (_, act, inv) in sorted(found.items()))
+    return tuple((x, act, tuple(tuple(a.numerator if a.denominator == 1
+                                      else a for a in row) for row in inv))
+                 for x, (_, act, inv) in sorted(found.items()))
 
 
 def normal_fan(p: Polytope) -> Fan:

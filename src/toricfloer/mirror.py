@@ -45,12 +45,21 @@ class Superpotential(NamedTuple):
         """
         import numpy as np
 
+        c, ew, grad = self.scaled_gradient(theta)
+        v = np.array(self.exponents, dtype=float)
+        return c, ew, grad, np.einsum("si,ia,ib->sab", ew, v, v)
+
+    def scaled_gradient(self, theta: np.ndarray) -> tuple[np.ndarray, ...]:
+        """`scaled` without the Hessian: c, and the weights and gradient
+        of W e^-c at each row of theta (k, n)."""
+        import numpy as np
+
         v = np.array(self.exponents, dtype=float)
         arg = (np.array([float(l) for l in self.offsets])
                - np.asarray(theta, dtype=complex) @ v.T)
         c = arg.real.max(axis=1)
         ew = np.exp(arg - c[:, None])
-        return c, ew, -ew @ v, np.einsum("si,ia,ib->sab", ew, v, v)
+        return c, ew, -ew @ v
 
     def scaled_at(self, theta) -> tuple:
         """`scaled` at one theta (n,) in plain Python: c, and the weights
@@ -531,7 +540,7 @@ def _newton_search(w: Superpotential, p: Polytope, grid_re: int,
 
     # accepted rows ranked by |grad W| e^-c, their gradient relative to
     # their largest weight
-    _, _, g, _ = w.scaled(z)
+    _, _, g = w.scaled_gradient(z)
     order = np.argsort(np.linalg.norm(g, axis=1), kind="stable")
     order = order[last[order] <= ACCEPT_STEP * size(z[order])]
     re, im = z.real[order].tolist(), (-z.imag[order]).tolist()

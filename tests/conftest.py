@@ -1,10 +1,15 @@
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from toricfloer.lattice import Polytope, parse_polytope
 
 CORPUS = ("p1", "p2", "p3", "p1xp1", "f1", "f2", "f3")
+
+# test-only inputs and their golden reports, kept out of the package data
+# (tests run critical on every shipped polytope)
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def corpus_text(name: str) -> str:

@@ -11,7 +11,7 @@ from toricfloer import _exact, lattice
 from toricfloer import report as rep
 from toricfloer.cli import main
 
-from conftest import CORPUS, corpus_text
+from conftest import CORPUS, DATA, corpus_text
 
 SCHEMA = json.loads(
     (resources.files("toricfloer") / "data" / "report.schema.json")
@@ -369,6 +369,17 @@ class TestGolden:
         assert code == 0
         suffix = "_hf" if coefficients == "novikov" else "_hf_exp"
         assert out == golden(name + suffix)
+
+    @pytest.mark.parametrize("args", (
+        ["analyze"], ["balanced"],
+        # the balanced fiber, where HF has rank 2^8
+        ["hf", "--fiber=53/12,29/12,-3/2,-1/2,29/6,-11/12,-2/3,13/3"]))
+    def test_dimension_8_golden(self, args, capsys):
+        # (P^2)^4 with rational offsets
+        code, out, _ = run_cli([args[0], str(DATA / "p2x4.poly"), *args[1:],
+                                "--json"], capsys)
+        assert code == 0
+        assert out == (DATA / f"p2x4_{args[0]}.json").read_text()
 
     @pytest.mark.parametrize("name", CORPUS)
     def test_holonomy_golden(self, name, capsys):

@@ -16,7 +16,8 @@ from toricfloer.lattice import (Cone, Fan, FanError, KernelLattice,
                                 normal_fan, parse_polytope,
                                 primitive_collections, serialize_polytope)
 
-from conftest import CORPUS, assert_record, corpus_polytope, corpus_text
+from conftest import (CORPUS, DATA, assert_record, corpus_polytope,
+                      corpus_text)
 
 P2 = "dim 2\nnormal 1 0 offset 0\nnormal 0 1 offset 0\nnormal -1 -1 offset -9\n"
 
@@ -175,7 +176,23 @@ class TestFlags:
     def test_non_smooth(self):
         p = parse_polytope("dim 2\nnormal 1 0 offset 0\n"
                            "normal 0 1 offset 0\nnormal -1 -2 offset -4\n")
-        assert not is_smooth(normal_fan(p))
+        f = normal_fan(p)
+        assert not is_smooth(f)
+        # integral entries are narrowed to int, the others stay Fractions
+        entries = [x for inv in f.duals.values() for row in inv for x in row]
+        assert any(type(x) is Fraction for x in entries)
+        for x in entries:
+            assert type(x) is (int if x.denominator == 1 else Fraction)
+
+    @pytest.mark.parametrize("name", CORPUS + ("p2x4",))
+    def test_smooth_duals_are_ints(self, name):
+        # the Fano test then runs on machine integers
+        p = (parse_polytope((DATA / "p2x4.poly").read_text())
+             if name == "p2x4" else corpus_polytope(name))
+        f = normal_fan(p)
+        assert is_smooth(f)
+        assert all(type(x) is int for inv in f.duals.values()
+                   for row in inv for x in row)
 
 
 class TestCombinatorics:

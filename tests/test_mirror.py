@@ -257,6 +257,35 @@ class TestCriticalPoints:
                 critical_points(w, p, grid_re=grid_re)
             assert steps == []
 
+    def test_no_hessians_after_the_loop(self, corpus, monkeypatch):
+        # the batched search builds the Hessians once per Newton iteration
+        # and ranks its rows with one gradient-only evaluation of all rows
+        calls = []
+        cls = mirror.Superpotential
+        scaled, scaled_gradient = cls.scaled, cls.scaled_gradient
+
+        def hessians(self, theta):
+            calls.append(("hessian", len(theta)))
+            return scaled(self, theta)
+
+        def gradients(self, theta):
+            calls.append(("gradient", len(theta)))
+            return scaled_gradient(self, theta)
+
+        monkeypatch.setattr(cls, "scaled", hessians)
+        monkeypatch.setattr(cls, "scaled_gradient", gradients)
+        monkeypatch.setattr(mirror, "_certified_pass", lambda *args: [])
+        p = corpus["p1xp1"]
+        assert len(critical_points(build_superpotential(p), p)) == 4
+        # 5 real starts against 4^2 imaginary ones
+        assert calls[-1] == ("gradient", 80)
+        loop = calls[:-1]
+        assert 0 < len(loop) <= 2 * mirror.MAX_ITER
+        assert [kind for kind, _ in loop] == ["hessian", "gradient"] * (
+            len(loop) // 2)
+        rows = [k for _, k in loop[::2]]
+        assert rows[0] == 80 and rows == sorted(rows, reverse=True)
+
     def test_equal_residuals_in_start_order(self, corpus, monkeypatch):
         # Newton steps of 0 and residuals 0, 1e-16, 2e-16, 0, ... by start
         # index: the dedup sees the starts by residual, equal residuals in
