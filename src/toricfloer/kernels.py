@@ -4,8 +4,8 @@
 {nu, -nu mod 2 pi}, the one of lower lattice index; the residual is even
 in nu, and the lowest-tied-index rule below then gives the full lattice's
 answer. ``pruned_min_residual`` runs the kernel only on the fiber rows
-that a one-probe lower bound cannot prove to lie outside the smallest
-``keep``.
+that a holonomy-free lower bound and one-probe lower bounds cannot prove
+to lie outside the smallest ``keep``.
 """
 
 from __future__ import annotations
@@ -84,6 +84,51 @@ def grid_min_residual(ell, p_re, p_im, v, t):
     return minres, argnu
 
 
+def _holonomy_free_bound(ell, v, t):
+    """Per fiber row, a lower bound on the r^2 minimum that
+    grid_min_residual computes for the row, without the holonomy table.
+
+    With w_j = t^{ell_j}, T_a = sum_j w_j |v_ja| and M_a = max_j w_j |v_ja|,
+    the reverse triangle inequality against the largest term gives
+    |sum_j w_j p_j v_ja| >= 2 M_a - T_a for every vector p of unit phases,
+    so sum_a max(0, 2 M_a - T_a)^2 is at most r^2(t, nu) for every nu, and
+    so at most the row minimum of max_t r^2, in exact arithmetic.
+
+    Rounding, with U = sum_j w_j ||v_j||, so that sum_a T_a^2 <= U^2 (the
+    triangle inequality on the vectors (w_j |v_ja|)_a): the phases are
+    unit to within 2 eps, which moves the inequality by 2 eps T_a; each
+    computed w_j |v_ja| lies within 6 eps of its exact value (a power
+    within 4 ulp and a product), so M_a within 6 eps T_a and the N-term
+    sum T_a within (N + 6) eps T_a; 2 M_a - T_a, its difference rounded,
+    is then within (N + 21) eps T_a, clamping at 0 moves it by no more,
+    its rounded square is within (2 N + 43) eps T_a^2, and the n-term sum
+    of squares within (2 N + n + 43) eps U^2. The kernel's computed r^2 at
+    t lies within (P + 10) eps S of its exact value (see
+    _probe_lower_bound), and S = sum_{j,l} |<v_j, v_l>| w_j w_l <= U^2.
+    The margin 8 (P + 16) eps U^2 is at least 2 (P + 3 N + 53) eps U^2,
+    since n < N <= P for the normals of a polytope: it covers both
+    computations and the rounding of U, of the margin and of the
+    subtraction, so the result, the largest over the probes, never
+    exceeds the row's computed r^2 minimum. O(N n) per row and probe;
+    runs in chunks of CHUNK_ENTRIES products w_j |v_ja|.
+    """
+    nfac, n = v.shape
+    vabs = np.abs(v)
+    norms = np.sqrt((v * v).sum(axis=1))
+    margin = 8 * (nfac * (nfac + 1) // 2 + 16) * EPS
+    out = np.empty(ell.shape[0])
+    chunk = max(1, CHUNK_ENTRIES // (t.shape[0] * nfac * n))
+    for lo in range(0, ell.shape[0], chunk):
+        hi = min(lo + chunk, ell.shape[0])
+        # rows on the last axis, so every reduction runs over whole rows
+        w = t[:, None, None] ** ell[lo:hi].T              # (K, N, c)
+        y = w[:, :, None] * vabs[:, :, None]              # (K, N, n, c)
+        b = np.maximum(2 * y.max(axis=1) - y.sum(axis=1), 0.0)
+        u = (w * norms[:, None]).sum(axis=1)              # (K, c)
+        out[lo:hi] = ((b * b).sum(axis=1) - margin * (u * u)).max(axis=0)
+    return out
+
+
 def _probe_lower_bound(ell, form, tk):
     """Per fiber row, a lower bound from the single probe tk on the r^2
     minimum that grid_min_residual computes for the row.
@@ -120,14 +165,17 @@ def pruned_min_residual(ell, p_re, p_im, v, t, keep, order):
     min_residual values; the rows proven to lie outside read min_residual
     +inf and argmin_nu -1.
 
-    Branch and bound over the probes t[order[0]], t[order[1]], ...: each
-    pass bounds the rows still alive with _probe_lower_bound, keeping the
-    running maximum of a row's bounds, drops the rows above the current
-    limit, runs the kernel on the keep alive rows of lowest bound (lowest
-    index among equal bounds), and sets tau to the keep-th smallest
-    min_residual evaluated so far. The limit is the square of the next
-    float above tau, times 1 + 4 eps for the rounding of that square: a
-    row whose bound exceeds it has a computed min_residual above tau, so
+    Branch and bound (Land and Doig, 1960). Every row starts from
+    _holonomy_free_bound. Then come passes over the probes t[order[0]],
+    t[order[1]], ...: each pass bounds rows with _probe_lower_bound,
+    keeping the running maximum of a row's bounds, drops the rows above
+    the current limit, runs the kernel on the keep alive rows of lowest
+    bound among those it bounded (lowest index among equal bounds), and
+    sets tau to the keep-th smallest min_residual evaluated so far. The
+    first pass bounds only the 2 keep rows of lowest holonomy-free bound;
+    later passes bound every alive row. The limit is the square of the
+    next float above tau, times 1 + 4 eps for the rounding of that square:
+    a row whose bound exceeds it has a computed min_residual above tau, so
     at least keep evaluated rows come before it in any order of
     min_residual, ties by index included. Rows that tie tau are never
     dropped. The kernel then runs on the rows that survive every pass.
@@ -145,9 +193,13 @@ def pruned_min_residual(ell, p_re, p_im, v, t, keep, order):
     if keep < 1:
         return minres, argnu
     form = _quadratic_form(p_re, p_im, v)
-    lower = np.full(ma, -np.inf)
+    lower = _holonomy_free_bound(ell, np.asarray(v, dtype=np.float64), t)
     alive = np.ones(ma, dtype=bool)
     chunk = _chunk_rows(t.shape[0], form[3].shape[1])
+
+    def lowest(rows, count):
+        # the count rows of lowest bound, ties by index, in index order
+        return np.sort(rows[np.argsort(lower[rows], kind="stable")[:count]])
 
     def evaluate(rows):
         # the rows' chunks by a mask: a first np.unique call adds 1.4 MB
@@ -162,23 +214,22 @@ def pruned_min_residual(ell, p_re, p_im, v, t, keep, order):
         alive[rows] = False
 
     limit = np.inf
+    rows = lowest(np.arange(ma), 2 * keep)
     for k in order:
-        rows = np.flatnonzero(alive)
-        # the first pass bounds every row: no copy of ell
-        sub = ell if len(rows) == ma else ell[rows]
         lower[rows] = np.maximum(lower[rows],
-                                 _probe_lower_bound(sub, form, t[k]))
+                                 _probe_lower_bound(ell[rows], form, t[k]))
         alive &= lower <= limit
-        rows = np.flatnonzero(alive)
+        rows = rows[alive[rows]]
         if len(rows) == 0:
             break
-        evaluate(rows[np.argsort(lower[rows], kind="stable")[:keep]])
+        evaluate(lowest(rows, keep))
         done = minres[np.isfinite(minres)]
         if len(done) >= keep:
             tau = np.partition(done, keep - 1)[keep - 1]
             above = np.nextafter(tau, np.inf)
             limit = above * above * (1 + 4 * EPS)
             alive &= lower <= limit
+        rows = np.flatnonzero(alive)
     if alive.any():
         evaluate(np.flatnonzero(alive))
     return minres, argnu

@@ -29,16 +29,18 @@ from .solve import dedup_mod_2pi, sort_key, wrap_angle
 # residual at several generic t in (0,1) forces per-level vanishing
 PROBE_T = (0.31830988618379067, 0.5641895835477563, 0.7853981633974483)
 # indices into PROBE_T in the order a pruned grid_scan bounds the rows by
-# single probes, 0.318, 0.785, 0.564: at the criterion-9 grids it lets
-# 10 718 of the 53 089 corpus rows reach the kernel (9 928 to 12 048 for
+# single probes, 0.564, 0.785, 0.318: at the criterion-9 grids it lets
+# 9 152 of the 53 089 corpus rows reach the kernel (9 944 to 11 834 for
 # the other five orders) and had the lowest median scan time of the six
-BOUND_ORDER = (0, 2, 1)
+BOUND_ORDER = (1, 2, 0)
 # candidates closer than this in every coordinate are one candidate
 DEDUP_TOL = 1e-4
 # balanced_oracle polishes at most this many seeds
 POLISH_TOP = 40
 # a polished point whose residual is at most this is a candidate
 ACCEPT_TOL = 1e-8
+# grid points and candidates lie more than this inside every facet
+INTERIOR_TOL = 1e-9
 # fiber grid points times holonomy grid points the scan takes; dimension 2
 # and 3 at the default grids (200^2 x 60^2, 32^3 x 16^3) stay below it
 MAX_GRID_CELLS = 2 ** 28
@@ -64,11 +66,13 @@ def _cost(r: np.ndarray) -> np.ndarray:
     return c
 
 
-def _jacobian_t(fun, x: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Forward-difference J^T per row: (m, k, q)."""
+def _jacobian_t(fun, x: np.ndarray, r: np.ndarray,
+                eye: np.ndarray) -> np.ndarray:
+    """Forward-difference J^T per row: (m, k, q); eye is the k x k
+    identity."""
     m, k = x.shape
     h = DIFF_STEP * np.maximum(np.abs(x), 1.0)
-    xs = x[:, None, :] + h[:, :, None] * np.eye(k)
+    xs = x[:, None, :] + h[:, :, None] * eye
     rs = fun(xs.reshape(m * k, k)).reshape(m, k, -1)
     return (rs - r[:, None, :]) / h[:, :, None]
 
@@ -87,22 +91,24 @@ def least_squares(fun, x0):
     cost = _cost(r)
     lam = np.full(len(x), LAMBDA0)
     scale = np.zeros(x.shape)
+    eye = np.eye(x.shape[1])
     active = np.flatnonzero(np.isfinite(cost) & (cost > 0))
     for _ in range(MAX_ITER):
         if not active.size:
             break
         xa, ra = x[active], r[active]
-        jt = _jacobian_t(fun, xa, ra)
+        jt = _jacobian_t(fun, xa, ra, eye)
         hess = jt @ jt.transpose(0, 2, 1)
         finite = np.isfinite(hess).all(axis=(1, 2))
-        active, xa, ra, jt, hess = (active[finite], xa[finite], ra[finite],
-                                    jt[finite], hess[finite])
+        if not finite.all():
+            active, xa, ra, jt, hess = (active[finite], xa[finite],
+                                        ra[finite], jt[finite], hess[finite])
         grad = (jt @ ra[..., None])[..., 0]
         s = np.maximum(scale[active], np.diagonal(hess, axis1=1, axis2=2))
         s[s == 0] = 1.0
         scale[active] = s
         la = lam[active]
-        damped = hess + (la[:, None] * s)[:, :, None] * np.eye(x.shape[1])
+        damped = hess + (la[:, None] * s)[:, :, None] * eye
         step = -np.linalg.solve(damped, grad[..., None])[..., 0]
         xn = xa + step
         rn = fun(xn)
@@ -112,8 +118,9 @@ def least_squares(fun, x0):
         x[acc], r[acc], cost[acc] = xn[better], rn[better], cn[better]
         lam[active] = np.where(better, np.maximum(la / 10, LAMBDA_MIN),
                                la * 10)
-        tiny = (np.linalg.norm(step, axis=1)
-                <= XTOL * (np.linalg.norm(xa, axis=1) + XTOL))
+        both = np.stack((step, xa))
+        norm_step, norm_x = np.sqrt((both * both).sum(axis=2))
+        tiny = norm_step <= XTOL * (norm_x + XTOL)
         done = tiny | (cost[active] == 0) | (lam[active] > LAMBDA_MAX)
         active = active[~done]
     return x, np.sqrt(cost)
@@ -125,22 +132,27 @@ class OracleCandidate(NamedTuple):
     residual: float
 
 
+def _facets(p: Polytope):
+    """The normals and offsets of p as float arrays (N, n) and (N,)."""
+    return (np.array(p.normals, dtype=float),
+            np.array([float(l) for l in p.offsets]))
+
+
 def _residual_fun(p: Polytope):
     """Row-wise balanced residuals at every probe t, one point (A, nu) per
     row."""
-    v = np.array(p.normals, dtype=float)
-    lam = np.array([float(l) for l in p.offsets])
+    v, lam = _facets(p)
     n = p.dim
+    probes = np.array(PROBE_T)[:, None, None]
 
     def fun(x):
         a, nu = x[:, :n], x[:, n:]
         ell = a @ v.T - lam
         phase = np.exp(1j * (nu @ v.T))
-        out = []
-        for t in PROBE_T:
-            s = (t ** ell * phase) @ v
-            out.extend((s.real, s.imag))
-        return np.hstack(out)
+        s = (probes ** ell * phase) @ v                 # (K, m, n)
+        # columns Re, Im of the first probe, then of the next
+        return np.concatenate((s.real, s.imag), axis=2).transpose(
+            1, 0, 2).reshape(len(x), -1)
 
     return fun
 
@@ -200,21 +212,23 @@ def grid_scan(p: Polytope, n_a: int | None = None, n_nu: int | None = None,
 
     keep=None evaluates every row. With a number, only the rows that can
     lie among the keep smallest min_residuals are evaluated
-    (kernels.pruned_min_residual, probes in BOUND_ORDER): a single probe's
-    r^2 minimum over the holonomies is at most the row's minimum of the
-    maximum over all probes, and less a margin of 16 P eps sum_p |a_p|
-    (four times the kernel's tie tolerance, for the rounding of both
-    computations) it is a lower bound on the row's computed r^2 minimum.
+    (kernels.pruned_min_residual, probes in BOUND_ORDER): every row starts
+    from a bound that ignores the holonomy, at O(N n) per row and probe,
+    and single-probe passes sharpen it. A single probe's r^2 minimum over
+    the holonomies is at most the row's minimum of the maximum over all
+    probes, and less a margin of 16 P eps sum_p |a_p| (four times the
+    kernel's tie tolerance, for the rounding of both computations) it is
+    a lower bound on the row's computed r^2 minimum; the first such pass
+    bounds only the 2 keep rows of lowest holonomy-free bound.
     A row whose bound lies above the keep-th smallest evaluated value is
     dropped and reads min_residual +inf and nu NaN. Every evaluated row,
     and so every row among the keep smallest of the full scan in order of
     min_residual with ties by index, equals the full scan's.
     """
-    v = np.array(p.normals, dtype=float)
-    lam = np.array([float(l) for l in p.offsets])
+    v, lam = _facets(p)
     a_grid, nu_grid = _grids(p, n_a, n_nu)
     ell = a_grid @ v.T - lam
-    interior = (ell > 1e-9).all(axis=1)
+    interior = (ell > INTERIOR_TOL).all(axis=1)
     a_grid, ell = a_grid[interior], ell[interior]
     phase = np.exp(1j * (nu_grid @ v.T))
     t = np.array(PROBE_T)
@@ -235,16 +249,14 @@ def _seeds(a_grid, nu_best, minres, polish_top: int):
     in every coordinate of a seed taken before it; at most polish_top
     seeds, as (point, nu) tuples."""
     cells = np.argsort(minres, kind="stable")[:10 * polish_top]
-    kept = np.empty((len(cells), a_grid.shape[1]))
+    points = a_grid[cells]
+    free = np.ones(len(cells), dtype=bool)
     seeds = []
-    for s in cells:
-        a = a_grid[s]
-        if (np.abs(kept[:len(seeds)] - a).max(axis=1) < 0.5).any():
-            continue
-        kept[len(seeds)] = a
-        seeds.append((tuple(a), tuple(nu_best[s])))
-        if len(seeds) >= polish_top:
-            break
+    while len(seeds) < polish_top and free.any():
+        i = free.argmax()
+        a = points[i]
+        seeds.append((tuple(a), tuple(nu_best[cells[i]])))
+        free &= np.abs(points - a).max(axis=1) >= 0.5
     return seeds
 
 
@@ -256,7 +268,8 @@ def balanced_oracle(p: Polytope, n_a: int | None = None,
     the scan runs with keep = 10 * POLISH_TOP: the rows it proves to lie
     outside that many read +inf and are never seeds, and the seeds are
     those of the full scan. A polished point is a candidate when its
-    residual is at most ACCEPT_TOL.
+    residual is at most ACCEPT_TOL and each of its facet distances,
+    computed in floats, exceeds INTERIOR_TOL.
     """
     seeds = _seeds(*grid_scan(p, n_a, n_nu, keep=10 * POLISH_TOP),
                    POLISH_TOP)
@@ -273,8 +286,9 @@ def balanced_oracle(p: Polytope, n_a: int | None = None,
                    for shift in shifts]
     x, resid = least_squares(_residual_fun(p),
                              np.array(starts).reshape(-1, 2 * p.dim))
-    found = [row for row in np.flatnonzero(resid <= ACCEPT_TOL)
-             if all(float(l) > 1e-9 for l in p.ell(x[row, :p.dim]))]
+    v, lam = _facets(p)
+    interior = (x[:, :p.dim] @ v.T - lam > INTERIOR_TOL).all(axis=1)
+    found = np.flatnonzero((resid <= ACCEPT_TOL) & interior)
     a_found, nu_found = x[found, :p.dim], x[found, p.dim:]
     out = [OracleCandidate(tuple(float(c) for c in a_found[i]),
                            tuple(wrap_angle(float(c)) for c in nu_found[i]),

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 from fractions import Fraction
@@ -12,7 +13,7 @@ from toricfloer.lattice import Polytope, PolytopeError, parse_polytope
 from toricfloer.oracle import (MAX_GRID_CELLS, PROBE_T, OracleCandidate,
                                balanced_oracle, grid_scan)
 
-from conftest import assert_record, corpus_polytope
+from conftest import DATA, assert_record, corpus_polytope
 
 
 def _reference(ell, p_re, p_im, v, t):
@@ -301,6 +302,84 @@ def test_grids_keep_one_cell_per_conjugate_pair(name, n_nu, cells):
         assert (i in kept_index) or (j in kept_index and j < i)
 
 
+def _assert_bound_below_kernel(ell, p_re, p_im, v):
+    """The holonomy-free bound of every row is at most the kernel's
+    computed r^2 minimum, and at most the long-double minimum less the
+    kernel's own rounding (P + 10) eps S, with S at the smallest probe."""
+    t = np.array(PROBE_T)
+    bound = kernels._holonomy_free_bound(ell, v, t)
+    minres, _ = kernels.grid_min_residual(ell, p_re, p_im, v, t)
+    assert np.all(bound <= minres ** 2)
+    r2, _ = _longdouble_r2(ell, p_re, p_im, v, t)
+    one = np.ones((1, v.shape[0]))
+    # S grows with t on rows of positive facet distances
+    scale = _longdouble_r2(ell, one, 0 * one, v, t[:1])[1]
+    npair = v.shape[0] * (v.shape[0] + 1) // 2
+    assert np.all(bound <= r2.min(axis=1)
+                  - (npair + 10) * kernels.EPS * scale)
+
+
+def _rows_near_facets(p, n_a):
+    """Facet distances of p's interior fiber grid points, and of the same
+    points moved to 1e-9, 1e-6 and 1e-3 from each facet."""
+    v, lam = oracle._facets(p)
+    a_grid, _ = oracle._grids(p, n_a, 1)
+    ell = a_grid @ v.T - lam
+    rows = [ell[(ell > 1e-9).all(axis=1)]]
+    for vj, lj in zip(v, ell.T):
+        for d in (1e-9, 1e-6, 1e-3):
+            moved = a_grid - ((lj - d) / (vj @ vj))[:, None] * vj
+            e = moved @ v.T - lam
+            rows.append(e[(e > 0).all(axis=1)])
+    return np.vstack(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_box_polytope(), st.sampled_from([1, kernels.CHUNK_ENTRIES]))
+def test_holonomy_free_bound_below_kernel(problem, chunk_entries):
+    p, n_a, n_nu = problem
+    v, _ = oracle._facets(p)
+    phase = np.exp(1j * (oracle._holonomy_grid(p.dim, n_nu) @ v.T))
+    saved = kernels.CHUNK_ENTRIES
+    kernels.CHUNK_ENTRIES = chunk_entries
+    try:
+        _assert_bound_below_kernel(_rows_near_facets(p, n_a), phase.real,
+                                   phase.imag, v)
+    finally:
+        kernels.CHUNK_ENTRIES = saved
+
+
+@pytest.mark.parametrize("chunk_entries", [1, kernels.CHUNK_ENTRIES])
+def test_holonomy_free_bound_below_balanced_rows(chunk_entries,
+                                                 monkeypatch):
+    # the rows of test_balanced_rows_clamp_rounding, where the computed
+    # r^2 rounds below 0: the bound must lie below it, not below 0 only
+    monkeypatch.setattr(kernels, "CHUNK_ENTRIES", chunk_entries)
+    v = np.array(corpus_polytope("p3").normals, dtype=float)
+    ell = np.repeat(np.linspace(0.05, 3.0, 400)[:, None], 4, axis=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_bound_below_kernel(ell, np.ones((1, 4)), np.zeros((1, 4)),
+                                   v)
+
+
+def test_first_probe_pass_bounds_2_keep_rows(monkeypatch):
+    # the holonomy-free bound chooses the rows of the first probe pass, so
+    # far fewer rows than the grid's meet a probe
+    sizes = []
+    probe = kernels._probe_lower_bound
+
+    def record(ell, form, tk):
+        sizes.append(len(ell))
+        return probe(ell, form, tk)
+
+    monkeypatch.setattr(kernels, "_probe_lower_bound", record)
+    _, _, res = grid_scan(corpus_polytope("p2"), n_a=120, n_nu=48,
+                          keep=400)
+    assert sizes[0] == 800
+    assert sum(sizes) < len(res) / 2
+
+
 def _seeds_by_pairs(a_grid, nu_best, minres, polish_top):
     """The seed loop that compared each cell with every kept seed in turn,
     kept as the reference for oracle._seeds."""
@@ -429,3 +508,33 @@ def test_pruned_oracle_equals_full_scan_on_corpus(name, monkeypatch):
     monkeypatch.setattr(oracle, "grid_scan",
                         lambda p, n_a, n_nu, keep: scan(p, n_a, n_nu))
     assert cands == balanced_oracle(p, **grids)
+
+
+def test_oracle_candidates_match_recorded_corpus():
+    # balanced_oracle at the criterion-9 grids, recorded from an earlier
+    # implementation; within 1e-12, not by bits, as BLAS rounds
+    # differently on other machines
+    want = json.loads((DATA / "oracle_corpus.json").read_text())
+    for name, rows in want.items():
+        p = corpus_polytope(name)
+        grids = {"n_a": 120, "n_nu": 48} if p.dim <= 2 else {}
+        got = balanced_oracle(p, **grids)
+        assert len(got) == len(rows), name
+        for cand, row in zip(got, rows):
+            assert np.abs(np.subtract(cand.point, row["point"])).max() <= 1e-12
+            assert all(abs(math.remainder(x - y, 2 * math.pi)) <= 1e-12
+                       for x, y in zip(cand.nu, row["nu"]))
+
+
+def test_acceptance_keeps_interior_points_only(monkeypatch):
+    # P^2 is x >= 0, y >= 0, x + y <= 9, and every polished row reads
+    # residual 0: a point outside and points within 1e-9 of a facet are
+    # no candidates
+    rows = np.array([[-1.0, 3.0, 0.0, 0.0],
+                     [5e-10, 3.0, 0.0, 0.0],
+                     [3.0, 6.0 - 5e-10, 0.0, 0.0],
+                     [3.0, 3.0, 0.5, 0.0]])
+    monkeypatch.setattr(oracle, "least_squares",
+                        lambda fun, x0: (rows, np.zeros(len(rows))))
+    cands = balanced_oracle(corpus_polytope("p2"), n_a=20, n_nu=8)
+    assert cands == [OracleCandidate((3.0, 3.0), (0.5, 0.0), 0.0)]

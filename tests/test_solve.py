@@ -256,3 +256,25 @@ def test_solver_drops_diverging_rows_silently():
     assert np.isfinite(x[[0, 3]]).all()
     assert norm[0] < 1e-12
     assert math.isclose(x[0, 0], math.log(2) / 10)
+
+
+def test_solver_rows_are_independent():
+    # a NaN start, a start whose residual overflows and one whose Jacobian
+    # overflows (J^2 = 100 e^709, where r^2 = e^709 is finite) leave every
+    # other row's x and norm bit-identical: with them the finite-row filter
+    # runs, without them every row stays finite
+    def fun(x):
+        return np.exp(10 * x) - 2.0
+
+    x0 = np.array([[0.3], [-5.0], [0.05], [1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, norm = least_squares(fun, x0)
+        mixed = np.array([[0.3], [800.0], [-5.0], [np.nan], [0.05], [35.45],
+                          [1.0]])
+        x_mixed, norm_mixed = least_squares(fun, mixed)
+    rows = [0, 2, 4, 6]
+    assert np.array_equal(x_mixed[rows], x)
+    assert np.array_equal(norm_mixed[rows], norm)
+    assert np.isinf(norm_mixed[[1, 3]]).all()
+    assert x_mixed[5, 0] == 35.45 and np.isfinite(norm_mixed[5])
