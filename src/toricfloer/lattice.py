@@ -253,12 +253,18 @@ def _feasible_basis(p: Polytope):
     """A feasible basis of P as (facets by column, m, ext) in the layout of
     ``_step``, or None when P is empty or its normals do not span.
 
-    The first n independent facets B are pivoted in from the coordinate
-    frame. If x0 = B^-1 lambda_B violates a facet, phase 1 starts from the
-    vertex (x0, s0) of {<v_i, x> >= lambda_i for i in B, <v_j, x> + s >=
-    lambda_j otherwise, s >= 0}, where s0 is the largest violation and the
-    most violated facet replaces s >= 0 in the basis, and minimises s by
-    Bland's rule. P is empty exactly when the minimum is positive.
+    The first n independent facets are pivoted in from the coordinate
+    frame. Then, while some facet is violated, the violated facet r of
+    least index replaces the basis facet of least index whose column has a
+    positive entry in row r; the point moves along that column until r is
+    tight. This is the dual simplex with a zero objective, that is, the
+    primal simplex on max <lambda, y> over y >= 0 with sum y_j v_j = 0,
+    with both choices by least index: Bland's rule ("New finite pivoting
+    rules for the simplex method", 1977), which never cycles, so the loop
+    ends. Both choices must stay least-index; Bland's proof does not cover
+    a most-violated-first choice. If row r has no positive entry, every
+    point with the basis facets >= 0 is x + sum t_c d_c with t >= 0, where
+    l_r <= l_r(x) < 0, so P is empty.
     """
     n, nf = p.dim, p.num_facets
     m = _exact.frac_matrix([[int(i == k) for k in range(n)] for i in range(n)]
@@ -273,41 +279,16 @@ def _feasible_basis(p: Polytope):
             basis[c] = j
     if None in basis:
         return None
-    worst = min(range(nf), key=lambda j: ext[n + j])
-    if ext[n + worst] >= 0:
-        return basis, m, ext
-    # constraint nf is s >= 0; it holds the column of s at (x0, 0)
-    zero, one = Fraction(0), Fraction(1)
-    s_row = [zero] * n + [one]
-    m = ([row + [zero] for row in m[:n]] + [s_row]
-         + [row + [zero if j in basis else one]
-            for j, row in enumerate(m[n:])] + [s_row])
-    ext = ext[:n] + [zero] + ext[n:] + [zero]
-    basis.append(nf)
-    d = n + 1
-    m, ext = _step(m, ext, d + worst, n)
-    basis[n] = worst
     while True:
-        improving = [c for c in range(d) if m[n][c] < 0]
-        if not improving:
-            break
-        c = min(improving, key=basis.__getitem__)
-        # s >= 0 always blocks; the first smallest ratio is Bland's choice
-        _, r = min((ext[d + k] / -m[d + k][c], k)
-                   for k in range(nf + 1) if m[d + k][c] < 0)
-        m, ext = _step(m, ext, d + r, c)
+        r = next((j for j in range(nf) if ext[n + j] < 0), None)
+        if r is None:
+            return basis, m, ext
+        cols = [c for c in range(n) if m[n + r][c] > 0]
+        if not cols:
+            return None
+        c = min(cols, key=basis.__getitem__)
+        m, ext = _step(m, ext, n + r, c)
         basis[c] = r
-    if ext[n] > 0:
-        return None
-    if nf not in basis:
-        c = next(c for c in range(d) if m[d + nf][c] != 0)
-        m, ext = _step(m, ext, d + nf, c)
-        basis[c] = nf
-    # with s >= 0 in the basis, the x block of the inverse is V_F^-1 for
-    # the other n facets F, and s = 0 leaves their slacks unchanged
-    keep = [c for c in range(d) if basis[c] != nf]
-    m = [[row[c] for c in keep] for row in m[:n] + m[d:d + nf]]
-    return [basis[c] for c in keep], m, ext[:n] + ext[d:d + nf]
 
 
 def _feasible_bases(p: Polytope):

@@ -321,6 +321,12 @@ class TestJson:
 HF_FIBERS = {"p1": "1", "p2": "3,3", "p3": "1,1,1", "p1xp1": "1,1",
              "f1": "0,0", "f2": "3/2,1", "f3": "2,1"}
 
+# the inputs in tests/data and their hf fibers: (P^2)^4 with rational
+# offsets at its balanced fiber, where HF has rank 2^8; Bl_1P^2 x P^2 x P^2,
+# whose coordinate frame violates x + y >= 5/2, at a rational interior fiber
+DATA_FIBERS = {"p2x4": "53/12,29/12,-3/2,-1/2,29/6,-11/12,-2/3,13/3",
+               "bl1p2xp2xp2": "5/4,17/4,7/3,-1/3,4/5,59/15"}
+
 
 def golden(name: str) -> str:
     return (resources.files("toricfloer") / "data" / "golden"
@@ -370,16 +376,15 @@ class TestGolden:
         suffix = "_hf" if coefficients == "novikov" else "_hf_exp"
         assert out == golden(name + suffix)
 
-    @pytest.mark.parametrize("args", (
-        ["analyze"], ["balanced"],
-        # the balanced fiber, where HF has rank 2^8
-        ["hf", "--fiber=53/12,29/12,-3/2,-1/2,29/6,-11/12,-2/3,13/3"]))
-    def test_dimension_8_golden(self, args, capsys):
-        # (P^2)^4 with rational offsets
-        code, out, _ = run_cli([args[0], str(DATA / "p2x4.poly"), *args[1:],
+    @pytest.mark.parametrize("command", ("analyze", "balanced", "hf"))
+    @pytest.mark.parametrize("name", DATA_FIBERS)
+    def test_dimension_8_golden(self, name, command, capsys):
+        # the exact layer in dimensions 8 and 6
+        fiber = ["--fiber=" + DATA_FIBERS[name]] if command == "hf" else []
+        code, out, _ = run_cli([command, str(DATA / f"{name}.poly"), *fiber,
                                 "--json"], capsys)
         assert code == 0
-        assert out == (DATA / f"p2x4_{args[0]}.json").read_text()
+        assert out == (DATA / f"{name}_{command}.json").read_text()
 
     @pytest.mark.parametrize("name", CORPUS)
     def test_holonomy_golden(self, name, capsys):

@@ -4,7 +4,8 @@ from itertools import combinations, permutations
 from math import gcd
 
 import pytest
-from hypothesis import HealthCheck, assume, example, given, reject, settings
+from hypothesis import (HealthCheck, assume, event, example, given, reject,
+                        settings)
 from hypothesis import strategies as st
 
 from toricfloer import _exact, lattice
@@ -515,11 +516,79 @@ _OCTAHEDRON = (3, [(a, b, c) for a in (1, -1) for b in (1, -1)
 @example((2, [(1, 0), (0, 1), (1, 1)], [0, 0, 1]))
 # empty: x >= 0, y >= 0, x + y <= -1
 @example((2, [(1, 0), (0, 1), (-1, -1)], [0, 0, 1]))
+# the segment x >= 0, y >= 0, x + y = 1: nonempty, lower-dimensional, and
+# the frame (0, 0) is infeasible
+@example((2, [(1, 0), (0, 1), (-1, -1), (1, 1)], [0, 0, -1, 1]))
+# x + y >= 2, x + 2y >= 3 and 2x + y >= 3 meet at (1, 1), and the frame
+# (0, 0) is infeasible
+@example((2, [(1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (-1, -1)],
+          [0, 0, 2, 3, 3, -4]))
 def test_walk_matches_basis_pass(data):
     dim, normals, offsets = data
     p = Polytope(dim, tuple(zip(normals, map(Fraction, offsets))))
     assert (_outcome(lattice._enumerate_vertices, p)
             == _outcome(_vertex_facets_by_bases, p))
+
+
+@st.composite
+def _input_through_point(draw):
+    """A random input with some facets moved through one lattice point, so
+    that bases tie at a degenerate vertex."""
+    dim, normals, offsets = draw(_random_input())
+    q = draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim))
+    through = draw(st.lists(st.booleans(), min_size=len(normals),
+                            max_size=len(normals)))
+    return dim, normals, [Fraction(sum(a * b for a, b in zip(v, q))) if t
+                          else lam
+                          for v, lam, t in zip(normals, offsets, through)]
+
+
+def _frame_point(normals, offsets, dim):
+    """The point where the first dim independent facets are tight."""
+    frame = []
+    for j, v in enumerate(normals):
+        if _exact.rank([normals[k] for k in frame] + [v]) > len(frame):
+            frame.append(j)
+    return _exact.solve([normals[j] for j in frame],
+                        [offsets[j] for j in frame]).particular
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_random_input(), _input_through_point()))
+# the segment x >= 0, y >= 0, x + y = 1: nonempty, so it has a basis,
+# although parse rejects it for its empty interior
+@example((2, [(1, 0), (0, 1), (-1, -1), (1, 1)], [0, 0, -1, 1]))
+def test_feasible_basis(data):
+    # None exactly when the normals do not span or P is empty
+    dim, normals, offsets = data
+    p = Polytope(dim, tuple(zip(normals, map(Fraction, offsets))))
+    start = lattice._feasible_basis(p)
+    if _exact.rank(normals) < dim:
+        event("normals do not span")
+        assert start is None
+        return
+    nonempty = _feasible([(list(v), lam) for v, lam in zip(normals, offsets)],
+                         strict=False)
+    if all(l >= 0 for l in p.ell(_frame_point(normals, offsets, dim))):
+        event("frame feasible")
+    else:
+        event("pivots past the frame, "
+              + ("P nonempty" if nonempty else "P empty"))
+    if not nonempty:
+        assert start is None
+        return
+    basis, m, ext = start
+    rows = [normals[j] for j in basis]
+    assert _exact.rank(rows) == dim
+    assert all(l >= 0 for l in ext[dim:])
+    # the reference tableau: B^-1 over <v_k, d_c>, the point over its slacks
+    inv = _exact.inverse(rows)
+    x = [sum(inv[i][c] * offsets[j] for c, j in enumerate(basis))
+         for i in range(dim)]
+    assert [list(row) for row in m] == inv + [
+        [sum(v[i] * inv[i][c] for i in range(dim)) for c in range(dim)]
+        for v in normals]
+    assert ext == x + p.ell(x)
 
 
 def test_vertex_walk_work_count(monkeypatch):
