@@ -249,22 +249,39 @@ def _step(m, ext, r: int, c: int):
     return _exact.pivot(m, c, a), ext
 
 
+def _lex_negative(row, e, basis, j: int) -> bool:
+    """Whether facet j's slack, of value e and tableau row ``row``, is
+    negative under the offsets lambda_k - eps^(N-k), where the greatest
+    facet index is the most significant. Its eps-terms are +1 at j and
+    -row[c] at basis[c]; when e is 0, the term at the greatest of those
+    indices gives the sign."""
+    if e:
+        return e < 0
+    lead = max((c for c, a in enumerate(row) if a), key=basis.__getitem__)
+    return basis[lead] > j and row[lead] > 0
+
+
 def _feasible_basis(p: Polytope):
-    """A feasible basis of P as (facets by column, m, ext) in the layout of
-    ``_step``, or None when P is empty or its normals do not span.
+    """A lexicographically feasible basis of P as (facets by column, m,
+    ext) in the layout of ``_step``, or None when P is empty or its normals
+    do not span.
 
     The first n independent facets are pivoted in from the coordinate
     frame. Then, while some facet is violated, the violated facet r of
     least index replaces the basis facet of least index whose column has a
     positive entry in row r; the point moves along that column until r is
-    tight. This is the dual simplex with a zero objective, that is, the
-    primal simplex on max <lambda, y> over y >= 0 with sum y_j v_j = 0,
-    with both choices by least index: Bland's rule ("New finite pivoting
-    rules for the simplex method", 1977), which never cycles, so the loop
-    ends. Both choices must stay least-index; Bland's proof does not cover
-    a most-violated-first choice. If row r has no positive entry, every
-    point with the basis facets >= 0 is x + sum t_c d_c with t >= 0, where
-    l_r <= l_r(x) < 0, so P is empty.
+    tight. A facet is violated when its slack is negative under the offsets
+    lambda_k - eps^(N-k) of ``_feasible_bases``: the slack is negative, or
+    it is 0 and its leading eps-term is negative. This is the dual simplex
+    with a zero objective, that is, the primal simplex on max <lambda, y>
+    over y >= 0 with sum y_j v_j = 0, here over the rationals in eps
+    ordered lexicographically, with both choices by least index: Bland's
+    rule ("New finite pivoting rules for the simplex method", 1977), which
+    never cycles, so the loop ends. Both choices must stay least-index; Bland's
+    proof does not cover a most-violated-first choice. If row r has no
+    positive entry, every point with the basis facets >= 0 is
+    x + sum t_c d_c with t >= 0, where l_r <= l_r(x) < 0, so the perturbed
+    polyhedron P_eps is empty; P lies in P_eps, so P is empty too.
     """
     n, nf = p.dim, p.num_facets
     m = _exact.frac_matrix([[int(i == k) for k in range(n)] for i in range(n)]
@@ -280,7 +297,8 @@ def _feasible_basis(p: Polytope):
     if None in basis:
         return None
     while True:
-        r = next((j for j in range(nf) if ext[n + j] < 0), None)
+        r = next((j for j in range(nf)
+                  if _lex_negative(m[n + j], ext[n + j], basis, j)), None)
         if r is None:
             return basis, m, ext
         cols = [c for c in range(n) if m[n + r][c] > 0]
@@ -292,20 +310,26 @@ def _feasible_basis(p: Polytope):
 
 
 def _feasible_bases(p: Polytope):
-    """Yield every feasible basis of P once, as (facets by column, m, ext)
-    in the layout of ``_step``; raise PolytopeError when P is unbounded."""
-    # A walk over the feasible bases of P from one phase-1 basis
-    # (Avis-Fukuda, "A pivoting algorithm for convex hulls and vertex
-    # enumeration of arrangements and polyhedra", 1992). Column d_c of B^-1
-    # points along the edge that leaves facet basis[c]. The facets that
-    # block it first (every tie) and, at a non-simple vertex, the other
-    # active facets it leaves are all the single exchanges that keep the
-    # basis feasible. Those exchanges join every feasible basis: the bases
-    # at one vertex by matroid basis exchange, neighbouring vertices along
-    # their edge. So the walk sees every vertex, and every basis there.
-    # When no facet blocks d_c, d_c is a nonzero recession direction; a
-    # nonempty pointed polyhedron is unbounded iff some vertex has such an
-    # edge, so the walk also decides boundedness.
+    """Yield one feasible basis per vertex of the perturbed polyhedron, as
+    (facets by column, m, ext) in the layout of ``_step``; raise
+    PolytopeError when P is unbounded."""
+    # A walk from one phase-1 basis (Avis-Fukuda, "A pivoting algorithm for
+    # convex hulls and vertex enumeration of arrangements and polyhedra",
+    # 1992) under the offsets lambda_j - eps^(N-j) (Dantzig-Orden-Wolfe,
+    # 1955). The perturbed polyhedron is simple, so each basis feasible
+    # under them is one of its vertices, and column d_c of B^-1 points along
+    # the edge that leaves facet basis[c]. The facet that blocks d_c first
+    # is unique: among the facets tied at the least ratio, compare the
+    # eps-terms of their ratios, greatest index first. Facet j's ratio has
+    # 1/-col[j] at j, m[n + j][k]/col[j] at basis[k] and 0 elsewhere. The
+    # edges join every perturbed vertex, so the walk yields each once, and
+    # each vertex of P as at least one of them. Among those is the basis B*
+    # of least facet indices that ``_enumerate_vertices`` keeps: an active
+    # facet k left out of B* depends on the facets of B* below k, so its
+    # tableau row is 0 at every basis facet above k, its own term leads,
+    # and its slack is positive. When no facet blocks d_c, d_c is a nonzero
+    # recession direction; a nonempty pointed polyhedron is unbounded iff
+    # some vertex has such an edge, so the walk also decides boundedness.
     start = _feasible_basis(p)
     if start is None:
         return
@@ -322,20 +346,26 @@ def _feasible_bases(p: Polytope):
             if not ratios:
                 raise PolytopeError("unbounded polytope")
             t = min(ratios)[0]
-            exchange = [j for r, j in ratios if r == t] + [
-                j for j, a in enumerate(col)
-                if a > 0 and ell[j] == 0 and j not in basis]
-            for j in exchange:
-                nxt = basis.copy()
-                nxt[c] = j
-                facets = frozenset(nxt)
-                if facets not in seen:
-                    seen.add(facets)
-                    stack.append((nxt, *_step(m, ext, n + j, c)))
-
-
-def _active(ext, n: int) -> tuple[int, ...]:
-    return tuple(j for j, l in enumerate(ext[n:]) if l == 0)
+            tied = [j for r, j in ratios if r == t]
+            if len(tied) > 1:
+                for pos in sorted({*basis, *tied}, reverse=True):
+                    if pos in tied:
+                        # only pos has a term there, and it is positive
+                        tied.remove(pos)
+                    elif pos in basis:
+                        k = basis.index(pos)
+                        terms = {j: m[n + j][k] / col[j] for j in tied}
+                        least = min(terms.values())
+                        tied = [j for j in tied if terms[j] == least]
+                    if len(tied) == 1:
+                        break
+            (j,) = tied
+            nxt = basis.copy()
+            nxt[c] = j
+            facets = frozenset(nxt)
+            if facets not in seen:
+                seen.add(facets)
+                stack.append((nxt, *_step(m, ext, n + j, c)))
 
 
 def _enumerate_vertices(p: Polytope):
@@ -348,7 +378,7 @@ def _enumerate_vertices(p: Polytope):
         key = tuple(sorted(basis))
         if x not in found or key < found[x][0]:
             order = sorted(range(n), key=basis.__getitem__)
-            found[x] = (key, _active(ext, n),
+            found[x] = (key, tuple(j for j, l in enumerate(ext[n:]) if l == 0),
                         tuple(tuple(row[c] for c in order) for row in m[:n]))
     return tuple((x, act, tuple(tuple(a.numerator if a.denominator == 1
                                       else a for a in row) for row in inv))
@@ -438,21 +468,6 @@ def _lattice_volume(vectors) -> int:
     return abs(int(det))
 
 
-def _pulling(face: frozenset, k: int, facets, gens) -> list[tuple[int, ...]]:
-    """Simplices of a pulling triangulation of a face of conv(gens) that
-    misses 0 and spans rank k, as tuples of k generator indices. The
-    least index is pulled and joined to the triangulated facets of the face
-    that miss it; a facet of the face is its meet with a facet of the
-    polytope, of rank k - 1."""
-    if len(face) == k:
-        return [tuple(sorted(face))]
-    apex = min(face)
-    subs = {face & g for g in facets if apex not in g}
-    return [s + (apex,) for sub in subs
-            if _exact.rank([gens[j] for j in sub]) == k - 1
-            for s in _pulling(sub, k - 1, facets, gens)]
-
-
 def kushnirenko_count(dim: int, generators) -> int:
     """n! Vol(conv{v_j}) over integer vectors v_j that positively span
     Z^dim (a complete fan's generators, a polytope's facet normals),
@@ -464,16 +479,16 @@ def kushnirenko_count(dim: int, generators) -> int:
     0 is interior to conv{v_j}, so each facet F spans a pyramid over it
     with apex 0 and the pyramids tile the polytope. The facets are the
     vertices of the polar {u : <v_j, u> >= -1}, with the generators on F
-    as active facets; a simplicial F adds |det|, and any other is
-    triangulated by pulling first. For a smooth Fano fan every F is a
-    unimodular simplex, one per maximal cone, and the count is chi.
+    as active facets. The walk yields one basis per vertex of the perturbed
+    polar, and those bases are the simplices of a triangulation of the
+    boundary of conv{v_j} (De Loera-Rambau-Santos, "Triangulations", 2010;
+    lrs computes volumes the same way, Avis 2000); each adds its |det| >= 1,
+    so the walk visits at most the count. For a smooth Fano fan every F is
+    a unimodular simplex, one per maximal cone, and the count is chi.
     """
     polar = Polytope(dim, tuple((v, Fraction(-1)) for v in generators))
-    facets = {frozenset(_active(ext, dim))
-              for _, _, ext in _feasible_bases(polar)}
-    return sum(_lattice_volume([generators[j] for j in s])
-               for face in facets
-               for s in _pulling(face, dim, facets, generators))
+    return sum(_lattice_volume([generators[j] for j in basis])
+               for basis, _, _ in _feasible_bases(polar))
 
 
 def chart_exponents(f: Fan, sigma: Cone) -> list[list[int]]:

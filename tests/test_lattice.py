@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import gcd
 
 import pytest
@@ -591,6 +591,48 @@ def test_feasible_basis(data):
     assert ext == x + p.ell(x)
 
 
+def _lex_slacks(p, basis):
+    """The slacks at a basis under the offsets lambda_j - eps^(N-j), from
+    the inverse of the basis rows: one dense row per facet, its value and
+    then its eps-terms by increasing power of eps."""
+    n, nf = p.dim, p.num_facets
+    inv = _exact.inverse([p.normals[j] for j in basis])
+    # offset j is lambda_j at power 0 and -1 at power N - j
+    offset = [[lam] + [-int(k == nf - j) for k in range(1, nf + 1)]
+              for j, lam in enumerate(p.offsets)]
+    x = [[sum(inv[i][c] * offset[j][k] for c, j in enumerate(basis))
+          for k in range(nf + 1)] for i in range(n)]
+    return [[sum(v[i] * x[i][k] for i in range(n)) - offset[j][k]
+             for k in range(nf + 1)] for j, v in enumerate(p.normals)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_random_input(), _input_through_point()))
+# square pyramid: the apex lies on 4 facets, and 2 of its 4 bases are
+# lexicographically feasible
+@example(_PYRAMID)
+# octahedron: every vertex lies on 4 facets
+@example(_OCTAHEDRON)
+# the frame is infeasible, and phase 1 pivots to the vertex (2, -1, -1) on
+# facets 2-5; the basis {2, 3, 5} is feasible there but not
+# lexicographically, and reading the eps-terms takes phase 1 on to {2, 4, 5}
+@example((3, [(-1, -1, -2), (-1, -2, 0), (2, 1, 2), (-2, 1, 0), (-1, -2, 1),
+              (1, 0, 1)], [Fraction(-5, 2), -1, 1, -5, -1, 1]))
+def test_walk_yields_distinct_lex_feasible_bases(data):
+    dim, normals, offsets = data
+    p = Polytope(dim, tuple(zip(normals, map(Fraction, offsets))))
+    bases = []
+    try:
+        for basis, _, _ in lattice._feasible_bases(p):
+            bases.append(frozenset(basis))
+            for j, row in enumerate(_lex_slacks(p, basis)):
+                # lexicographically nonnegative: the first nonzero term
+                assert next((a for a in row if a), 0) >= 0, j
+    except PolytopeError:
+        event("unbounded")
+    assert len(set(bases)) == len(bases)
+
+
 def test_vertex_walk_work_count(monkeypatch):
     # (P^1)^8: 16 facets, 256 vertices; the basis pass solved all
     # C(16, 8) = 12 870 bases
@@ -765,6 +807,116 @@ def test_kushnirenko_count_matches_hull(data):
         assert count == _hull_area2(f.generators)
     if is_smooth(f) and is_fano(f):
         assert count == euler_characteristic(f)
+
+
+def _hull_facets(dim, gens) -> set:
+    """The facets of conv(gens), 0 interior, by brute force: the generators
+    on each hyperplane through dim of them that has every generator on the
+    side of 0."""
+    facets = set()
+    for sub in combinations(range(len(gens)), dim):
+        rows = [gens[j] for j in sub]
+        if _exact.rank(rows) < dim:
+            continue
+        u = _exact.solve(rows, [1] * dim).particular
+        heights = [sum(a * b for a, b in zip(u, v)) for v in gens]
+        if all(h <= 1 for h in heights):
+            facets.add(frozenset(j for j, h in enumerate(heights) if h == 1))
+    return facets
+
+
+def _pulling(face: frozenset, k: int, facets, gens) -> list[tuple[int, ...]]:
+    """Simplices of a pulling triangulation of a face of conv(gens) that
+    misses 0 and spans rank k, as tuples of k generator indices. The
+    least index is pulled and joined to the triangulated facets of the face
+    that miss it; a facet of the face is its meet with a facet of the
+    polytope, of rank k - 1."""
+    if len(face) == k:
+        return [tuple(sorted(face))]
+    apex = min(face)
+    subs = {face & g for g in facets if apex not in g}
+    return [s + (apex,) for sub in subs
+            if _exact.rank([gens[j] for j in sub]) == k - 1
+            for s in _pulling(sub, k - 1, facets, gens)]
+
+
+def _kushnirenko_by_pulling(dim, gens) -> int:
+    """The count the lexicographic walk replaced, kept as its reference:
+    each facet of conv(gens) triangulated by pulling, and the |det| of
+    every simplex summed."""
+    facets = _hull_facets(dim, gens)
+    return sum(abs(_leibniz([gens[j] for j in s]))
+               for face in facets for s in _pulling(face, dim, facets, gens))
+
+
+def _strictly_inside(q, points) -> bool:
+    """q is interior to the hull of the plane points: each line through two
+    of them with every point on its left has q strictly on its left."""
+    def left(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    return all(left(a, b, q) > 0 for a, b in permutations(points, 2)
+               if all(left(a, b, c) >= 0 for c in points))
+
+
+@st.composite
+def _polygon_pyramid(draw):
+    """A lattice polygon at height 1 over an apex (c, d, -1) below it, with
+    0 interior to their hull; collinear and interior polygon points make
+    facets that are not simplices."""
+    points = sorted(draw(st.sets(st.tuples(st.integers(-3, 3),
+                                           st.integers(-3, 3)),
+                                 min_size=3, max_size=9)))
+    c, d = draw(st.tuples(st.integers(-1, 1), st.integers(-1, 1)))
+    assume(_strictly_inside((-c, -d), points))
+    return [(a, b, 1) for a, b in points] + [(c, d, -1)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_polygon_pyramid())
+# the pyramid over the square [-1, 1]^2: the top facet holds 9 generators
+@example([(a, b, 1) for a in (-1, 0, 1) for b in (-1, 0, 1)] + [(0, 0, -1)])
+def test_kushnirenko_count_matches_pulling(gens):
+    assert kushnirenko_count(3, gens) == _kushnirenko_by_pulling(3, gens)
+
+
+def _pyramid(dim, k):
+    """The generators (a, 1), a in {-k, ..., k}^(dim - 1), and the apex
+    (0, ..., 0, -1): K = 2 (dim - 1)! (2k)^(dim - 1)."""
+    return [a + (1,) for a in product(range(-k, k + 1), repeat=dim - 1)] + [
+        (0,) * (dim - 1) + (-1,)]
+
+
+_P1_8 = [tuple(s * int(i == j) for j in range(8)) for i in range(8)
+         for s in (1, -1)]
+
+
+@pytest.mark.parametrize("dim, gens, count", [
+    (3, _pyramid(3, 2), 64), (3, _pyramid(3, 3), 144),
+    (4, _pyramid(4, 1), 96), (4, _pyramid(4, 2), 768), (8, _P1_8, 256)],
+    ids=["3-2", "3-3", "4-1", "4-2", "p1^8"])
+def test_kushnirenko_walk_visits_at_most_count(monkeypatch, dim, gens,
+                                               count):
+    # each basis of the polar walk is a simplex of |det| >= 1
+    bases = []
+    walk = lattice._feasible_bases
+
+    def recorded(p):
+        for b in walk(p):
+            bases.append(frozenset(b[0]))
+            yield b
+    monkeypatch.setattr(lattice, "_feasible_bases", recorded)
+    assert kushnirenko_count(dim, gens) == count
+    assert len(set(bases)) == len(bases) <= count
+    if dim == 8:
+        assert len(bases) == count
+
+
+def test_pyramid_file_count():
+    # a simple polytope that is not Fano, with the 50 rays of _pyramid(3, 3)
+    p = parse_polytope((DATA / "pyramid3.poly").read_text())
+    assert sorted(p.normals) == sorted(_pyramid(3, 3))
+    assert not is_fano(normal_fan(p))
+    assert p.kushnirenko_count == 144
 
 
 def _primitive_collections_by_subsets(f):
