@@ -202,7 +202,8 @@ def critical_points(w: Superpotential, p: Polytope, grid_im: int = 4,
     Kushnirenko count K = n! Vol(conv{v_j}) of the facet normals bounds
     the isolated critical points counted with multiplicity, so K
     certified, pairwise distinct points are all of them. When the
-    centroid's starts number at most CERTIFIED_PASS_STARTS, a pure-Python
+    centroid's starts number at most CERTIFIED_PASS_STARTS and at least K,
+    which a pass keeping at most one point per start needs, a pure-Python
     Newton pass runs them one at a time and stops at K such points.
     Otherwise, or when it ends with fewer, one batched multistart Newton
     run takes every start; its converged points are deduplicated mod
@@ -222,7 +223,7 @@ def critical_points(w: Superpotential, p: Polytope, grid_im: int = 4,
             f"{grid_re}x{grid_im} grid in dimension {n} needs {n_starts} "
             f"starts, {n_starts * n * n} entries")
     count = p.kushnirenko_count
-    if grid_im ** n <= CERTIFIED_PASS_STARTS:
+    if count <= grid_im ** n <= CERTIFIED_PASS_STARTS:
         found = _certified_pass(w, p, grid_im, count)
         if len(found) == count:
             return found

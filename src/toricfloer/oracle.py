@@ -5,12 +5,10 @@ small balanced residuals, then polishes the best grid cells with local
 least squares. Serves as an independent completeness check on the exact
 and Newton pipelines; the per-cell scan is the package's hot loop.
 
-`least_squares` is Levenberg-Marquardt with a forward-difference Jacobian
-and Marquardt's scaling by the running maximum of the squared Jacobian
-column norms, as in MINPACK's lmdif (More, "The Levenberg-Marquardt
-algorithm: implementation and theory", 1978). It runs every row of a start
-matrix at once and rejects non-finite trial points itself. The polished
-candidates are merged and sorted by the plain-Python rules of `solve`.
+`least_squares` is Gauss-Newton on the analytic Jacobian of the balanced
+residual (Nocedal-Wright, "Numerical Optimization", 2006, 10.3), run on
+every row of a start matrix at once. The polished candidates are merged
+and sorted by the plain-Python rules of `solve`.
 """
 
 from __future__ import annotations
@@ -46,84 +44,54 @@ INTERIOR_TOL = 1e-9
 MAX_GRID_CELLS = 2 ** 28
 
 
-# least_squares stops a row after MAX_ITER steps
+# least_squares stops a row after MAX_ITER steps, or once its step is below
+# XTOL relative to its position; a step longer than MAX_STEP is cut to it,
+# as uncapped steps from far starts reach points where J^T J is singular
+# to working precision
 MAX_ITER = 200
-# damping schedule: start at LAMBDA0, divide by 10 after an accepted step
-# and multiply by 10 after a rejected one, within [LAMBDA_MIN, LAMBDA_MAX]
-LAMBDA0 = 1e-3
-LAMBDA_MIN = 1e-12
-LAMBDA_MAX = 1e12
-# a row stops once its step is below XTOL relative to its position
 XTOL = 1e-15
-# forward-difference step: sqrt(machine eps) as in MINPACK, times
-# max(|x_j|, 1) so that coordinates near 0 still get a usable step
-DIFF_STEP = math.sqrt(np.finfo(float).eps)
-
-
-def _cost(r: np.ndarray) -> np.ndarray:
-    c = np.einsum("ij,ij->i", r, r)
-    c[~np.isfinite(c)] = np.inf
-    return c
-
-
-def _jacobian_t(fun, x: np.ndarray, r: np.ndarray,
-                eye: np.ndarray) -> np.ndarray:
-    """Forward-difference J^T per row: (m, k, q); eye is the k x k
-    identity."""
-    m, k = x.shape
-    h = DIFF_STEP * np.maximum(np.abs(x), 1.0)
-    xs = x[:, None, :] + h[:, :, None] * eye
-    rs = fun(xs.reshape(m * k, k)).reshape(m, k, -1)
-    return (rs - r[:, None, :]) / h[:, :, None]
+MAX_STEP = 2.0
 
 
 @np.errstate(all="ignore")
 def least_squares(fun, x0):
-    """Minimise ||fun(x)|| from every row of x0 at once.
+    """Minimise ||fun(x)|| from every row of x0 at once by Gauss-Newton.
 
-    fun maps an (m, k) array of points to the (m, q) array of their
-    residuals, row by row. Returns (x, norm): the final points and their
-    residual norms. A row whose start is not finite keeps it and ends with
-    norm inf.
+    fun maps an (m, k) array of points to their residuals (m, q) and
+    Jacobians (m, q, k), row by row. A step solves the normal equations
+    with 1e-12 of their largest entry added to the diagonal, as
+    mirror._newton_step does for a singular Hessian; an all-zero J^T J
+    raises numpy.linalg.LinAlgError. A row whose J^T J or J^T r is not
+    finite stops where it is. Returns (x, norm): the final points and the
+    norms of their last residuals, inf where not finite.
     """
     x = np.array(x0, dtype=float)
-    r = fun(x)
-    cost = _cost(r)
-    lam = np.full(len(x), LAMBDA0)
-    scale = np.zeros(x.shape)
     eye = np.eye(x.shape[1])
-    active = np.flatnonzero(np.isfinite(cost) & (cost > 0))
+    active = np.arange(len(x))
+    r, jac = fun(x)
+    norm = np.sqrt(np.einsum("ij,ij->i", r, r))
     for _ in range(MAX_ITER):
-        if not active.size:
-            break
-        xa, ra = x[active], r[active]
-        jt = _jacobian_t(fun, xa, ra, eye)
-        hess = jt @ jt.transpose(0, 2, 1)
-        finite = np.isfinite(hess).all(axis=(1, 2))
-        if not finite.all():
-            active, xa, ra, jt, hess = (active[finite], xa[finite],
-                                        ra[finite], jt[finite], hess[finite])
-        grad = (jt @ ra[..., None])[..., 0]
-        s = np.maximum(scale[active], np.diagonal(hess, axis1=1, axis2=2))
-        s[s == 0] = 1.0
-        scale[active] = s
-        la = lam[active]
-        damped = hess + (la[:, None] * s)[:, :, None] * eye
-        step = -np.linalg.solve(damped, grad[..., None])[..., 0]
-        xn = xa + step
-        rn = fun(xn)
-        cn = _cost(rn)
-        better = cn < cost[active]
-        acc = active[better]
-        x[acc], r[acc], cost[acc] = xn[better], rn[better], cn[better]
-        lam[active] = np.where(better, np.maximum(la / 10, LAMBDA_MIN),
-                               la * 10)
+        jt = jac.transpose(0, 2, 1)
+        hess, grad = jt @ jac, (jt @ r[..., None])[..., 0]
+        finite = (np.isfinite(hess).all(axis=(1, 2))
+                  & np.isfinite(grad).all(axis=1))
+        active, hess, grad = active[finite], hess[finite], grad[finite]
+        reg = 1e-12 * np.abs(hess).max(axis=(1, 2))
+        step = -np.linalg.solve(hess + reg[:, None, None] * eye,
+                                grad[..., None])[..., 0]
+        xa = x[active]
         both = np.stack((step, xa))
         norm_step, norm_x = np.sqrt((both * both).sum(axis=2))
-        tiny = norm_step <= XTOL * (norm_x + XTOL)
-        done = tiny | (cost[active] == 0) | (lam[active] > LAMBDA_MAX)
-        active = active[~done]
-    return x, np.sqrt(cost)
+        moving = norm_step > XTOL * (norm_x + XTOL)
+        active = active[moving]
+        if not active.size:
+            break
+        cap = np.minimum(1.0, MAX_STEP / norm_step[moving])
+        x[active] = xa[moving] + cap[:, None] * step[moving]
+        r, jac = fun(x[active])
+        norm[active] = np.sqrt(np.einsum("ij,ij->i", r, r))
+    norm[~np.isfinite(norm)] = np.inf
+    return x, norm
 
 
 class OracleCandidate(NamedTuple):
@@ -140,19 +108,31 @@ def _facets(p: Polytope):
 
 def _residual_fun(p: Polytope):
     """Row-wise balanced residuals at every probe t, one point (A, nu) per
-    row."""
+    row, and their Jacobians.
+
+    With c_j = t^ell_j(A) e^{i <nu, v_j>} and H = sum_j c_j v_j v_j^T, the
+    balanced sum s = sum_j c_j v_j has ds/dA = ln t H and ds/dnu = i H.
+    """
     v, lam = _facets(p)
     n = p.dim
     probes = np.array(PROBE_T)[:, None, None]
+    vv = (v[:, :, None] * v[:, None, :]).reshape(len(v), n * n)
+    dlog = np.log(probes)[..., None]
 
     def fun(x):
+        m = len(x)
         a, nu = x[:, :n], x[:, n:]
         ell = a @ v.T - lam
         phase = np.exp(1j * (nu @ v.T))
-        s = (probes ** ell * phase) @ v                 # (K, m, n)
-        # columns Re, Im of the first probe, then of the next
-        return np.concatenate((s.real, s.imag), axis=2).transpose(
-            1, 0, 2).reshape(len(x), -1)
+        c = probes ** ell * phase                       # (K, m, N)
+        s = c @ v                                       # (K, m, n)
+        h = (c @ vv).reshape(len(PROBE_T), m, n, n)
+        ds = np.concatenate((dlog * h, 1j * h), axis=3)  # (K, m, n, 2n)
+        # rows Re, Im of the first probe, then of the next
+        r = np.concatenate((s.real, s.imag), axis=2).transpose(1, 0, 2)
+        jac = np.concatenate((ds.real, ds.imag), axis=2).transpose(
+            1, 0, 2, 3)
+        return r.reshape(m, -1), jac.reshape(m, -1, 2 * n)
 
     return fun
 

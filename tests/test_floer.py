@@ -272,23 +272,34 @@ def _unit_feasible_subsets(gens) -> list[frozenset]:
 
 def _holonomy_residual(p, blocks, vfloat, lam):
     """Row-wise residuals of the equal-area and per-block balancing
-    equations at points x = (A, nu), one point per row."""
+    equations at points x = (A, nu), one point per row, and their
+    Jacobians: an equal-area row ell_i0 - ell_i has gradient
+    (v_i0 - v_i, 0), and a block sum s = sum_j e^{i <nu, v_j>} v_j has
+    ds/dnu = i sum_j e^{i <nu, v_j>} v_j v_j^T."""
     n = p.dim
+    vv = vfloat[:, :, None] * vfloat[:, None, :]
 
     def fun(x):
+        m = len(x)
         a, nu = x[:, :n], x[:, n:]
         ell = a @ vfloat.T - lam
         phase = np.exp(1j * (nu @ vfloat.T))
-        cols = []
+        cols, jac = [], []
+        zero = np.zeros((m, n, n))
         for block in blocks:
             i0 = block[0]
             for i in block[1:]:
                 cols.append(ell[:, i0] - ell[:, i])
+                grad = np.concatenate((vfloat[i0] - vfloat[i], np.zeros(n)))
+                jac.append(np.broadcast_to(grad, (m, 1, 2 * n)))
             idx = list(block)
             s = phase[:, idx] @ vfloat[idx]
             cols.extend(s.real.T)
             cols.extend(s.imag.T)
-        return np.column_stack(cols)
+            ds = 1j * np.einsum("mj,jab->mab", phase[:, idx], vv[idx])
+            jac.append(np.concatenate((zero, ds.real), axis=2))
+            jac.append(np.concatenate((zero, ds.imag), axis=2))
+        return np.column_stack(cols), np.concatenate(jac, axis=1)
 
     return fun
 

@@ -510,6 +510,26 @@ def test_pruned_oracle_equals_full_scan_on_corpus(name, monkeypatch):
     assert cands == balanced_oracle(p, **grids)
 
 
+@pytest.mark.parametrize("name", ["p1", "p2", "p3", "p1xp1", "f1", "f2",
+                                  "f3"])
+def test_residual_jacobian_matches_central_differences(name):
+    p = corpus_polytope(name)
+    n = p.dim
+    verts = np.array(p.vertices(), dtype=float)
+    rng = np.random.default_rng(0)
+    x = np.hstack([rng.uniform(verts.min(axis=0), verts.max(axis=0),
+                               (20, n)),
+                   rng.uniform(0, 2 * math.pi, (20, n))])
+    fun = oracle._residual_fun(p)
+    r, jac = fun(x)
+    assert r.shape == (20, 6 * n) and jac.shape == (20, 6 * n, 2 * n)
+    h = 1e-5
+    diff = np.stack([(fun(x + h * e)[0] - fun(x - h * e)[0]) / (2 * h)
+                     for e in np.eye(2 * n)], axis=2)
+    scale = np.abs(jac).max(axis=(1, 2))
+    assert (np.abs(jac - diff).max(axis=(1, 2)) <= 1e-6 * scale).all()
+
+
 def test_oracle_candidates_match_recorded_corpus():
     # balanced_oracle at the criterion-9 grids, recorded from an earlier
     # implementation; within 1e-12, not by bits, as BLAS rounds

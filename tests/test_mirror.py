@@ -483,6 +483,32 @@ def test_certified_pass_matches_batched_search(name):
         assert a.residual <= 1e-12
 
 
+def test_no_certified_pass_with_fewer_starts_than_k(monkeypatch):
+    # the 16 primitive normals (a, b) with |a|, |b| <= 2 and offsets
+    # -(a^2 + b^2) give K = 28 > 4^2 centroid starts: a pass keeping at
+    # most one point per start cannot reach K, so it does not run and the
+    # batched search gives the records and the warning
+    text = "dim 2\n" + "".join(
+        f"normal {a} {b} offset {-(a * a + b * b)}\n"
+        for a in range(-2, 3) for b in range(-2, 3) if math.gcd(a, b) == 1)
+    p = parse_polytope(text)
+    w = build_superpotential(p)
+    assert p.num_facets == 16 and p.kushnirenko_count == 28
+    want = mirror._newton_search(w, p, 2, 4)
+
+    def no_pass(*args):
+        raise AssertionError("the certified pass ran")
+
+    monkeypatch.setattr(mirror, "_certified_pass", no_pass)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = critical_points(w, p)
+    assert got == want
+    assert [str(m.message) for m in caught] == [
+        "found 20 of 28 (Kushnirenko count): search incomplete or roots "
+        "degenerate"]
+
+
 def test_certificate_rejects_off_root_and_rank_one(corpus):
     p = corpus["f1"]
     w = build_superpotential(p)

@@ -223,10 +223,24 @@ def test_plain_python_merge_matches_dedup(rows):
 
 def _circle_fun(x):
     """Overdetermined: the point on the unit circle at angle x[1] equals
-    (cos 1, sin 1) scaled by x[0] = 1, plus the redundant x[0] = 1."""
-    return np.column_stack([x[:, 0] * np.cos(x[:, 1]) - math.cos(1.0),
-                            x[:, 0] * np.sin(x[:, 1]) - math.sin(1.0),
-                            x[:, 0] - 1.0])
+    (cos 1, sin 1) scaled by x[0] = 1, plus the redundant x[0] = 1; with
+    the Jacobian of those residuals."""
+    cos, sin = np.cos(x[:, 1]), np.sin(x[:, 1])
+    r = np.column_stack([x[:, 0] * cos - math.cos(1.0),
+                         x[:, 0] * sin - math.sin(1.0),
+                         x[:, 0] - 1.0])
+    jac = np.stack([np.column_stack([cos, -x[:, 0] * sin]),
+                    np.column_stack([sin, x[:, 0] * cos]),
+                    np.column_stack([np.ones(len(x)), np.zeros(len(x))])],
+                   axis=1)
+    return r, jac
+
+
+def _exp_fun(x):
+    """exp(10 x) - 2, whose root is x = log(2) / 10, and its derivative;
+    exp overflows from x = 71 on."""
+    e = np.exp(10 * x)
+    return e - 2.0, 10 * e[:, :, None]
 
 
 def test_solver_overdetermined_many_starts():
@@ -238,19 +252,15 @@ def test_solver_overdetermined_many_starts():
     assert (norm < 1e-12).all()
     assert np.allclose(x[:, 0], 1.0)
     assert np.allclose(circ_dist(x[:, 1], 1.0), 0.0, atol=1e-12)
-    assert np.allclose(norm, np.linalg.norm(_circle_fun(x), axis=1))
+    assert np.allclose(norm, np.linalg.norm(_circle_fun(x)[0], axis=1))
 
 
 def test_solver_drops_diverging_rows_silently():
-    def fun(x):
-        # the root is x = log(2) / 10; exp overflows from x = 71 on, and
-        # from x = -5 the first Gauss-Newton trial lands near x = 1e21
-        return np.exp(10 * x) - 2.0
-
+    # from x = -5 the uncapped Gauss-Newton step would land near x = 1e21
     x0 = np.array([[0.3], [800.0], [np.nan], [-5.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x, norm = least_squares(fun, x0)
+        x, norm = least_squares(_exp_fun, x0)
     assert norm[1] == np.inf and norm[2] == np.inf
     assert x[1, 0] == 800.0
     assert np.isfinite(x[[0, 3]]).all()
@@ -263,16 +273,13 @@ def test_solver_rows_are_independent():
     # overflows (J^2 = 100 e^709, where r^2 = e^709 is finite) leave every
     # other row's x and norm bit-identical: with them the finite-row filter
     # runs, without them every row stays finite
-    def fun(x):
-        return np.exp(10 * x) - 2.0
-
     x0 = np.array([[0.3], [-5.0], [0.05], [1.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x, norm = least_squares(fun, x0)
+        x, norm = least_squares(_exp_fun, x0)
         mixed = np.array([[0.3], [800.0], [-5.0], [np.nan], [0.05], [35.45],
                           [1.0]])
-        x_mixed, norm_mixed = least_squares(fun, mixed)
+        x_mixed, norm_mixed = least_squares(_exp_fun, mixed)
     rows = [0, 2, 4, 6]
     assert np.array_equal(x_mixed[rows], x)
     assert np.array_equal(norm_mixed[rows], norm)
