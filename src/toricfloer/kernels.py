@@ -1,11 +1,13 @@
-"""The grid oracle's hot kernel: one real GEMM per chunk of fiber rows.
+"""The grid oracle's two numpy passes: box exclusion and the residual GEMM.
 
-``oracle.grid_scan`` passes one holonomy of each conjugate pair
-{nu, -nu mod 2 pi}, the one of lower lattice index; the residual is even
-in nu, and the lowest-tied-index rule below then gives the full lattice's
-answer. ``pruned_min_residual`` runs the kernel only on the fiber rows
-that a holonomy-free lower bound and one-probe lower bounds cannot prove
-to lie outside the smallest ``keep``.
+``box_survivors`` excludes the A-boxes that hold no balanced fiber at any
+holonomy, by interval bounds on the facet distances over each box (Moore,
+"Interval Analysis", 1966). ``grid_min_residual`` then evaluates the
+balanced residual at the surviving box centres, one real GEMM per chunk
+of rows. ``oracle.grid_scan`` passes it one holonomy of each conjugate
+pair {nu, -nu mod 2 pi}, the one of lower lattice index; the residual is
+even in nu, and the lowest-tied-index rule below then gives the full
+lattice's answer.
 """
 
 from __future__ import annotations
@@ -17,26 +19,7 @@ import numpy as np
 # Xeon the corpus scans ran about 20% slower with 8x larger chunks
 CHUNK_ENTRIES = 62_500
 EPS = np.finfo(np.float64).eps
-
-
-def _quadratic_form(p_re, p_im, v):
-    """The fixed operands of the GEMM: the index pairs j <= l, their
-    coefficients c_jl (G_jj on the diagonal, 2 G_jl off it, G = v v^T)
-    and the (P x M_nu) table of Re(conj(p_j) p_l)."""
-    v = np.asarray(v, dtype=np.float64)
-    p_re = np.asarray(p_re, dtype=np.float64)
-    p_im = np.asarray(p_im, dtype=np.float64)
-    jj, ll = np.triu_indices(v.shape[0])
-    gram = v @ v.T
-    coef = np.where(jj == ll, 1.0, 2.0) * gram[jj, ll]  # (P,)
-    table = np.ascontiguousarray(
-        (p_re[:, jj] * p_re[:, ll] + p_im[:, jj] * p_im[:, ll]).T)
-    return jj, ll, coef, table
-
-
-def _chunk_rows(k, mnu):
-    """Fiber rows per chunk, for k probes against mnu table columns."""
-    return max(1, CHUNK_ENTRIES // max(1, k * mnu))
+TINY = np.finfo(np.float64).tiny
 
 
 def grid_min_residual(ell, p_re, p_im, v, t):
@@ -64,13 +47,22 @@ def grid_min_residual(ell, p_re, p_im, v, t):
     """
     ell = np.asarray(ell, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
-    jj, ll, coef, table = _quadratic_form(p_re, p_im, v)
+    v = np.asarray(v, dtype=np.float64)
+    p_re = np.asarray(p_re, dtype=np.float64)
+    p_im = np.asarray(p_im, dtype=np.float64)
+    # the GEMM's fixed operands: the index pairs j <= l, their coefficients
+    # c_jl and the (P x M_nu) table of Re(conj(p_j) p_l)
+    jj, ll = np.triu_indices(v.shape[0])
+    gram = v @ v.T
+    coef = np.where(jj == ll, 1.0, 2.0) * gram[jj, ll]  # (P,)
+    table = np.ascontiguousarray(
+        (p_re[:, jj] * p_re[:, ll] + p_im[:, jj] * p_im[:, ll]).T)
     ma = ell.shape[0]
     npair, mnu, k = table.shape[0], table.shape[1], t.shape[0]
     tol_factor = 4 * npair * EPS
     minres = np.empty(ma)
     argnu = np.empty(ma, dtype=np.int64)
-    chunk = _chunk_rows(k, mnu)
+    chunk = max(1, CHUNK_ENTRIES // max(1, k * mnu))
     for lo in range(0, ma, chunk):
         hi = min(lo + chunk, ma)
         w = t[:, None, None] ** ell[None, lo:hi, :]    # (K, c, N)
@@ -84,152 +76,81 @@ def grid_min_residual(ell, p_re, p_im, v, t):
     return minres, argnu
 
 
-def _holonomy_free_bound(ell, v, t):
-    """Per fiber row, a lower bound on the r^2 minimum that
-    grid_min_residual computes for the row, without the holonomy table.
+def box_survivors(centres, r, v, lam, t):
+    """Mask of the A-boxes [c - r, c + r] that no bound excludes: every
+    balanced fiber, at any holonomy, lies in a box whose entry is True.
 
-    With w_j = t^{ell_j}, T_a = sum_j w_j |v_ja| and M_a = max_j w_j |v_ja|,
-    the reverse triangle inequality against the largest term gives
-    |sum_j w_j p_j v_ja| >= 2 M_a - T_a for every vector p of unit phases,
-    so sum_a max(0, 2 M_a - T_a)^2 is at most r^2(t, nu) for every nu, and
-    so at most the row minimum of max_t r^2, in exact arithmetic.
+    centres: (M, n) box centres c; r: (n,) half-widths; v: (N, n) facet
+    normals; lam: (N,) offsets; t: (K,) probe values in (0, 1).
 
-    Rounding, with U = sum_j w_j ||v_j||, so that sum_a T_a^2 <= U^2 (the
-    triangle inequality on the vectors (w_j |v_ja|)_a): the phases are
-    unit to within 2 eps, which moves the inequality by 2 eps T_a; each
-    computed w_j |v_ja| lies within 6 eps of its exact value (a power
-    within 4 ulp and a product), so M_a within 6 eps T_a and the N-term
-    sum T_a within (N + 6) eps T_a; 2 M_a - T_a, its difference rounded,
-    is then within (N + 21) eps T_a, clamping at 0 moves it by no more,
-    its rounded square is within (2 N + 43) eps T_a^2, and the n-term sum
-    of squares within (2 N + n + 43) eps U^2. The kernel's computed r^2 at
-    t lies within (P + 10) eps S of its exact value (see
-    _probe_lower_bound), and S = sum_{j,l} |<v_j, v_l>| w_j w_l <= U^2.
-    The margin 8 (P + 16) eps U^2 is at least 2 (P + 3 N + 53) eps U^2,
-    since n < N <= P for the normals of a polytope: it covers both
-    computations and the rounding of U, of the margin and of the
-    subtraction, so the result, the largest over the probes, never
-    exceeds the row's computed r^2 minimum. O(N n) per row and probe;
-    runs in chunks of CHUNK_ENTRIES products w_j |v_ja|.
+    On a box the facet distance l_j(A) = <A, v_j> - lam_j lies in
+    [l_j^-, l_j^+] = l_j(c) -+ (R_j + d_j), R_j = sum_a |v_ja| r_a, with
+    d_j the rounding term below. The box is excluded when
+    - some l_j^+ <= 0: it misses the open polytope; or
+    - for some probe t and coordinate a,
+      max_j (t^{l_j^+} + t^{l_j^-}) |v_ja| > (1 + m) sum_k t^{l_k^-} |v_ka|.
+      At a point of the box each weight w_j = t^{l_j(A)} lies in
+      [t^{l_j^+}, t^{l_j^-}], so for unit phases p_j = e^{i<nu, v_j>} the
+      reverse triangle inequality against term j gives
+      |sum_k w_k p_k v_ka| >= w_j |v_ja| - sum_{k != j} w_k |v_ka|
+      >= (t^{l_j^+} + t^{l_j^-}) |v_ja| - sum_k t^{l_k^-} |v_ka| > 0 for
+      every nu, while a balanced fiber's sum vanishes at every t.
+
+    Rounding, with eps = 2^-52:
+    - l at the centre. The computed <c, v_j> - lam_j lies within
+      (n + 1) eps S_j of its exact value, S_j = sum_a |c_a v_ja| + |lam_j|:
+      an absolute error that grows with |c| |v| + |lam|. The computed R_j
+      and S_j lie within (n + 1) eps of theirs, relatively.
+    - The exp of a rounded product. A weight is exp(l ln t): ln t is within
+      4 ulp and the product rounds once, so the exponent is l' ln t with
+      |l' - l| <= 5 eps |l|, and exp adds 4 ulp. Each computed weight is
+      thus within a factor 1 + 4 eps of the exact weight at a facet
+      distance within 5 eps |l| <= 5 eps (1 + 2 eps)(S_j + R_j + d_j) of
+      the computed end l.
+    - The ends. Rounding d_j, l +- (R_j + d_j) and the exponent moves an
+      end by at most (n + 8) eps (S_j + R_j), so d_j = (n + 10) eps
+      (R_j + S_j), computed, keeps the effective ends around the box's
+      exact range of l_j.
+    - The N-term sums. Against the exact weights at the effective ends, the
+      computed left side is at most 6 eps too large (4 ulp, a sum and a
+      product) and the right side at most (N/2 + 5) eps too small (4 ulp,
+      a product each and the N-term sum); (1 + m) and its product round
+      by 2 eps more, so m = (2 N + 16) eps, at least (N + 14) eps, keeps
+      the exclusion sound.
+    - Underflow. A weight below the normal range is within 4 ulp of the
+      subnormals, 2^-1072, and each rounding below it adds 2^-1075, at most
+      (N + 2)(8 max|v| + 2) 2^-1074 on both sides together; the right
+      side's extra term TINY = 2^-1022 covers that for any
+      N (8 max|v| + 2) < 2^51. So a box whose weights all underflow is
+      never excluded: it stays undecided. A weight that overflows makes
+      both sides inf, or nan where it meets v_ja = 0, and never excludes.
+
+    O(K N n) per box; runs in chunks of CHUNK_ENTRIES products
+    t^l |v_ja|.
     """
+    centres = np.asarray(centres, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    lam = np.asarray(lam, dtype=np.float64)
     nfac, n = v.shape
     vabs = np.abs(v)
-    norms = np.sqrt((v * v).sum(axis=1))
-    margin = 8 * (nfac * (nfac + 1) // 2 + 16) * EPS
-    out = np.empty(ell.shape[0])
-    chunk = max(1, CHUNK_ENTRIES // (t.shape[0] * nfac * n))
-    for lo in range(0, ell.shape[0], chunk):
-        hi = min(lo + chunk, ell.shape[0])
-        # rows on the last axis, so every reduction runs over whole rows
-        w = t[:, None, None] ** ell[lo:hi].T              # (K, N, c)
-        y = w[:, :, None] * vabs[:, :, None]              # (K, N, n, c)
-        b = np.maximum(2 * y.max(axis=1) - y.sum(axis=1), 0.0)
-        u = (w * norms[:, None]).sum(axis=1)              # (K, c)
-        out[lo:hi] = ((b * b).sum(axis=1) - margin * (u * u)).max(axis=0)
+    spread = (vabs @ np.asarray(r, dtype=np.float64))[:, None]  # (N, 1)
+    lnt = np.log(np.asarray(t, dtype=np.float64))[:, None, None]
+    margin = 1 + (2 * nfac + 16) * EPS
+    out = np.empty(len(centres), dtype=bool)
+    chunk = max(1, CHUNK_ENTRIES // (len(lnt) * nfac * n))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for lo in range(0, len(centres), chunk):
+            # boxes on the last axis, so every reduction runs over whole rows
+            c = centres[lo:lo + chunk].T
+            ell = v @ c - lam[:, None]                      # (N, c)
+            half = spread + (n + 10) * EPS * (
+                spread + vabs @ np.abs(c) + np.abs(lam)[:, None])
+            upper = ell + half
+            w_min = np.exp(lnt * upper)                     # (K, N, c)
+            w_max = np.exp(lnt * (ell - half))
+            left = ((w_min + w_max)[:, :, None] * vabs[:, :, None]).max(
+                axis=1)                                     # (K, n, c)
+            right = margin * (vabs.T @ w_max) + TINY
+            out[lo:lo + chunk] = ((upper > 0).all(axis=0)
+                                  & ~(left > right).any(axis=(0, 1)))
     return out
-
-
-def _probe_lower_bound(ell, form, tk):
-    """Per fiber row, a lower bound from the single probe tk on the r^2
-    minimum that grid_min_residual computes for the row.
-
-    For every nu, r^2(tk, nu) <= max_t r^2(t, nu), so the row minimum of
-    r^2(tk, .) is at most the kernel's min_nu max_t r^2, in exact
-    arithmetic. Both are computed in floats from the same table, whose
-    entries are at most 1 + 4 eps in size. Against exact powers, one
-    computed r^2 at tk lies within (P + 10) eps S of its exact value,
-    S = sum_p |a_p| over the row's coefficient vector a at tk: each a_p
-    within 10 eps |a_p| (two powers within 4 ulp, two products), and the
-    P-term product with a table column within P eps S more. The margin
-    16 P eps S, four times the kernel's tie tolerance 4 P eps S, is at
-    least 2 (P + 11) eps S for every P >= 2: it covers both computations
-    and the subtraction, so the result never exceeds the row's computed
-    r^2 minimum. Runs in chunks of rows, as the kernel does.
-    """
-    jj, ll, coef, table = form
-    npair, mnu = table.shape
-    margin = 16 * npair * EPS
-    out = np.empty(ell.shape[0])
-    chunk = _chunk_rows(1, mnu)
-    for lo in range(0, ell.shape[0], chunk):
-        hi = min(lo + chunk, ell.shape[0])
-        w = tk ** ell[lo:hi]                          # (c, N)
-        a = coef * w[:, jj] * w[:, ll]                # (c, P)
-        out[lo:hi] = ((a @ table).min(axis=1)
-                      - margin * np.abs(a).sum(axis=1))
-    return out
-
-
-def pruned_min_residual(ell, p_re, p_im, v, t, keep, order):
-    """grid_min_residual on the rows that can lie among the keep smallest
-    min_residual values; the rows proven to lie outside read min_residual
-    +inf and argmin_nu -1.
-
-    Branch and bound (Land and Doig, 1960). Every row starts from
-    _holonomy_free_bound. Then come passes over the probes t[order[0]],
-    t[order[1]], ...: each pass bounds rows with _probe_lower_bound,
-    keeping the running maximum of a row's bounds, drops the rows above
-    the current limit, runs the kernel on the keep alive rows of lowest
-    bound among those it bounded (lowest index among equal bounds), and
-    sets tau to the keep-th smallest min_residual evaluated so far. The
-    first pass bounds only the 2 keep rows of lowest holonomy-free bound;
-    later passes bound every alive row. The limit is the square of the
-    next float above tau, times 1 + 4 eps for the rounding of that square:
-    a row whose bound exceeds it has a computed min_residual above tau, so
-    at least keep evaluated rows come before it in any order of
-    min_residual, ties by index included. Rows that tie tau are never
-    dropped. The kernel then runs on the rows that survive every pass.
-
-    The kernel runs on whole chunks of the full run (rows [i c, i c + c)
-    for its chunk size c), so every evaluated row meets the same matrix
-    product as in grid_min_residual(ell, ...) and has its bits; BLAS
-    rounds a row differently at other positions in a product.
-    """
-    ell = np.asarray(ell, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
-    ma = ell.shape[0]
-    minres = np.full(ma, np.inf)
-    argnu = np.full(ma, -1, dtype=np.int64)
-    if keep < 1:
-        return minres, argnu
-    form = _quadratic_form(p_re, p_im, v)
-    lower = _holonomy_free_bound(ell, np.asarray(v, dtype=np.float64), t)
-    alive = np.ones(ma, dtype=bool)
-    chunk = _chunk_rows(t.shape[0], form[3].shape[1])
-
-    def lowest(rows, count):
-        # the count rows of lowest bound, ties by index, in index order
-        return np.sort(rows[np.argsort(lower[rows], kind="stable")[:count]])
-
-    def evaluate(rows):
-        # the rows' chunks by a mask: a first np.unique call adds 1.4 MB
-        # to the process RSS
-        blocks = np.zeros(-(-ma // chunk), dtype=bool)
-        blocks[rows // chunk] = True
-        rows = (np.flatnonzero(blocks)[:, None] * chunk
-                + np.arange(chunk)).ravel()
-        rows = rows[rows < ma]
-        minres[rows], argnu[rows] = grid_min_residual(ell[rows], p_re, p_im,
-                                                      v, t)
-        alive[rows] = False
-
-    limit = np.inf
-    rows = lowest(np.arange(ma), 2 * keep)
-    for k in order:
-        lower[rows] = np.maximum(lower[rows],
-                                 _probe_lower_bound(ell[rows], form, t[k]))
-        alive &= lower <= limit
-        rows = rows[alive[rows]]
-        if len(rows) == 0:
-            break
-        evaluate(lowest(rows, keep))
-        done = minres[np.isfinite(minres)]
-        if len(done) >= keep:
-            tau = np.partition(done, keep - 1)[keep - 1]
-            above = np.nextafter(tau, np.inf)
-            limit = above * above * (1 + 4 * EPS)
-            alive &= lower <= limit
-        rows = np.flatnonzero(alive)
-    if alive.any():
-        evaluate(np.flatnonzero(alive))
-    return minres, argnu

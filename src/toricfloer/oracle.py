@@ -1,9 +1,12 @@
-"""Brute-force grid oracle for balanced fibers.
+"""Grid oracle for balanced fibers.
 
-Scans a dense grid of interior fiber positions and holonomy vectors for
-small balanced residuals, then polishes the best grid cells with local
-least squares. Serves as an independent completeness check on the exact
-and Newton pipelines; the per-cell scan is the package's hot loop.
+Tiles the fiber positions with boxes and excludes every box that a
+holonomy-free interval bound proves to hold no balanced fiber at any
+holonomy (`kernels.box_survivors`). The boxes that survive enclose every
+balanced fiber; the residual kernel scans their centres against a
+holonomy grid, and the best cells are polished by local least squares.
+Serves as an independent completeness check on the exact and Newton
+pipelines.
 
 `least_squares` is Gauss-Newton on the analytic Jacobian of the balanced
 residual (Nocedal-Wright, "Numerical Optimization", 2006, 10.3), run on
@@ -19,27 +22,22 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import grid_min_residual, pruned_min_residual
+from .kernels import EPS, box_survivors, grid_min_residual
 from .lattice import Polytope, PolytopeError
 from .solve import dedup_mod_2pi, sort_key, wrap_angle
 
 # probe values separating the area filtration levels: vanishing of the
 # residual at several generic t in (0,1) forces per-level vanishing
 PROBE_T = (0.31830988618379067, 0.5641895835477563, 0.7853981633974483)
-# indices into PROBE_T in the order a pruned grid_scan bounds the rows by
-# single probes, 0.564, 0.785, 0.318: at the criterion-9 grids it lets
-# 9 152 of the 53 089 corpus rows reach the kernel (9 944 to 11 834 for
-# the other five orders) and had the lowest median scan time of the six
-BOUND_ORDER = (1, 2, 0)
 # candidates closer than this in every coordinate are one candidate
 DEDUP_TOL = 1e-4
 # balanced_oracle polishes at most this many seeds
 POLISH_TOP = 40
 # a polished point whose residual is at most this is a candidate
 ACCEPT_TOL = 1e-8
-# grid points and candidates lie more than this inside every facet
+# candidates lie more than this inside every facet
 INTERIOR_TOL = 1e-9
-# fiber grid points times holonomy grid points the scan takes; dimension 2
+# A-boxes times holonomy grid points the scan takes; dimension 2
 # and 3 at the default grids (200^2 x 60^2, 32^3 x 16^3) stay below it
 MAX_GRID_CELLS = 2 ** 28
 
@@ -138,6 +136,18 @@ def _residual_fun(p: Polytope):
 
 
 def _grids(p: Polytope, n_a: int | None, n_nu: int | None):
+    """The A-boxes and the holonomy grid: (centres, r, nus).
+
+    n_a boxes per axis tile the bounding box of p's vertices; centres
+    (n_a^n, n) are in meshgrid order and r (n,) are the half-widths. On
+    an axis from lo to hi, the centres are lo + (2 k + 1) h with
+    h = (hi - lo) / (2 n_a). With M = max(|lo|, |hi|), lo and hi round
+    from the exact vertices by eps/2 M each; after a subtraction, a
+    division, a product and a sum, h lies within 1.5 eps M of the exact
+    tiling's half-width and each centre within 5 eps M of its centre. So
+    r = h + 8 eps M makes the boxes [c - r, c + r] cover the exact
+    bounding box. nus is _holonomy_grid(n, n_nu).
+    """
     n = p.dim
     if n_a is None:
         n_a = 200 if n <= 2 else 32
@@ -151,12 +161,13 @@ def _grids(p: Polytope, n_a: int | None, n_nu: int | None):
         raise PolytopeError(
             f"grid oracle is limited to {MAX_GRID_CELLS} grid cells, "
             f"dimension {n} at n_a={n_a}, n_nu={n_nu} needs {cells}")
-    verts = p.vertices()
-    lo = [min(float(v[i]) for v in verts) for i in range(n)]
-    hi = [max(float(v[i]) for v in verts) for i in range(n)]
-    axes = [np.linspace(lo[i], hi[i], n_a + 2)[1:-1] for i in range(n)]
-    a_grid = np.stack([g.ravel() for g in np.meshgrid(*axes)], axis=-1)
-    return a_grid, _holonomy_grid(n, n_nu)
+    verts = np.array([[float(x) for x in v] for v in p.vertices()])
+    lo, hi = verts.min(axis=0), verts.max(axis=0)
+    h = (hi - lo) / (2 * n_a)
+    axes = [lo[i] + h[i] * np.arange(1, 2 * n_a, 2) for i in range(n)]
+    centres = np.stack([g.ravel() for g in np.meshgrid(*axes)], axis=-1)
+    r = h + 8 * EPS * np.maximum(np.abs(lo), np.abs(hi))
+    return centres, r, _holonomy_grid(n, n_nu)
 
 
 def _holonomy_grid(n: int, n_nu: int):
@@ -173,12 +184,19 @@ def _holonomy_grid(n: int, n_nu: int):
     return nu_grid[conj.ravel() >= index.ravel()]
 
 
-def grid_scan(p: Polytope, n_a: int | None = None, n_nu: int | None = None,
-              keep: int | None = None):
-    """Minimum balanced residual over the holonomy grid, per interior
-    fiber grid point. Returns (points, nus, min_residuals). Grid sizes
-    below 1 raise ValueError; more than MAX_GRID_CELLS fiber x holonomy
-    grid points raise PolytopeError before anything is allocated.
+def grid_scan(p: Polytope, n_a: int | None = None, n_nu: int | None = None):
+    """Minimum balanced residual over the holonomy grid at the centre of
+    every A-box that survives exclusion. Returns (centres, nus,
+    min_residuals). Grid sizes below 1 raise ValueError; more than
+    MAX_GRID_CELLS box x holonomy grid points raise PolytopeError before
+    anything is allocated.
+
+    n_a boxes per axis cover the vertices' bounding box (_grids), and
+    kernels.box_survivors drops each box that misses the open polytope or
+    where, at some probe, one coordinate of the balanced sum is bounded
+    away from 0 for every holonomy. Every balanced fiber, at any holonomy,
+    lies in one of the returned boxes; a centre may lie outside the
+    polytope when its box straddles a facet.
 
     Only one holonomy of each conjugate pair {nu, -nu mod 2 pi} is
     scanned, the one of lower index in the full n_nu^n lattice; a cell
@@ -189,38 +207,15 @@ def grid_scan(p: Polytope, n_a: int | None = None, n_nu: int | None = None,
     of a pair tie in exact arithmetic; the kernel returns the lowest index
     among tied cells, which in the full scan is never the higher cell of
     a pair, so every cell the full scan can return is kept.
-
-    keep=None evaluates every row. With a number, only the rows that can
-    lie among the keep smallest min_residuals are evaluated
-    (kernels.pruned_min_residual, probes in BOUND_ORDER): every row starts
-    from a bound that ignores the holonomy, at O(N n) per row and probe,
-    and single-probe passes sharpen it. A single probe's r^2 minimum over
-    the holonomies is at most the row's minimum of the maximum over all
-    probes, and less a margin of 16 P eps sum_p |a_p| (four times the
-    kernel's tie tolerance, for the rounding of both computations) it is
-    a lower bound on the row's computed r^2 minimum; the first such pass
-    bounds only the 2 keep rows of lowest holonomy-free bound.
-    A row whose bound lies above the keep-th smallest evaluated value is
-    dropped and reads min_residual +inf and nu NaN. Every evaluated row,
-    and so every row among the keep smallest of the full scan in order of
-    min_residual with ties by index, equals the full scan's.
     """
     v, lam = _facets(p)
-    a_grid, nu_grid = _grids(p, n_a, n_nu)
-    ell = a_grid @ v.T - lam
-    interior = (ell > INTERIOR_TOL).all(axis=1)
-    a_grid, ell = a_grid[interior], ell[interior]
-    phase = np.exp(1j * (nu_grid @ v.T))
+    centres, r, nu_grid = _grids(p, n_a, n_nu)
     t = np.array(PROBE_T)
-    if keep is None:
-        minres, argnu = grid_min_residual(ell, phase.real, phase.imag, v, t)
-        return a_grid, nu_grid[argnu], minres
-    minres, argnu = pruned_min_residual(ell, phase.real, phase.imag, v, t,
-                                        keep, BOUND_ORDER)
-    nus = np.full((len(argnu), p.dim), np.nan)
-    hit = argnu >= 0
-    nus[hit] = nu_grid[argnu[hit]]
-    return a_grid, nus, minres
+    centres = centres[box_survivors(centres, r, v, lam, t)]
+    phase = np.exp(1j * (nu_grid @ v.T))
+    minres, argnu = grid_min_residual(centres @ v.T - lam, phase.real,
+                                      phase.imag, v, t)
+    return centres, nu_grid[argnu], minres
 
 
 def _seeds(a_grid, nu_best, minres, polish_top: int):
@@ -242,17 +237,18 @@ def _seeds(a_grid, nu_best, minres, polish_top: int):
 
 def balanced_oracle(p: Polytope, n_a: int | None = None,
                     n_nu: int | None = None) -> list[OracleCandidate]:
-    """Balanced candidates from a grid scan plus local polishing.
+    """Balanced candidates from box exclusion, a grid scan of the
+    surviving boxes and local polishing.
 
-    The seeds come from the 10 * POLISH_TOP cells of lowest residual, so
-    the scan runs with keep = 10 * POLISH_TOP: the rows it proves to lie
-    outside that many read +inf and are never seeds, and the seeds are
-    those of the full scan. A polished point is a candidate when its
-    residual is at most ACCEPT_TOL and each of its facet distances,
-    computed in floats, exceeds INTERIOR_TOL.
+    The seeds are taken from the surviving box centres of grid_scan, in
+    order of residual; with no surviving box there is no balanced fiber
+    and the result is [], without a polish. A polished point is a
+    candidate when its residual is at most ACCEPT_TOL and each of its
+    facet distances, computed in floats, exceeds INTERIOR_TOL.
     """
-    seeds = _seeds(*grid_scan(p, n_a, n_nu, keep=10 * POLISH_TOP),
-                   POLISH_TOP)
+    seeds = _seeds(*grid_scan(p, n_a, n_nu), POLISH_TOP)
+    if not seeds:
+        return []
     # per-coordinate holonomy restart offsets so mixed holonomies such as
     # (0, pi) are reachable from any seed cell
     offs = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
@@ -264,8 +260,7 @@ def balanced_oracle(p: Polytope, n_a: int | None = None,
         starts += [a + tuple((x + o) % (2 * math.pi)
                              for x, o in zip(nu, shift))
                    for shift in shifts]
-    x, resid = least_squares(_residual_fun(p),
-                             np.array(starts).reshape(-1, 2 * p.dim))
+    x, resid = least_squares(_residual_fun(p), np.array(starts))
     v, lam = _facets(p)
     interior = (x[:, :p.dim] @ v.T - lam > INTERIOR_TOL).all(axis=1)
     found = np.flatnonzero((resid <= ACCEPT_TOL) & interior)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import warnings
@@ -9,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricfloer import kernels, oracle
+from toricfloer.floer import UnsupportedRegimeWarning
 from toricfloer.lattice import Polytope, PolytopeError, parse_polytope
+from toricfloer.mirror import balanced_fibers_with_holonomy
 from toricfloer.oracle import (MAX_GRID_CELLS, PROBE_T, OracleCandidate,
                                balanced_oracle, grid_scan)
 
@@ -192,16 +195,17 @@ def test_oracle_candidates_p1():
 
 def _full_grid_scan(p, n_a, n_nu):
     """grid_scan over every cell of the holonomy lattice, as it ran before
-    one cell of each conjugate pair was dropped: the reference."""
+    one cell of each conjugate pair was dropped, at the surviving box
+    centres: the reference."""
     v = np.array(p.normals, dtype=float)
     lam = np.array([float(l) for l in p.offsets])
-    a_grid, _ = oracle._grids(p, n_a, n_nu)
+    centres, r, _ = oracle._grids(p, n_a, n_nu)
+    a_grid = centres[kernels.box_survivors(centres, r, v, lam,
+                                           np.array(PROBE_T))]
     nu_axis = np.arange(n_nu) * (2 * math.pi / n_nu)
     nu_grid = np.stack(
         [g.ravel() for g in np.meshgrid(*([nu_axis] * p.dim))], axis=-1)
     ell = a_grid @ v.T - lam
-    interior = (ell > 1e-9).all(axis=1)
-    a_grid, ell = a_grid[interior], ell[interior]
     phase = np.exp(1j * (nu_grid @ v.T))
     minres, argnu = kernels.grid_min_residual(
         ell, phase.real, phase.imag, v, np.array(PROBE_T))
@@ -283,7 +287,7 @@ def test_grids_keep_one_cell_per_conjugate_pair(name, n_nu, cells):
     # (m^n + 2^n) / 2 cells for even m, (m^n + 1) / 2 for odd m
     p = corpus_polytope(name)
     n = p.dim
-    _, kept = oracle._grids(p, 3, n_nu)
+    _, _, kept = oracle._grids(p, 3, n_nu)
     assert len(kept) == cells
     assert not kept[0].any()
     nu_axis = np.arange(n_nu) * (2 * math.pi / n_nu)
@@ -302,82 +306,140 @@ def test_grids_keep_one_cell_per_conjugate_pair(name, n_nu, cells):
         assert (i in kept_index) or (j in kept_index and j < i)
 
 
-def _assert_bound_below_kernel(ell, p_re, p_im, v):
-    """The holonomy-free bound of every row is at most the kernel's
-    computed r^2 minimum, and at most the long-double minimum less the
-    kernel's own rounding (P + 10) eps S, with S at the smallest probe."""
-    t = np.array(PROBE_T)
-    bound = kernels._holonomy_free_bound(ell, v, t)
-    minres, _ = kernels.grid_min_residual(ell, p_re, p_im, v, t)
-    assert np.all(bound <= minres ** 2)
-    r2, _ = _longdouble_r2(ell, p_re, p_im, v, t)
-    one = np.ones((1, v.shape[0]))
-    # S grows with t on rows of positive facet distances
-    scale = _longdouble_r2(ell, one, 0 * one, v, t[:1])[1]
-    npair = v.shape[0] * (v.shape[0] + 1) // 2
-    assert np.all(bound <= r2.min(axis=1)
-                  - (npair + 10) * kernels.EPS * scale)
-
-
-def _rows_near_facets(p, n_a):
-    """Facet distances of p's interior fiber grid points, and of the same
-    points moved to 1e-9, 1e-6 and 1e-3 from each facet."""
-    v, lam = oracle._facets(p)
-    a_grid, _ = oracle._grids(p, n_a, 1)
-    ell = a_grid @ v.T - lam
-    rows = [ell[(ell > 1e-9).all(axis=1)]]
-    for vj, lj in zip(v, ell.T):
+def _box_points(c, r, v, lam, rng):
+    """Points of each box [c - r, c + r] in long double, (B, m, n), and a
+    mask of those inside their box: the centre, the corners, four random
+    points, and all of these moved to 1e-9, 1e-6 and 1e-3 inside each
+    facet, which stay in the box only where it straddles the facet."""
+    b, n = c.shape
+    signs = np.array(list(itertools.product((-1, 1), repeat=n)))
+    u = np.vstack([np.zeros((1, n)), signs])[None] * np.ones((b, 1, 1))
+    u = np.concatenate([u, rng.uniform(-1, 1, (b, 4, n))], axis=1)
+    base = c[:, None] + r * u.astype(np.longdouble)
+    pts = [base]
+    for vj, lj in zip(v, lam):
+        dist = base @ vj - lj
         for d in (1e-9, 1e-6, 1e-3):
-            moved = a_grid - ((lj - d) / (vj @ vj))[:, None] * vj
-            e = moved @ v.T - lam
-            rows.append(e[(e > 0).all(axis=1)])
-    return np.vstack(rows)
+            pts.append(base - ((dist - d) / (vj @ vj))[..., None] * vj)
+    pts = np.concatenate(pts, axis=1)
+    return pts, (np.abs(pts - c[:, None]) <= r).all(axis=2)
+
+
+def _assert_exclusions_sound(p, n_a, rng, boxes=100):
+    """At sample points of up to `boxes` excluded boxes, in long double:
+    a box excluded as outside holds no point of the open polytope, and
+    for every other one the probe and coordinate of its largest bound
+    max_j (t^l_j^+ + t^l_j^-) |v_ja| - sum_k t^l_k^- |v_ka| give a
+    positive bound, at most |s_a| at every point and a random nu."""
+    ld = np.longdouble
+    v, lam = oracle._facets(p)
+    centres, r, _ = oracle._grids(p, n_a, 1)
+    t = np.array(PROBE_T)
+    out = centres[~kernels.box_survivors(centres, r, v, lam, t)]
+    if len(out) == 0:
+        return
+    if len(out) > boxes:
+        out = out[rng.choice(len(out), boxes, replace=False)]
+    v, lam, t = v.astype(ld), lam.astype(ld), t.astype(ld)
+    c, r = out.astype(ld), r.astype(ld)
+    vabs = np.abs(v)
+    ell_c = c @ v.T - lam                                  # (B, N)
+    spread = vabs @ r
+    up, dn = ell_c + spread, ell_c - spread
+    w_lo = t[None, :, None] ** up[:, None, :]              # (B, K, N)
+    w_hi = t[None, :, None] ** dn[:, None, :]
+    bound = (((w_lo + w_hi)[..., None] * vabs).max(axis=2)
+             - w_hi @ vabs).reshape(len(c), -1)            # (B, K n)
+    tol = 64 * np.finfo(ld).eps
+    outside = (up <= tol * (np.abs(c) @ vabs.T + np.abs(lam))).any(axis=1)
+    assert (outside | (bound.max(axis=1) > 0)).all()
+    pts, inside = _box_points(c, r, v, lam, rng)
+    ell = pts @ v.T - lam                                  # (B, m, N)
+    scale = np.abs(pts) @ vabs.T + np.abs(lam)
+    assert ((ell <= tol * scale).any(axis=2) | ~inside)[outside].all()
+    k, a = np.divmod(bound.argmax(axis=1), v.shape[1])
+    theta = rng.uniform(0, 2 * math.pi, pts.shape).astype(ld) @ v.T
+    w = t[k][:, None, None] ** ell                         # (B, m, N)
+    va = v[:, a].T[:, None, :]                             # (B, 1, N)
+    s = np.hypot((w * np.cos(theta) * va).sum(axis=2),
+                 (w * np.sin(theta) * va).sum(axis=2))
+    slack = tol * (w * np.abs(va)).sum(axis=2)
+    assert ((s >= bound.max(axis=1)[:, None] - slack) | ~inside)[
+        ~outside].all()
 
 
 @settings(max_examples=100, deadline=None)
-@given(_box_polytope(), st.sampled_from([1, kernels.CHUNK_ENTRIES]))
-def test_holonomy_free_bound_below_kernel(problem, chunk_entries):
-    p, n_a, n_nu = problem
-    v, _ = oracle._facets(p)
-    phase = np.exp(1j * (oracle._holonomy_grid(p.dim, n_nu) @ v.T))
+@given(_box_polytope(), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_excluded_boxes_hold_no_balanced_fiber(problem, factor, seed):
+    p, n_a, _ = problem
+    rng = np.random.default_rng(seed)
+    _assert_exclusions_sound(p, n_a * factor, rng)
+    # the mask does not depend on the chunks
+    v, lam = oracle._facets(p)
+    centres, r, _ = oracle._grids(p, n_a * factor, 1)
+    whole = kernels.box_survivors(centres, r, v, lam, np.array(PROBE_T))
     saved = kernels.CHUNK_ENTRIES
-    kernels.CHUNK_ENTRIES = chunk_entries
+    kernels.CHUNK_ENTRIES = 1
     try:
-        _assert_bound_below_kernel(_rows_near_facets(p, n_a), phase.real,
-                                   phase.imag, v)
+        rows = kernels.box_survivors(centres, r, v, lam, np.array(PROBE_T))
     finally:
         kernels.CHUNK_ENTRIES = saved
+    assert np.array_equal(whole, rows)
 
 
-@pytest.mark.parametrize("chunk_entries", [1, kernels.CHUNK_ENTRIES])
-def test_holonomy_free_bound_below_balanced_rows(chunk_entries,
-                                                 monkeypatch):
+@pytest.mark.parametrize("name", ["p1", "p2", "p3", "p1xp1", "f1", "f2",
+                                  "f3"])
+def test_excluded_boxes_hold_no_balanced_fiber_on_corpus(name):
+    # the criterion-9 grids
+    p = corpus_polytope(name)
+    _assert_exclusions_sound(p, 120 if p.dim <= 2 else 32,
+                             np.random.default_rng(0))
+
+
+def test_balanced_p3_rows_survive():
     # the rows of test_balanced_rows_clamp_rounding, where the computed
-    # r^2 rounds below 0: the bound must lie below it, not below 0 only
-    monkeypatch.setattr(kernels, "CHUNK_ENTRIES", chunk_entries)
+    # r^2 rounds below 0 for some distances: all four facet distances of
+    # P^3 of size 4 s equal s at A = (s, s, s), a balanced fiber, so
+    # every box around it survives
     v = np.array(corpus_polytope("p3").normals, dtype=float)
-    ell = np.repeat(np.linspace(0.05, 3.0, 400)[:, None], 4, axis=1)
+    t = np.array(PROBE_T)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _assert_bound_below_kernel(ell, np.ones((1, 4)), np.zeros((1, 4)),
-                                   v)
+        for s in np.linspace(0.05, 3.0, 400):
+            lam = np.array([0.0, 0.0, 0.0, -4 * s])
+            for r in (0.0, 1e-12, 1e-3, s / 2):
+                assert kernels.box_survivors(np.full((1, 3), s),
+                                             np.full(3, r), v, lam, t)[0]
 
 
-def test_first_probe_pass_bounds_2_keep_rows(monkeypatch):
-    # the holonomy-free bound chooses the rows of the first probe pass, so
-    # far fewer rows than the grid's meet a probe
-    sizes = []
-    probe = kernels._probe_lower_bound
+@pytest.mark.parametrize("name", ["p1", "p2", "p3", "p1xp1", "f1", "f2",
+                                  "f3"])
+def test_every_balanced_fiber_lies_in_a_surviving_box(name):
+    # at the criterion-9 grids, the holonomy pipeline's solutions and the
+    # recorded oracle candidates; f3 has neither and no surviving box,
+    # which proves that it has no balanced fiber at any holonomy
+    p = corpus_polytope(name)
+    grids = (120, 48) if p.dim <= 2 else (None, None)
+    centres, _, _ = grid_scan(p, *grids)
+    _, r, _ = oracle._grids(p, *grids)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnsupportedRegimeWarning)
+        fibers = [s.point.as_floats() for s in
+                  balanced_fibers_with_holonomy(p)]
+    recorded = json.loads((DATA / "oracle_corpus.json").read_text())[name]
+    for a in fibers + [row["point"] for row in recorded]:
+        assert (np.abs(centres - a) <= r).all(axis=1).any(), a
+    assert (len(centres) == 0) == (name == "f3")
+    if name == "f3":
+        assert not fibers and not recorded
 
-    def record(ell, form, tk):
-        sizes.append(len(ell))
-        return probe(ell, form, tk)
 
-    monkeypatch.setattr(kernels, "_probe_lower_bound", record)
-    _, _, res = grid_scan(corpus_polytope("p2"), n_a=120, n_nu=48,
-                          keep=400)
-    assert sizes[0] == 800
-    assert sum(sizes) < len(res) / 2
+def test_no_surviving_box_skips_the_polish(monkeypatch):
+    def polish(fun, x0):
+        raise AssertionError("polished")
+
+    monkeypatch.setattr(oracle, "least_squares", polish)
+    assert balanced_oracle(corpus_polytope("f3"), n_a=120, n_nu=48) == []
 
 
 def _seeds_by_pairs(a_grid, nu_best, minres, polish_top):
@@ -426,88 +488,6 @@ def test_seeds_take_ties_in_index_order():
     seeds = oracle._seeds(a_grid, nu_best, minres, 100)
     want = [i for v in (0.0, 0.1, 0.2) for i in np.flatnonzero(minres == v)]
     assert [int(a[0]) for a, _ in seeds] == want[:100]
-
-
-@settings(max_examples=150, deadline=None)
-@given(_box_polytope(), st.sampled_from([1, 100, 1000, 62_500]), st.data())
-def test_pruned_scan_keeps_the_smallest_rows(problem, chunk_entries, data):
-    # small chunks let the scan drop rows of these small grids
-    p, n_a, n_nu = problem
-    saved = kernels.CHUNK_ENTRIES
-    kernels.CHUNK_ENTRIES = chunk_entries
-    try:
-        pts, nus, res = grid_scan(p, n_a=n_a, n_nu=n_nu)
-        keep = data.draw(st.integers(1, len(res) + 1), label="keep")
-        pts_k, nus_k, res_k = grid_scan(p, n_a=n_a, n_nu=n_nu, keep=keep)
-        assert np.array_equal(pts_k, pts)
-        top = np.argsort(res, kind="stable")[:keep]
-        assert np.isfinite(res_k[top]).all()
-        finite = np.isfinite(res_k)
-        assert np.array_equal(res_k[finite], res[finite])
-        assert np.array_equal(nus_k[finite], nus[finite])
-        assert np.isnan(nus_k[~finite]).all()
-        for polish_top in range(13):
-            pruned = grid_scan(p, n_a=n_a, n_nu=n_nu, keep=10 * polish_top)
-            assert (oracle._seeds(*pruned, polish_top)
-                    == oracle._seeds(pts, nus, res, polish_top))
-    finally:
-        kernels.CHUNK_ENTRIES = saved
-
-
-@pytest.mark.parametrize("case, keep", [
-    ("groups", 7), ("copies", 3), ("balanced", 3)])
-def test_pruning_evaluates_every_row_tied_at_tau(case, keep, monkeypatch):
-    # chunks of one row, and more than keep rows at or below tau: five
-    # shuffled copies of each of 12 rows (keep = 7 cuts the second group),
-    # 40 copies of one row, or P^3 with equal facet distances at nu = 0,
-    # where the residual is 0 and its computed square rounds to either
-    # side of 0, in the bound pass too (min_residual reads 0 on 26 of the
-    # 40 rows here)
-    monkeypatch.setattr(kernels, "CHUNK_ENTRIES", 1)
-    rng = np.random.default_rng(1)
-    v = np.array(corpus_polytope("p2").normals, dtype=float)
-    nu = oracle._holonomy_grid(2, 12)
-    if case == "groups":
-        ell = rng.permutation(np.repeat(rng.uniform(0.2, 2.5, (12, 3)), 5,
-                                        axis=0))
-    elif case == "copies":
-        ell = np.repeat([[0.7, 1.1, 1.9]], 40, axis=0)
-    else:
-        v = np.array(corpus_polytope("p3").normals, dtype=float)
-        ell = np.repeat(np.linspace(0.05, 3.0, 40)[:, None], 4, axis=1)
-        nu = oracle._holonomy_grid(3, 4)
-    phase = np.exp(1j * (nu @ v.T))
-    args = (ell, phase.real, phase.imag, v, np.array(PROBE_T))
-    full, full_nu = kernels.grid_min_residual(*args)
-    tau = np.sort(full)[keep - 1]
-    assert (full <= tau).sum() > keep
-    got, got_nu = kernels.pruned_min_residual(*args, keep, oracle.BOUND_ORDER)
-    evaluated = np.isfinite(got)
-    assert evaluated[full <= tau].all()
-    assert np.array_equal(got[evaluated], full[evaluated])
-    assert np.array_equal(got_nu[evaluated], full_nu[evaluated])
-    assert (got_nu[~evaluated] == -1).all()
-    if case == "groups":
-        assert not evaluated.all()
-        none, none_nu = kernels.pruned_min_residual(*args, 0,
-                                                    oracle.BOUND_ORDER)
-        assert np.isinf(none).all() and (none_nu == -1).all()
-
-
-@pytest.mark.parametrize("name", ["p1", "p2", "p3", "p1xp1", "f1", "f2",
-                                  "f3"])
-def test_pruned_oracle_equals_full_scan_on_corpus(name, monkeypatch):
-    # the criterion-9 grids
-    p = corpus_polytope(name)
-    grids = {"n_a": 120, "n_nu": 48} if p.dim <= 2 else {}
-    full = grid_scan(p, **grids)
-    pruned = grid_scan(p, **grids, keep=400)
-    assert oracle._seeds(*pruned, 40) == oracle._seeds(*full, 40)
-    cands = balanced_oracle(p, **grids)
-    scan = oracle.grid_scan
-    monkeypatch.setattr(oracle, "grid_scan",
-                        lambda p, n_a, n_nu, keep: scan(p, n_a, n_nu))
-    assert cands == balanced_oracle(p, **grids)
 
 
 @pytest.mark.parametrize("name", ["p1", "p2", "p3", "p1xp1", "f1", "f2",
