@@ -396,20 +396,25 @@ def test_excluded_boxes_hold_no_balanced_fiber_on_corpus(name):
                              np.random.default_rng(0))
 
 
-def test_balanced_p3_rows_survive():
+@pytest.mark.parametrize("chunk_entries", [1, kernels.CHUNK_ENTRIES])
+def test_holonomy_free_bound_below_balanced_rows(chunk_entries,
+                                                 monkeypatch):
     # the rows of test_balanced_rows_clamp_rounding, where the computed
     # r^2 rounds below 0 for some distances: all four facet distances of
-    # P^3 of size 4 s equal s at A = (s, s, s), a balanced fiber, so
-    # every box around it survives
+    # P^3 of size 4 s equal s at A = (s, s, s), a balanced fiber, so the
+    # holonomy-free bound must keep every box around it, in any chunking
+    monkeypatch.setattr(kernels, "CHUNK_ENTRIES", chunk_entries)
     v = np.array(corpus_polytope("p3").normals, dtype=float)
     t = np.array(PROBE_T)
+    shifts = np.vstack([np.zeros(3), np.eye(3) / 2, -np.eye(3) / 2])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for s in np.linspace(0.05, 3.0, 400):
             lam = np.array([0.0, 0.0, 0.0, -4 * s])
             for r in (0.0, 1e-12, 1e-3, s / 2):
-                assert kernels.box_survivors(np.full((1, 3), s),
-                                             np.full(3, r), v, lam, t)[0]
+                centres = s + r * shifts
+                assert kernels.box_survivors(centres, np.full(3, r), v,
+                                             lam, t).all()
 
 
 @pytest.mark.parametrize("name", ["p1", "p2", "p3", "p1xp1", "f1", "f2",
