@@ -2,12 +2,17 @@
 
 ``box_survivors`` excludes the A-boxes that hold no balanced fiber at any
 holonomy, by interval bounds on the facet distances over each box (Moore,
-"Interval Analysis", 1966). ``grid_min_residual`` then evaluates the
-balanced residual at the surviving box centres, one real GEMM per chunk
-of rows. ``oracle.grid_scan`` passes it one holonomy of each conjugate
-pair {nu, -nu mod 2 pi}, the one of lower lattice index; the residual is
-even in nu, and the lowest-tied-index rule below then gives the full
-lattice's answer.
+"Interval Analysis", 1966). ``oracle`` calls it once per level of a
+bisection, from the vertices' bounding box down to the n_a-per-axis
+tiles, on the children of the boxes that survived the level before: at
+the criterion-9 grids it tests 19, 105, 617, 53, 421, 427 and 61 boxes on
+p1, p2, p3, p1xp1, f1, f2 and f3, 1 703 where a flat pass tests all
+104 888 tiles. ``grid_min_residual`` then evaluates the balanced residual
+at the surviving box centres, one real GEMM per chunk of rows.
+``oracle.grid_scan`` passes it one holonomy of each conjugate pair
+{nu, -nu mod 2 pi}, the one of lower lattice index; the residual is even
+in nu, and the lowest-tied-index rule below then gives the full lattice's
+answer.
 """
 
 from __future__ import annotations

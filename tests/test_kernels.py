@@ -17,6 +17,7 @@ from toricfloer.oracle import (MAX_GRID_CELLS, PROBE_T, OracleCandidate,
                                balanced_oracle, grid_scan)
 
 from conftest import DATA, assert_record, corpus_polytope
+from test_mirror import HARD_INPUTS
 
 
 def _reference(ell, p_re, p_im, v, t):
@@ -193,15 +194,26 @@ def test_oracle_candidates_p1():
     assert nus[1] == pytest.approx(math.pi, abs=1e-7)
 
 
+def _flat_boxes(p, n_a):
+    """The flat reference of grid_scan's bisection: the centres (n_a^n, n)
+    of every box of oracle._grids' tiling in meshgrid order, their
+    half-widths r and the kernels.box_survivors mask over all of them."""
+    v, lam = oracle._facets(p)
+    lo, h, r, n_a, _ = oracle._grids(p, n_a, 1)
+    axes = [lo[i] + h[i] * np.arange(1, 2 * n_a, 2) for i in range(p.dim)]
+    centres = np.stack([g.ravel() for g in np.meshgrid(*axes)], axis=-1)
+    return centres, r, kernels.box_survivors(centres, r, v, lam,
+                                             np.array(PROBE_T))
+
+
 def _full_grid_scan(p, n_a, n_nu):
     """grid_scan over every cell of the holonomy lattice, as it ran before
     one cell of each conjugate pair was dropped, at the surviving box
-    centres: the reference."""
+    centres of the flat pass: the reference."""
     v = np.array(p.normals, dtype=float)
     lam = np.array([float(l) for l in p.offsets])
-    centres, r, _ = oracle._grids(p, n_a, n_nu)
-    a_grid = centres[kernels.box_survivors(centres, r, v, lam,
-                                           np.array(PROBE_T))]
+    centres, _, mask = _flat_boxes(p, n_a)
+    a_grid = centres[mask]
     nu_axis = np.arange(n_nu) * (2 * math.pi / n_nu)
     nu_grid = np.stack(
         [g.ravel() for g in np.meshgrid(*([nu_axis] * p.dim))], axis=-1)
@@ -287,7 +299,7 @@ def test_grids_keep_one_cell_per_conjugate_pair(name, n_nu, cells):
     # (m^n + 2^n) / 2 cells for even m, (m^n + 1) / 2 for odd m
     p = corpus_polytope(name)
     n = p.dim
-    _, _, kept = oracle._grids(p, 3, n_nu)
+    kept = oracle._grids(p, 3, n_nu)[-1]
     assert len(kept) == cells
     assert not kept[0].any()
     nu_axis = np.arange(n_nu) * (2 * math.pi / n_nu)
@@ -325,21 +337,49 @@ def _box_points(c, r, v, lam, rng):
     return pts, (np.abs(pts - c[:, None]) <= r).all(axis=2)
 
 
+def _bisection_calls(p, n_a):
+    """grid_scan's surviving centres at n_a, and the (centres, r, mask) of
+    every call its bisection makes to kernels.box_survivors, coarsest
+    level first."""
+    calls = []
+
+    def record(centres, r, v, lam, t):
+        mask = kernels.box_survivors(centres, r, v, lam, t)
+        calls.append((centres, r, mask))
+        return mask
+
+    saved = oracle.box_survivors
+    oracle.box_survivors = record
+    try:
+        survivors = grid_scan(p, n_a, 1)[0]
+    finally:
+        oracle.box_survivors = saved
+    return survivors, calls
+
+
 def _assert_exclusions_sound(p, n_a, rng, boxes=100):
-    """At sample points of up to `boxes` excluded boxes, in long double:
-    a box excluded as outside holds no point of the open polytope, and
-    for every other one the probe and coordinate of its largest bound
+    """At sample points of up to `boxes` excluded boxes of the flat pass
+    and of each level of grid_scan's bisection, in long double: a box
+    excluded as outside holds no point of the open polytope, and for
+    every other one the probe and coordinate of its largest bound
     max_j (t^l_j^+ + t^l_j^-) |v_ja| - sum_k t^l_k^- |v_ka| give a
     positive bound, at most |s_a| at every point and a random nu."""
+    centres, r, mask = _flat_boxes(p, n_a)
+    for c, r_level, keep in [(centres, r, mask)] + _bisection_calls(
+            p, n_a)[1]:
+        out = c[~keep]
+        if len(out) > boxes:
+            out = out[rng.choice(len(out), boxes, replace=False)]
+        if len(out):
+            _assert_excluded_soundly(p, out, r_level, rng)
+
+
+def _assert_excluded_soundly(p, out, r, rng):
+    """The long-double check of _assert_exclusions_sound on the excluded
+    boxes [c - r, c + r], c a row of out."""
     ld = np.longdouble
     v, lam = oracle._facets(p)
-    centres, r, _ = oracle._grids(p, n_a, 1)
     t = np.array(PROBE_T)
-    out = centres[~kernels.box_survivors(centres, r, v, lam, t)]
-    if len(out) == 0:
-        return
-    if len(out) > boxes:
-        out = out[rng.choice(len(out), boxes, replace=False)]
     v, lam, t = v.astype(ld), lam.astype(ld), t.astype(ld)
     c, r = out.astype(ld), r.astype(ld)
     vabs = np.abs(v)
@@ -368,16 +408,47 @@ def _assert_exclusions_sound(p, n_a, rng, boxes=100):
         ~outside].all()
 
 
+def _assert_bisection_within_flat(p, n_a):
+    """grid_scan's surviving centres are flat centres, bit for bit, that
+    the flat mask keeps, in meshgrid order and C-contiguous; each box its
+    bisection tests, s = 2^(L - l) cells wide at level l, covers the s^n
+    exact cells it spans, checked in Fractions. Returns the surviving
+    centres of the bisection and of the flat pass."""
+    centres, r, mask = _flat_boxes(p, n_a)
+    survivors, calls = _bisection_calls(p, n_a)
+    assert survivors.flags.c_contiguous
+    index = {row: i for i, row in enumerate(map(tuple, centres.tolist()))}
+    got = [index[row] for row in map(tuple, survivors.tolist())]
+    assert got == sorted(got) and mask[got].all()
+    lo, h, _, n_a, _ = oracle._grids(p, n_a, 1)
+    verts = p.vertices()
+    lo_e = [min(x[i] for x in verts) for i in range(p.dim)]
+    h_e = [(max(x[i] for x in verts) - lo_e[i]) / (2 * n_a)
+           for i in range(p.dim)]
+    depth = (n_a - 1).bit_length()
+    assert len(calls) == depth + 1
+    for level, (c, r_level, _) in enumerate(calls):
+        s = 2 ** (depth - level)
+        assert np.array_equal(r_level, s * r)
+        j = np.rint((c - lo) / (2 * s * h) - 0.5).astype(int)
+        for row, first in zip(c.tolist(), (j * s).tolist()):
+            for i, (x, k) in enumerate(zip(row, first)):
+                x, w = Fraction(x), Fraction(float(r_level[i]))
+                assert x - w <= lo_e[i] + 2 * k * h_e[i]
+                assert lo_e[i] + 2 * (k + s) * h_e[i] <= x + w
+    return survivors, centres[mask]
+
+
 @settings(max_examples=100, deadline=None)
 @given(_box_polytope(), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
 def test_excluded_boxes_hold_no_balanced_fiber(problem, factor, seed):
     p, n_a, _ = problem
     rng = np.random.default_rng(seed)
     _assert_exclusions_sound(p, n_a * factor, rng)
+    _assert_bisection_within_flat(p, n_a * factor)
     # the mask does not depend on the chunks
     v, lam = oracle._facets(p)
-    centres, r, _ = oracle._grids(p, n_a * factor, 1)
-    whole = kernels.box_survivors(centres, r, v, lam, np.array(PROBE_T))
+    centres, r, whole = _flat_boxes(p, n_a * factor)
     saved = kernels.CHUNK_ENTRIES
     kernels.CHUNK_ENTRIES = 1
     try:
@@ -394,6 +465,17 @@ def test_excluded_boxes_hold_no_balanced_fiber_on_corpus(name):
     p = corpus_polytope(name)
     _assert_exclusions_sound(p, 120 if p.dim <= 2 else 32,
                              np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("name", ["p1", "p2", "p3", "p1xp1", "f1", "f2",
+                                  "f3"] + list(HARD_INPUTS))
+def test_bisection_keeps_the_flat_survivors(name):
+    # at n_a = 40 and at the criterion-9 grids
+    p = (corpus_polytope(name) if name not in HARD_INPUTS
+         else parse_polytope(HARD_INPUTS[name][0]))
+    for n_a in (40, 120 if p.dim <= 2 else None):
+        survivors, flat = _assert_bisection_within_flat(p, n_a)
+        assert np.array_equal(survivors, flat)
 
 
 @pytest.mark.parametrize("chunk_entries", [1, kernels.CHUNK_ENTRIES])
@@ -426,7 +508,7 @@ def test_every_balanced_fiber_lies_in_a_surviving_box(name):
     p = corpus_polytope(name)
     grids = (120, 48) if p.dim <= 2 else (None, None)
     centres, _, _ = grid_scan(p, *grids)
-    _, r, _ = oracle._grids(p, *grids)
+    r = oracle._grids(p, *grids)[2]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UnsupportedRegimeWarning)
         fibers = [s.point.as_floats() for s in
@@ -513,6 +595,22 @@ def test_residual_jacobian_matches_central_differences(name):
                      for e in np.eye(2 * n)], axis=2)
     scale = np.abs(jac).max(axis=(1, 2))
     assert (np.abs(jac - diff).max(axis=(1, 2)) <= 1e-6 * scale).all()
+
+
+# balanced_oracle's candidate counts on the hard inputs at n_a = 40,
+# n_nu = 16. Many are spurious: acceptance is an absolute residual
+# (ROADMAP item 9), so points whose weights underflow pass. All 96 on
+# p2-5000 lie hundreds of units from its one fiber (5000/3, 5000/3);
+# the 24 on p2xp1-5000 sit where their seeds started, at z = 2437.5 and
+# 2562.5; blowup-31-291 holds (31, 31), nu = (pi, pi), whose level-229
+# facet has no weight in double precision.
+@pytest.mark.parametrize("name, count", [
+    ("f1-300-1000", 16), ("f1-1000-1500", 4), ("blowup-100-300", 4),
+    ("blowup-31-291", 4), ("p2-5000", 96), ("f5", 0), ("f4", 0),
+    ("p2xp1-5000", 24), ("planted-3fold", 0), ("strip-290-300", 264)])
+def test_oracle_counts_on_hard_inputs(name, count):
+    p = parse_polytope(HARD_INPUTS[name][0])
+    assert len(balanced_oracle(p, n_a=40, n_nu=16)) == count
 
 
 def test_oracle_candidates_match_recorded_corpus():
