@@ -68,7 +68,8 @@ def pivot(rows, c: int, a) -> list[Row]:
     where B' is B with row c replaced by w: column c of B^-1 becomes
     d_c / a_c and every other column d_k loses a_k times that. With M the
     identity, ``rows`` is B^-1 and the result is B'^-1. Rows with a zero in
-    column c are returned as they are.
+    column c are returned as they are. The pivot a_c is also the factor
+    det B' / det B.
     """
     inv_p = 1 / Fraction(a[c])
     f = [x * inv_p for x in a]

@@ -50,10 +50,14 @@ class FiberPoint(NamedTuple):
     def ell(self, p: Polytope):
         return p.ell(self.coords)
 
-    def require_interior(self, p: Polytope) -> None:
-        if any(l <= 0 for l in self.ell(p)):
+    def require_interior(self, p: Polytope) -> list:
+        """The facet distances ell_j(A), all positive, else raise
+        SingularFiberError."""
+        ell = self.ell(p)
+        if any(l <= 0 for l in ell):
             raise SingularFiberError(
                 f"fiber {self.coords} is singular (not interior)")
+        return ell
 
 
 class _DiscClass(NamedTuple):
@@ -84,15 +88,13 @@ def maslov_index(d: DiscClass) -> int:
 
 def disc_area_exact(d: DiscClass, a: FiberPoint, p: Polytope) -> Fraction:
     """Area divided by 2*pi, as an exact rational."""
-    a.require_interior(p)
-    ell = [Fraction(l) for l in a.ell(p)]
+    ell = [Fraction(l) for l in a.require_interior(p)]
     return sum((Fraction(m) * l for m, l in zip(d.multiplicities, ell)),
                Fraction(0))
 
 
 def disc_area(d: DiscClass, a: FiberPoint, p: Polytope) -> float:
-    a.require_interior(p)
-    ell = [float(l) for l in a.ell(p)]
+    ell = [float(l) for l in a.require_interior(p)]
     return 2.0 * math.pi * sum(m * l for m, l in zip(d.multiplicities, ell))
 
 
@@ -116,8 +118,7 @@ def lift_fiber(a: FiberPoint, p: Polytope, k: KernelLattice) -> np.ndarray:
     """
     import numpy as np
 
-    a.require_interior(p)
-    ell = np.array([float(l) for l in a.ell(p)])
+    ell = np.array([float(l) for l in a.require_interior(p)])
     c = np.sqrt(2.0 * ell)
     for row, r in zip(k.basis, k.reduction_level):
         level = 0.5 * sum(q * cj * cj for q, cj in zip(row, c))

@@ -136,12 +136,12 @@ def delta2_point(p: Polytope, a: FiberPoint,
     One term per facet with coefficient (-1)^n h^{v_j}, area 2 pi ell_j(A)
     and grading weight q; equal-area terms are combined.
     """
-    a.require_interior(p)
+    ells = a.require_interior(p)
     n = p.dim
     sign = (-1) ** n
     exact = a.exact and (nu is None or nu.trivial)
     terms = []
-    for (v, _), ell in zip(p.facets, a.ell(p)):
+    for (v, _), ell in zip(p.facets, ells):
         if exact:
             coeff = Fraction(sign)
             level = Fraction(ell)
@@ -246,9 +246,9 @@ def check_partition_scale(n_facets: int) -> None:
     up."""
     if n_facets > MAX_FACETS_FOR_PARTITIONS:
         raise PolytopeError(
-            f"balanced-fiber search enumerates facet partitions and is "
-            f"limited to {MAX_FACETS_FOR_PARTITIONS} facets; this polytope "
-            f"has {n_facets}")
+            f"balanced-fiber search scans the 2^N facet subsets for zero-sum "
+            f"sets and is limited to {MAX_FACETS_FOR_PARTITIONS} facets; this "
+            f"polytope has {n_facets}")
 
 
 def _zero_sum_subsets(gens) -> list[frozenset]:

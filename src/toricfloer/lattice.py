@@ -216,10 +216,11 @@ def parse_polytope(text: str) -> Polytope:
     if len(facets) < dim + 1:
         raise PolytopeError(f"need at least {dim + 1} facets, got {len(facets)}")
     p = Polytope(dim, tuple(facets))
-    if _exact.rank(p.normals) < dim:
-        raise PolytopeError("unbounded polytope (normals do not span)")
     verts = p.vertices()
     if not verts:
+        # the walk finds no basis when P is empty or its normals do not span
+        if _exact.rank(p.normals) < dim:
+            raise PolytopeError("unbounded polytope (normals do not span)")
         raise PolytopeError("polytope has empty interior")
     centroid = [sum(v[i] for v in verts) / len(verts) for i in range(dim)]
     if not p.contains_interior(centroid):
@@ -234,19 +235,24 @@ def serialize_polytope(p: Polytope) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _step(m, ext, r: int, c: int):
+def _step(m, ext, det, r: int, c: int):
     """Exchange column c of a basis for the constraint in row r of ``m``.
 
     ``m`` stacks B^-1 (one row per coordinate) over the tableau rows
-    <u_k, d_c> of the constraints u_k, and ``ext`` stacks the basic point
-    over the slacks <u_k, x> - lambda_k. The point moves along d_c until
-    that constraint is tight; both are updated exactly.
+    <u_k, d_c> of the constraints u_k, ``ext`` stacks the basic point
+    over the slacks <u_k, x> - lambda_k, and ``det`` is det B, with row c
+    of B the normal of the facet in column c. The point moves along d_c
+    until that constraint is tight; all three are updated exactly. The
+    new det is det B times the pivot m[r][c] = <u_r, d_c> that
+    ``_exact.pivot`` divides by: B' = B + e_c (u_r - b_c), so by the matrix
+    determinant lemma det B' = det B (1 + <u_r - b_c, d_c>), and
+    <b_c, d_c> = 1.
     """
     a = m[r]
     t = -ext[r] / a[c]
     if t:
         ext = [e + t * row[c] if row[c] else e for e, row in zip(ext, m)]
-    return _exact.pivot(m, c, a), ext
+    return _exact.pivot(m, c, a), ext, det * a[c]
 
 
 def _lex_negative(row, e, basis, j: int) -> bool:
@@ -263,16 +269,17 @@ def _lex_negative(row, e, basis, j: int) -> bool:
 
 def _feasible_basis(p: Polytope):
     """A lexicographically feasible basis of P as (facets by column, m,
-    ext) in the layout of ``_step``, or None when P is empty or its normals
-    do not span.
+    ext, det) in the layout of ``_step``, or None when P is empty or its
+    normals do not span.
 
     The first n independent facets are pivoted in from the coordinate
-    frame. Then, while some facet is violated, the violated facet r of
-    least index replaces the basis facet of least index whose column has a
-    positive entry in row r; the point moves along that column until r is
-    tight. A facet is violated when its slack is negative under the offsets
-    lambda_k - eps^(N-k) of ``_feasible_bases``: the slack is negative, or
-    it is 0 and its leading eps-term is negative. This is the dual simplex
+    frame, where B is the identity and det B = 1. Then, while some facet is
+    violated, the violated facet r of least index replaces the basis facet
+    of least index whose column has a positive entry in row r; the point
+    moves along that column until r is tight. A facet is violated when its
+    slack is negative under the offsets lambda_k - eps^(N-k) of
+    ``_feasible_bases``: the slack is negative, or it is 0 and its leading
+    eps-term is negative. This is the dual simplex
     with a zero objective, that is, the primal simplex on max <lambda, y>
     over y >= 0 with sum y_j v_j = 0, here over the rationals in eps
     ordered lexicographically, with both choices by least index: Bland's
@@ -287,12 +294,13 @@ def _feasible_basis(p: Polytope):
     m = _exact.frac_matrix([[int(i == k) for k in range(n)] for i in range(n)]
                            + [list(v) for v in p.normals])
     ext = [Fraction(0)] * n + [-lam for lam in p.offsets]
+    det = Fraction(1)
     basis: list = [None] * n
     for j in range(nf):
         c = next((c for c in range(n)
                   if basis[c] is None and m[n + j][c] != 0), None)
         if c is not None:
-            m, ext = _step(m, ext, n + j, c)
+            m, ext, det = _step(m, ext, det, n + j, c)
             basis[c] = j
     if None in basis:
         return None
@@ -300,19 +308,20 @@ def _feasible_basis(p: Polytope):
         r = next((j for j in range(nf)
                   if _lex_negative(m[n + j], ext[n + j], basis, j)), None)
         if r is None:
-            return basis, m, ext
+            return basis, m, ext, det
         cols = [c for c in range(n) if m[n + r][c] > 0]
         if not cols:
             return None
         c = min(cols, key=basis.__getitem__)
-        m, ext = _step(m, ext, n + r, c)
+        m, ext, det = _step(m, ext, det, n + r, c)
         basis[c] = r
 
 
 def _feasible_bases(p: Polytope):
     """Yield one feasible basis per vertex of the perturbed polyhedron, as
-    (facets by column, m, ext) in the layout of ``_step``; raise
-    PolytopeError when P is unbounded."""
+    (facets by column, m, ext, det) in the layout of ``_step``, with det B
+    read off the pivots that led to the basis; raise PolytopeError when P
+    is unbounded."""
     # A walk from one phase-1 basis (Avis-Fukuda, "A pivoting algorithm for
     # convex hulls and vertex enumeration of arrangements and polyhedra",
     # 1992) under the offsets lambda_j - eps^(N-j) (Dantzig-Orden-Wolfe,
@@ -337,8 +346,8 @@ def _feasible_bases(p: Polytope):
     seen = {frozenset(start[0])}
     stack = [start]
     while stack:
-        basis, m, ext = stack.pop()
-        yield basis, m, ext
+        basis, m, ext, det = stack.pop()
+        yield basis, m, ext, det
         ell = ext[n:]
         for c in range(n):
             col = [row[c] for row in m[n:]]
@@ -365,7 +374,7 @@ def _feasible_bases(p: Polytope):
             facets = frozenset(nxt)
             if facets not in seen:
                 seen.add(facets)
-                stack.append((nxt, *_step(m, ext, n + j, c)))
+                stack.append((nxt, *_step(m, ext, det, n + j, c)))
 
 
 def _enumerate_vertices(p: Polytope):
@@ -373,7 +382,7 @@ def _enumerate_vertices(p: Polytope):
     # with its integral entries narrowed to int
     n = p.dim
     found = {}
-    for basis, m, ext in _feasible_bases(p):
+    for basis, m, ext, _ in _feasible_bases(p):
         x = tuple(ext[:n])
         key = tuple(sorted(basis))
         if x not in found or key < found[x][0]:
@@ -451,23 +460,6 @@ def euler_characteristic(f: Fan) -> int:
     return len(f.max_cones)
 
 
-def _lattice_volume(vectors) -> int:
-    """|det V| for n independent integer vectors, the rows of V. The rows
-    replace those of the identity B one at a time; each replacement scales
-    det B by its pivot, the entry (V B^-1)[j][c] that ``_exact.pivot``
-    divides by."""
-    m = _exact.frac_matrix(vectors)
-    free = list(range(len(m)))
-    det = Fraction(1)
-    for j in range(len(m)):
-        a = m[j]
-        c = next(c for c in free if a[c] != 0)
-        free.remove(c)
-        det *= a[c]
-        m = _exact.pivot(m, c, a)
-    return abs(int(det))
-
-
 def kushnirenko_count(dim: int, generators) -> int:
     """n! Vol(conv{v_j}) over integer vectors v_j that positively span
     Z^dim (a complete fan's generators, a polytope's facet normals),
@@ -481,14 +473,14 @@ def kushnirenko_count(dim: int, generators) -> int:
     vertices of the polar {u : <v_j, u> >= -1}, with the generators on F
     as active facets. The walk yields one basis per vertex of the perturbed
     polar, and those bases are the simplices of a triangulation of the
-    boundary of conv{v_j} (De Loera-Rambau-Santos, "Triangulations", 2010;
-    lrs computes volumes the same way, Avis 2000); each adds its |det| >= 1,
-    so the walk visits at most the count. For a smooth Fano fan every F is
-    a unimodular simplex, one per maximal cone, and the count is chi.
+    boundary of conv{v_j} (De Loera-Rambau-Santos, "Triangulations", 2010).
+    Each adds its |det| >= 1, the product of the pivots the walk made to
+    reach it, as lrs computes volumes (Avis 2000); so the walk visits at
+    most the count. For a smooth Fano fan every F is a unimodular simplex,
+    one per maximal cone, and the count is chi.
     """
     polar = Polytope(dim, tuple((v, Fraction(-1)) for v in generators))
-    return sum(_lattice_volume([generators[j] for j in basis])
-               for basis, _, _ in _feasible_bases(polar))
+    return sum(abs(int(det)) for *_, det in _feasible_bases(polar))
 
 
 def chart_exponents(f: Fan, sigma: Cone) -> list[list[int]]:

@@ -332,9 +332,8 @@ def _certify(w: Superpotential, z: list[complex]) -> CriticalPoint | None:
     R = 2 beta, L = sum_j |w_j| e^(R |v_j|) |v_j|^3 bounds the Lipschitz
     constant of H on the ball of radius R, and h = beta |H^-1| L <= 1/2
     puts one simple root of grad W in it (Kantorovich 1948), with the
-    Frobenius norm bounding |H^-1|. The scaled Hessian S = D^-1/2 H D^-1/2
-    of the degeneracy test has least singular value at least 1 / |S^-1|_F,
-    and S^-1 = D^1/2 H^-1 D^1/2.
+    Frobenius norm bounding |H^-1|. Degeneracy is the record's own test,
+    the one the batched search counts by.
     """
     n = w.dim
     _, ew, g, h = w.scaled_at(z)
@@ -345,43 +344,35 @@ def _certify(w: Superpotential, z: list[complex]) -> CriticalPoint | None:
         return None
     step, inv = sol[0], sol[1:]
     lengths = [math.sqrt(sum(x * x for x in v)) for v in w.exponents]
-    dd = _diagonal_bound(w, ew)
     try:
         beta = _norm(step)
         lip = sum(abs(e) * math.exp(2 * beta * r) * r ** 3
                   for e, r in zip(ew, lengths))
         inv_f = _norm([x for row in inv for x in row])
-        root = [math.sqrt(x) for x in dd]
-        s_inv_f = _norm([inv[a][b] * root[a] * root[b]
-                         for a in range(n) for b in range(n)])
     except OverflowError:
         return None
-    # a coordinate whose weights all underflow makes S singular; points
-    # more than DEDUP_TOL apart have disjoint balls when 4 beta is less
-    if not (beta * inv_f * lip <= KANTOROVICH_H and 4 * beta < DEDUP_TOL
-            and min(dd) > 0 and s_inv_f * DEGENERATE_SV * n < 1.0):
+    # points more than DEDUP_TOL apart have disjoint balls when 4 beta is
+    # less
+    if not (beta * inv_f * lip <= KANTOROVICH_H and 4 * beta < DEDUP_TOL):
         return None
-    return _critical_point(w, z)
-
-
-def _diagonal_bound(w: Superpotential, ew) -> list[float]:
-    """D = diag(sum_j |w_j| v_ja^2) for the weights ew of W e^-c."""
-    return [sum(abs(e) * v[a] ** 2 for e, v in zip(ew, w.exponents))
-            for a in range(w.dim)]
+    cp = _critical_point(w, z)
+    return None if cp.degenerate else cp
 
 
 def _critical_point(w: Superpotential, z: list[complex]) -> CriticalPoint:
     """The record of a converged point z: |grad W|, the condition number
     of W's Hessian H, and whether z is degenerate.
 
-    D bounds H's diagonal, and S = D^-1/2 H D^-1/2 has entries of size 1
+    D = diag(sum_j |w_j| v_ja^2), over the weights w_j of W e^-c, bounds
+    H's diagonal, and S = D^-1/2 H D^-1/2 has entries of size 1
     even where the weights of different coordinates differ by orders of
     magnitude. z is degenerate when the least singular value of S is at
     most DEGENERATE_SV times the dimension, or when every weight of some
     coordinate underflows next to the largest, so that a D_a is 0.
     """
     c, ew, g, h = w.scaled_at(z)
-    dd = _diagonal_bound(w, ew)
+    dd = [sum(abs(e) * v[a] ** 2 for e, v in zip(ew, w.exponents))
+          for a in range(w.dim)]
     try:
         residual = _norm(g) * math.exp(c)
     except OverflowError:
@@ -632,10 +623,10 @@ def balanced_fibers_with_holonomy(p: Polytope, fan: Fan | None = None
 def obstruction_class(p: Polytope, a: FiberPoint,
                       nu: HolonomyVector | None = None) -> NovikovVector:
     """o(L) = sum_j h^{v_j} T^{Area(beta_j)} q, a scalar Novikov element."""
-    a.require_interior(p)
+    ells = a.require_interior(p)
     exact = a.exact and (nu is None or nu.trivial)
     terms = []
-    for (v, _), ell in zip(p.facets, a.ell(p)):
+    for (v, _), ell in zip(p.facets, ells):
         h = nu.factor(v) if nu is not None else (
             Fraction(1) if exact else 1.0 + 0j)
         level = Fraction(ell) if exact else float(ell)

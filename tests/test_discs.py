@@ -17,8 +17,9 @@ from conftest import CORPUS, assert_record, corpus_polytope
 class TestFiberPoint:
     def test_rational_interior(self, corpus):
         a = FiberPoint.rational(3, 3)
-        a.require_interior(corpus["p2"])
-        assert a.ell(corpus["p2"]) == [3, 3, 3]
+        # the facet distances it checks
+        assert a.require_interior(corpus["p2"]) == a.ell(corpus["p2"]) \
+            == [3, 3, 3]
 
     def test_boundary_rejected(self, corpus):
         with pytest.raises(SingularFiberError):
@@ -27,7 +28,7 @@ class TestFiberPoint:
     def test_numeric_mode(self, corpus):
         a = FiberPoint.numeric(1.5, 2.5)
         assert not a.exact
-        a.require_interior(corpus["p2"])
+        assert a.require_interior(corpus["p2"]) == a.ell(corpus["p2"])
 
 
 class TestRecords:

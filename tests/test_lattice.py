@@ -577,7 +577,7 @@ def test_feasible_basis(data):
     if not nonempty:
         assert start is None
         return
-    basis, m, ext = start
+    basis, m, ext, _ = start
     rows = [normals[j] for j in basis]
     assert _exact.rank(rows) == dim
     assert all(l >= 0 for l in ext[dim:])
@@ -623,7 +623,7 @@ def test_walk_yields_distinct_lex_feasible_bases(data):
     p = Polytope(dim, tuple(zip(normals, map(Fraction, offsets))))
     bases = []
     try:
-        for basis, _, _ in lattice._feasible_bases(p):
+        for basis, *_ in lattice._feasible_bases(p):
             bases.append(frozenset(basis))
             for j, row in enumerate(_lex_slacks(p, basis)):
                 # lexicographically nonnegative: the first nonzero term
@@ -631,6 +631,32 @@ def test_walk_yields_distinct_lex_feasible_bases(data):
     except PolytopeError:
         event("unbounded")
     assert len(set(bases)) == len(bases)
+
+
+def _carried_dets(p):
+    """The phase-1 start and each basis the walk yields, with the det it
+    carries, until the walk ends or finds P unbounded."""
+    start = lattice._feasible_basis(p)
+    bases = [] if start is None else [start]
+    try:
+        bases.extend(lattice._feasible_bases(p))
+    except PolytopeError:
+        event("unbounded")
+    return [(basis, det) for basis, *_, det in bases]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_random_input(), _input_through_point()))
+@example(_PYRAMID)
+@example(_OCTAHEDRON)
+def test_walk_carries_basis_determinant(data):
+    # det B, row c the normal of facet basis[c], is the product of the
+    # pivots that reached B; on P and on the polar kushnirenko_count walks
+    dim, normals, offsets = data
+    for p in (Polytope(dim, tuple(zip(normals, map(Fraction, offsets)))),
+              Polytope(dim, tuple((v, Fraction(-1)) for v in normals))):
+        for basis, det in _carried_dets(p):
+            assert det == _leibniz([p.normals[j] for j in basis])
 
 
 def test_vertex_walk_work_count(monkeypatch):

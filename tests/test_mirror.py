@@ -524,6 +524,25 @@ def test_certificate_rejects_off_root_and_rank_one(corpus):
     assert mirror._certify(w, [0j, 0.3j]) is None
 
 
+def test_certificate_counts_degenerate_by_the_record(corpus, monkeypatch):
+    # with every record degenerate, the certified pass keeps no point and
+    # the batched search counts none, so one rule governs both paths
+    p = corpus["p2"]
+    w = build_superpotential(p)
+    z = list(critical_points(w, p)[0].point.theta)
+    record = mirror._critical_point
+    monkeypatch.setattr(mirror, "_critical_point",
+                        lambda *a: record(*a)._replace(degenerate=True))
+    assert mirror._certify(w, z) is None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cps = critical_points(w, p)
+    assert len(cps) == 3 and all(cp.degenerate for cp in cps)
+    assert [str(m.message) for m in caught] == [
+        "found 0 of 3 (Kushnirenko count): search incomplete or roots "
+        "degenerate"]
+
+
 _entries = st.complex_numbers(max_magnitude=1e3, allow_nan=False,
                               allow_infinity=False)
 
