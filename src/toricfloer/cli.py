@@ -13,8 +13,7 @@ import warnings
 from fractions import Fraction
 
 from . import report as rep
-from .discs import (FiberPoint, OverflowGuardError, SingularFiberError,
-                    disc_area, index_two_classes)
+from .discs import FiberPoint, OverflowGuardError, SingularFiberError
 from .floer import (HolonomyVector, UnsupportedRegimeError,
                     balanced_fibers_novikov, delta2_point, delta2_vanishes,
                     describe_balanced, hf_rank)
@@ -90,7 +89,7 @@ def cmd_hf(args, p, fan, r: dict) -> None:
     fiber = _parse_fiber(args.fiber, p.dim)
     nu = _parse_holonomy(args.holonomy, p.dim) if args.holonomy else None
     try:
-        fiber.require_interior(p)
+        ells = fiber.require_interior(p)
     except SingularFiberError as e:
         raise PolytopeError(str(e)) from None
     d2 = delta2_point(p, fiber, nu)
@@ -103,9 +102,10 @@ def cmd_hf(args, p, fan, r: dict) -> None:
             "q_power": t.q_power,
             "vector": vec,
         })
-    discs = [{"facet": j, "exponents": list(p.normals[j]),
-              "area": disc_area(d, fiber, p)}
-             for j, d in enumerate(index_two_classes(p))]
+    # the basic disc through facet j has area 2 pi ell_j(A)
+    discs = [{"facet": j, "exponents": list(v),
+              "area": 2.0 * math.pi * float(l)}
+             for j, (v, l) in enumerate(zip(p.normals, ells))]
     try:
         rank = hf_rank(p, fiber, nu, coefficients=args.coefficients, fan=fan)
     except UnsupportedRegimeError as e:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import NamedTuple
 
 from . import _exact
@@ -32,6 +32,23 @@ class PolytopeError(ValueError):
 
 class FanError(ValueError):
     pass
+
+
+def _over_one_denominator(xs) -> tuple[list[int], int]:
+    """Integers k_i and the least d > 0 with x_i = k_i / d, for ints and
+    Fractions x_i."""
+    d = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (d // x.denominator) for x in xs], d
+
+
+def _centroid(points) -> list[Fraction]:
+    """The mean of nonempty exact points, each coordinate one integer sum
+    over one denominator."""
+    out = []
+    for coords in zip(*points):
+        ks, d = _over_one_denominator(coords)
+        out.append(Fraction(sum(ks), d * len(points)))
+    return out
 
 
 def _immutable(self, name, *value):
@@ -62,9 +79,30 @@ class Polytope(_Polytope):
         return len(self.facets)
 
     def ell(self, x) -> list:
-        """Facet distance functionals <x, v_j> - lambda_j."""
-        return [sum(xi * vi for xi, vi in zip(x, v)) - lam
-                for v, lam in self.facets]
+        """Facet distance functionals <x, v_j> - lambda_j: Fractions when
+        every x_i is an int or a Fraction, else the plain sums."""
+        if not all(isinstance(xi, (int, Fraction)) for xi in x):
+            return [sum(xi * vi for xi, vi in zip(x, v)) - lam
+                    for v, lam in self.facets]
+        # x and the offsets over one denominator d: each ell_j is one
+        # integer sum over the nonzero entries of v_j, divided once by d
+        xs, dx = _over_one_denominator(x)
+        lams, dl = self._offsets_over_one_denominator
+        d = lcm(dx, dl)
+        sx, sl = d // dx, d // dl
+        xs = [k * sx for k in xs]
+        return [Fraction(sum(xs[i] * c for i, c in v) - lam * sl, d)
+                for v, lam in zip(self._sparse_normals, lams)]
+
+    @cached_property
+    def _sparse_normals(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Each normal's nonzero entries as (index, entry) pairs."""
+        return tuple(tuple((i, c) for i, c in enumerate(v) if c)
+                     for v in self.normals)
+
+    @cached_property
+    def _offsets_over_one_denominator(self) -> tuple[list[int], int]:
+        return _over_one_denominator(self.offsets)
 
     @cached_property
     def vertex_facets(self) -> tuple[tuple[tuple[Fraction, ...],
@@ -222,8 +260,7 @@ def parse_polytope(text: str) -> Polytope:
         if _exact.rank(p.normals) < dim:
             raise PolytopeError("unbounded polytope (normals do not span)")
         raise PolytopeError("polytope has empty interior")
-    centroid = [sum(v[i] for v in verts) / len(verts) for i in range(dim)]
-    if not p.contains_interior(centroid):
+    if not p.contains_interior(_centroid(verts)):
         raise PolytopeError("polytope has empty interior")
     return p
 
@@ -265,6 +302,19 @@ def _lex_negative(row, e, basis, j: int) -> bool:
         return e < 0
     lead = max((c for c, a in enumerate(row) if a), key=basis.__getitem__)
     return basis[lead] > j and row[lead] > 0
+
+
+def _least(ratios) -> list:
+    """The keys of the least ratios among (key, num, den) with den > 0, in
+    their order, compared by cross-multiplying: no Fraction is built."""
+    least, bn, bd = [], 0, 0
+    for j, a, b in ratios:
+        d = a * bd - bn * b
+        if d < 0 or not least:
+            least, bn, bd = [j], a, b
+        elif d == 0:
+            least.append(j)
+    return least
 
 
 def _feasible_basis(p: Polytope):
@@ -348,14 +398,16 @@ def _feasible_bases(p: Polytope):
     while stack:
         basis, m, ext, det = stack.pop()
         yield basis, m, ext, det
-        ell = ext[n:]
+        # each slack as numerator u over denominator w > 0
+        ell = [(e.numerator, e.denominator) for e in ext[n:]]
         for c in range(n):
             col = [row[c] for row in m[n:]]
-            ratios = [(ell[j] / -a, j) for j, a in enumerate(col) if a < 0]
-            if not ratios:
+            # for a = s/t < 0 the ratio (u/w) / -a is (u t) / (w (-s))
+            tied = _least([(j, u * a.denominator, -a.numerator * w)
+                           for j, ((u, w), a) in enumerate(zip(ell, col))
+                           if a.numerator < 0])
+            if not tied:
                 raise PolytopeError("unbounded polytope")
-            t = min(ratios)[0]
-            tied = [j for r, j in ratios if r == t]
             if len(tied) > 1:
                 for pos in sorted({*basis, *tied}, reverse=True):
                     if pos in tied:
@@ -363,9 +415,13 @@ def _feasible_bases(p: Polytope):
                         tied.remove(pos)
                     elif pos in basis:
                         k = basis.index(pos)
-                        terms = {j: m[n + j][k] / col[j] for j in tied}
-                        least = min(terms.values())
-                        tied = [j for j in tied if terms[j] == least]
+                        # the term x/a = (u/w)/(s/t) is (-u t) / (w (-s))
+                        terms = []
+                        for j in tied:
+                            x, a = m[n + j][k], col[j]
+                            terms.append((j, -x.numerator * a.denominator,
+                                          -a.numerator * x.denominator))
+                        tied = _least(terms)
                     if len(tied) == 1:
                         break
             (j,) = tied

@@ -167,6 +167,25 @@ class TestExitCodes:
         code, _, _ = run_cli(["critical", poly_path("p2"), "--json"], capsys)
         assert code == 0 and len(calls) == 1
 
+    @pytest.mark.parametrize("coefficients, want", (("novikov", 4),
+                                                    ("exp", 6)))
+    def test_hf_evaluates_ell_once_per_stage(self, monkeypatch, capsys,
+                                             coefficients, want):
+        # the centroid check, the interior check whose list gives the disc
+        # areas, delta2 and hf_rank; the exp weight adds one per delta2 test
+        calls = []
+        ell = lattice.Polytope.ell
+
+        def counted(p, x):
+            calls.append(x)
+            return ell(p, x)
+
+        monkeypatch.setattr(lattice.Polytope, "ell", counted)
+        code, _, _ = run_cli(["hf", poly_path("f1"), "--fiber", "0,0",
+                              "--coefficients", coefficients, "--json"],
+                             capsys)
+        assert code == 0 and len(calls) == want
+
     def test_fan_tests_read_the_vertex_pass(self, monkeypatch):
         fans = [lattice.normal_fan(lattice.parse_polytope(corpus_text(name)))
                 for name in ("p2", "p1xp1")]

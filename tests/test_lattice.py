@@ -434,7 +434,8 @@ def _random_input(draw):
         g = gcd(*v)
         if g and tuple(c // g for c in v) not in normals:
             normals.append(tuple(c // g for c in v))
-    offsets = [Fraction(draw(st.integers(-6, 2)), draw(st.sampled_from((1, 2))))
+    offsets = [Fraction(draw(st.integers(-6, 2)),
+                        draw(st.sampled_from((1, 2, 3, 4, 6))))
                for _ in normals]
     return dim, normals, offsets
 
@@ -682,6 +683,62 @@ def test_vertex_walk_work_count(monkeypatch):
         assert len(act) == k
         assert all(inv[i][j] == 0 if i != j else abs(inv[i][j]) == 1
                    for i in range(k) for j in range(k))
+
+
+@given(st.lists(st.tuples(st.integers(-9, 9), st.integers(1, 12)),
+                max_size=8))
+def test_least_ratio_by_cross_multiplication(ratios):
+    fracs = [Fraction(a, b) for a, b in ratios]
+    want = [j for j, f in enumerate(fracs) if f == min(fracs)]
+    assert lattice._least([(j, a, b) for j, (a, b) in enumerate(ratios)]) \
+        == want
+
+
+def _sparse_input(rng, dim):
+    """Normals that are mostly zeros, offsets and a point of unlike
+    denominators."""
+    normals = []
+    while len(normals) < dim + 4:
+        v = tuple(rng.randint(-3, 3) if rng.random() < 0.3 else 0
+                  for _ in range(dim))
+        if any(v):
+            normals.append(v)
+    dens = (1, 2, 3, 4, 5, 6, 7, 12)
+    offsets = [Fraction(rng.randint(-40, 40), rng.choice(dens))
+               for _ in normals]
+    x = [Fraction(rng.randint(-40, 40), rng.choice(dens)) for _ in range(dim)]
+    return Polytope(dim, tuple(zip(normals, offsets))), x
+
+
+def _plain_ell(p, x):
+    return [sum(xi * vi for xi, vi in zip(x, v)) - lam
+            for v, lam in p.facets]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_ell_over_one_denominator_matches_plain_sums(seed):
+    # Fractions at int, Fraction and mixed fibers, floats at float fibers
+    rng = random.Random(seed)
+    p, x = _sparse_input(rng, rng.randint(1, 8))
+    fibers = (x, [int(c) for c in x], [int(c) if rng.random() < 0.5 else c
+                                       for c in x], [float(c) for c in x])
+    for fiber in fibers:
+        got, want = p.ell(fiber), _plain_ell(p, fiber)
+        assert got == want
+        assert [type(l) for l in got] == [type(l) for l in want]
+    assert all(type(l) is Fraction for l in p.ell(x))
+    assert all(type(l) is float for l in p.ell(fibers[-1]))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_centroid_over_one_denominator_matches_plain_sums(seed):
+    rng = random.Random(seed)
+    dim = rng.randint(1, 8)
+    points = [_sparse_input(rng, dim)[1] for _ in range(rng.randint(1, 9))]
+    got = lattice._centroid(points)
+    want = [sum(v[i] for v in points) / len(points) for i in range(dim)]
+    assert got == want
+    assert all(type(c) is Fraction for c in got)
 
 
 def _replace_column(m, col, values):
