@@ -17,7 +17,7 @@ from .discs import FiberPoint, OverflowGuardError, SingularFiberError
 from .floer import (HolonomyVector, UnsupportedRegimeError,
                     balanced_fibers_novikov, delta2_point, delta2_vanishes,
                     describe_balanced, hf_rank)
-from .lattice import FanError, PolytopeError, normal_fan, parse_polytope
+from .lattice import FanError, PolytopeError, parse_polytope
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -85,7 +85,7 @@ def _print_base(r: dict, out) -> None:
         print(f"warning: {w}", file=out)
 
 
-def cmd_hf(args, p, fan, r: dict) -> None:
+def cmd_hf(args, p, r: dict) -> None:
     fiber = _parse_fiber(args.fiber, p.dim)
     nu = _parse_holonomy(args.holonomy, p.dim) if args.holonomy else None
     try:
@@ -107,7 +107,7 @@ def cmd_hf(args, p, fan, r: dict) -> None:
               "area": 2.0 * math.pi * float(l)}
              for j, (v, l) in enumerate(zip(p.normals, ells))]
     try:
-        rank = hf_rank(p, fiber, nu, coefficients=args.coefficients, fan=fan)
+        rank = hf_rank(p, fiber, nu, coefficients=args.coefficients)
     except UnsupportedRegimeError as e:
         r["warnings"].append(f"unsupported regime: {e}")
         rank = None
@@ -122,9 +122,9 @@ def cmd_hf(args, p, fan, r: dict) -> None:
     }
 
 
-def cmd_balanced(args, p, fan, r: dict) -> None:
+def cmd_balanced(args, p, r: dict) -> None:
     if args.mode == "novikov":
-        sols = balanced_fibers_novikov(p, fan)
+        sols = balanced_fibers_novikov(p)
         records = []
         for s in sols:
             d = rep.balanced_solution_record(s)
@@ -137,19 +137,19 @@ def cmd_balanced(args, p, fan, r: dict) -> None:
                              holonomy_balanced)
 
         sols, tests = holonomy_balanced(
-            p, critical_points(build_superpotential(p), p), fan)
+            p, critical_points(build_superpotential(p), p))
         r["balanced"] = {
             "mode": "holonomy",
             "solutions": [rep.balanced_solution_record(s) for s in sols],
             "diagnostics": [rep.level_test_record(t) for t in tests]}
 
 
-def cmd_critical(args, p, fan, r: dict) -> None:
+def cmd_critical(args, p, r: dict) -> None:
     from .mirror import (build_superpotential, check_delta2_equals_gradW,
                          check_o_equals_W, critical_points, holonomy_balanced)
 
     cps = critical_points(build_superpotential(p), p)
-    balanced, tests = holonomy_balanced(p, cps, fan)
+    balanced, tests = holonomy_balanced(p, cps)
     records, corresp = [], []
     for cp, test in zip(cps, tests):
         records.append(rep.critical_point_record(cp, test.solution))
@@ -261,15 +261,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         p = _load(args.path)
-        fan = normal_fan(p)
-        r = rep.base_report(args.command, p, fan)
+        # base_report builds p.fan here, so a FanError exits 2
+        r = rep.base_report(args.command, p)
         # every warning the command raises goes to the report, whatever
         # filters the caller has set
         with warnings.catch_warnings(record=True) as rec:
             warnings.simplefilter("always")
             try:
                 if args.func is not None:
-                    args.func(args, p, fan, r)
+                    args.func(args, p, r)
             finally:
                 r["warnings"].extend(str(w.message) for w in rec)
     except (PolytopeError, FanError) as e:

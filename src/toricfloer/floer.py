@@ -21,8 +21,7 @@ from typing import NamedTuple
 
 from . import _exact
 from .discs import FiberPoint
-from .lattice import (Fan, Polytope, PolytopeError, is_fano, is_smooth,
-                      normal_fan)
+from .lattice import Polytope, PolytopeError
 
 MAX_FACETS_FOR_PARTITIONS = 12
 # spectral_rank_check builds a dense 2^n x 2^n complex matrix: 256 MB at
@@ -70,7 +69,8 @@ class NovikovVector(NamedTuple):
     def merged(self, tol: float = 1e-9) -> "NovikovVector":
         """Fold coefficients into vectors and combine equal (level, q) terms."""
         groups: list[list[NovikovTerm]] = []
-        for t in sorted(self.terms, key=lambda t: (float(t.level), t.q_power)):
+        for t in sorted(self.terms, key=lambda t: (
+                t.level if self.exact else float(t.level), t.q_power)):
             for g in groups:
                 same = (g[0].q_power == t.q_power and
                         (g[0].level == t.level if self.exact
@@ -101,12 +101,13 @@ class NovikovVector(NamedTuple):
     def is_zero(self, tol: float = 1e-10) -> bool:
         return not self.merged(tol).terms
 
-    def specialize(self) -> tuple[complex, ...]:
-        """Evaluate at T^{2 pi} = e^{-1}, dropping sign and grading units."""
+    def specialize(self, shift: float = 0.0) -> tuple[complex, ...]:
+        """Evaluate at T^{2 pi} = e^{-1}, dropping sign and grading units,
+        and multiply by e^shift."""
         n = len(self.terms[0].vector) if self.terms else 0
         acc = [0j] * n
         for t in self.terms:
-            w = math.exp(-float(t.level))
+            w = math.exp(shift - float(t.level))
             acc = [a + w * complex(v) for a, v in zip(acc, t.vector)]
         return tuple(acc)
 
@@ -155,20 +156,16 @@ def delta2_point(p: Polytope, a: FiberPoint,
     return NovikovVector(tuple(terms), exact).merged()
 
 
-def _require_fano(p: Polytope, fan: Fan | None) -> Fan:
-    fan = fan or normal_fan(p)
-    if not (is_smooth(fan) and is_fano(fan)):
+def _require_fano(p: Polytope) -> None:
+    if not (p.fan.smooth and p.fan.fano):
         raise UnsupportedRegimeError(
             "Floer vanishing criterion requires a smooth Fano fan")
-    return fan
 
 
-def _warn_non_fano(p: Polytope, fan: Fan | None) -> Fan:
-    fan = fan or normal_fan(p)
-    if not (is_smooth(fan) and is_fano(fan)):
+def _warn_non_fano(p: Polytope) -> None:
+    if not (p.fan.smooth and p.fan.fano):
         warnings.warn("non-Fano fan: balanced-fiber results are conjectural "
                       "in this regime", UnsupportedRegimeWarning, stacklevel=3)
-    return fan
 
 
 def delta2_vanishes(p: Polytope, a: FiberPoint, d2: NovikovVector,
@@ -176,23 +173,26 @@ def delta2_vanishes(p: Polytope, a: FiberPoint, d2: NovikovVector,
                     ) -> bool:
     """Whether delta_2<pt> = d2 at fiber a vanishes: per area level over the
     Novikov ring, or at T^{2pi} = e^{-1} ("exp") up to tol times the total
-    weight max(1, sum_j e^{-ell_j})."""
+    weight sum_j e^{-ell_j}. Both sides are divided by the largest weight
+    e^{-min ell}, as Superpotential.scaled divides W, so that neither
+    underflows deep inside a large polytope."""
     if coefficients == "novikov":
         return d2.is_zero(tol)
     if coefficients != "exp":
         raise ValueError(f"unknown coefficient mode {coefficients!r}")
-    scale = sum(math.exp(-float(l)) for l in a.ell(p))
-    vec = d2.specialize()
+    ells = [float(l) for l in a.ell(p)]
+    low = min(ells)
+    scale = sum(math.exp(low - l) for l in ells)
+    vec = d2.specialize(low)
     norm = math.sqrt(sum(v.real * v.real for v in vec)
                      + sum(v.imag * v.imag for v in vec))
-    return norm <= tol * max(1.0, scale)
+    return norm <= tol * scale
 
 
 def hf_rank(p: Polytope, a: FiberPoint, nu: HolonomyVector | None = None,
-            coefficients: str = "novikov", fan: Fan | None = None,
-            tol: float = 1e-10) -> int:
+            coefficients: str = "novikov", tol: float = 1e-10) -> int:
     """Floer cohomology rank: 2^n when delta_2<pt> vanishes, else 0."""
-    _require_fano(p, fan)
+    _require_fano(p)
     vanish = delta2_vanishes(p, a, delta2_point(p, a, nu), coefficients, tol)
     return 2 ** p.dim if vanish else 0
 
@@ -308,8 +308,7 @@ def _level_partition(p: Polytope, a: FiberPoint, tol: float = 1e-9):
                          tuple(levels))
 
 
-def balanced_fibers_novikov(p: Polytope, fan: Fan | None = None
-                            ) -> list[BalancedSolution]:
+def balanced_fibers_novikov(p: Polytope) -> list[BalancedSolution]:
     """Fibers balanced over the formal Novikov ring with trivial holonomy:
     every equal-area level set of ray generators sums to zero.
 
@@ -326,7 +325,7 @@ def balanced_fibers_novikov(p: Polytope, fan: Fan | None = None
     consistent solve is unique, since it pins every ell_j to its level and
     the normals span. Hence at most one solution.
     """
-    _warn_non_fano(p, fan)
+    _warn_non_fano(p)
     check_partition_scale(p.num_facets)
     offsets = p.offsets
     subsets = _zero_sum_subsets(p.normals)

@@ -63,7 +63,7 @@ class _Polytope(NamedTuple):
 class Polytope(_Polytope):
     """Bounded intersection of half-spaces <x, v_j> >= lambda_j."""
 
-    # no __slots__: the instance dict holds the cached vertex_facets
+    # no __slots__: the instance dict holds the cached properties
     __setattr__ = __delattr__ = _immutable
 
     @property
@@ -115,6 +115,16 @@ class Polytope(_Polytope):
 
     def vertices(self) -> list[tuple[Fraction, ...]]:
         return [x for x, _, _ in self.vertex_facets]
+
+    @cached_property
+    def fan(self) -> Fan:
+        """The normal fan, built once per instance."""
+        return normal_fan(self)
+
+    @cached_property
+    def centroid(self) -> tuple[Fraction, ...]:
+        """The exact mean of the vertices."""
+        return tuple(_centroid(self.vertices()))
 
     @cached_property
     def kushnirenko_count(self) -> int:
@@ -254,13 +264,12 @@ def parse_polytope(text: str) -> Polytope:
     if len(facets) < dim + 1:
         raise PolytopeError(f"need at least {dim + 1} facets, got {len(facets)}")
     p = Polytope(dim, tuple(facets))
-    verts = p.vertices()
-    if not verts:
+    if not p.vertex_facets:
         # the walk finds no basis when P is empty or its normals do not span
         if _exact.rank(p.normals) < dim:
             raise PolytopeError("unbounded polytope (normals do not span)")
         raise PolytopeError("polytope has empty interior")
-    if not p.contains_interior(_centroid(verts)):
+    if not p.contains_interior(p.centroid):
         raise PolytopeError("polytope has empty interior")
     return p
 

@@ -20,7 +20,7 @@ from .discs import FiberPoint, OverflowGuardError
 from .floer import (AreaPartition, BalancedSolution, HolonomyVector,
                     NovikovTerm, NovikovVector, _level_partition,
                     _warn_non_fano, delta2_point, equal_area_certificate)
-from .lattice import Fan, KernelLattice, Polytope, PolytopeError
+from .lattice import KernelLattice, Polytope, PolytopeError
 from .solve import TWO_PI, dedup_mod_2pi, sort_key, wrap_angle
 
 # the Newton search holds the n x n Hessians of all its starts at once, so
@@ -274,9 +274,7 @@ def _certified_pass(w: Superpotential, p: Polytope, grid_im: int,
     roots are distinct. Returns the kept points, sorted as
     _newton_search sorts its points.
     """
-    n, verts = w.dim, p.vertices()
-    centroid = [float(sum(x[i] for x in verts) / len(verts))
-                for i in range(n)]
+    n, centroid = w.dim, [float(x) for x in p.centroid]
     angle = TWO_PI / grid_im
     kept: list[CriticalPoint] = []
     for k in itertools.product(range(grid_im), repeat=n):
@@ -498,9 +496,8 @@ def _newton_search(w: Superpotential, p: Polytope, grid_re: int,
     import numpy as np
 
     n = w.dim
-    verts = p.vertices()
-    centroid = [sum(x[i] for x in verts) / len(verts) for i in range(n)]
-    c, vs = np.array(centroid, dtype=float), np.array(verts, dtype=float)
+    c = np.array(p.centroid, dtype=float)
+    vs = np.array(p.vertices(), dtype=float)
     # the centroid, then grid_re - 1 points from each vertex towards it,
     # the vertex moved one unit outward along every coordinate: on a
     # non-Fano polytope some critical points lie just outside a vertex
@@ -551,7 +548,7 @@ BALANCE_TOL = 1e-9
 HOLONOMY_DEDUP_TOL = 1e-6
 
 
-def holonomy_balanced(p: Polytope, cps, fan: Fan | None = None
+def holonomy_balanced(p: Polytope, cps
                       ) -> tuple[list[BalancedSolution], list[LevelTest]]:
     """The balanced fibers with holonomy among the critical points cps of W.
 
@@ -563,7 +560,7 @@ def holonomy_balanced(p: Polytope, cps, fan: Fan | None = None
     its unique solution replaces A. Returns the balanced fibers, merged
     mod 2 pi and sorted, and one LevelTest per critical point, in order.
     """
-    _warn_non_fano(p, fan)
+    _warn_non_fano(p)
     lengths = [math.sqrt(sum(c * c for c in v)) for v in p.normals]
     found, tests = [], []
     for cp in cps:
@@ -612,12 +609,11 @@ def holonomy_balanced(p: Polytope, cps, fan: Fan | None = None
     return [s for _, s in solutions], tests
 
 
-def balanced_fibers_with_holonomy(p: Polytope, fan: Fan | None = None
-                                  ) -> list[BalancedSolution]:
+def balanced_fibers_with_holonomy(p: Polytope) -> list[BalancedSolution]:
     """Balanced fibers with flat line bundle twists: the critical points
     of W that pass the per-level test of holonomy_balanced."""
     return holonomy_balanced(
-        p, critical_points(build_superpotential(p), p), fan)[0]
+        p, critical_points(build_superpotential(p), p))[0]
 
 
 def obstruction_class(p: Polytope, a: FiberPoint,

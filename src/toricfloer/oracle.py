@@ -307,16 +307,12 @@ def balanced_oracle(p: Polytope, n_a: int | None = None,
     if not seeds:
         return []
     # per-coordinate holonomy restart offsets so mixed holonomies such as
-    # (0, pi) are reachable from any seed cell
+    # (0, pi) are reachable from any seed cell; the zero shift comes first
+    # and is the seed itself, since every grid nu lies in [0, 2 pi)
     offs = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
-    shifts = [shift for shift in itertools.product(offs, repeat=p.dim)
-              if any(shift)]
-    starts = []
-    for a, nu in seeds:
-        starts.append(a + nu)
-        starts += [a + tuple((x + o) % (2 * math.pi)
-                             for x, o in zip(nu, shift))
-                   for shift in shifts]
+    shifts = list(itertools.product(offs, repeat=p.dim))
+    starts = [a + tuple((x + o) % (2 * math.pi) for x, o in zip(nu, shift))
+              for a, nu in seeds for shift in shifts]
     x, resid = least_squares(_residual_fun(p), np.array(starts))
     v, lam = _facets(p)
     interior = (x[:, :p.dim] @ v.T - lam > INTERIOR_TOL).all(axis=1)

@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 
 from .lattice import (Fan, KernelLattice, Polytope, euler_characteristic,
-                      is_fano, is_smooth, kernel_lattice, normal_fan,
+                      is_fano, is_smooth, kernel_lattice,
                       primitive_collections)
 
 SCHEMA_VERSION = 2
@@ -94,15 +94,15 @@ def kernel_summary(k: KernelLattice) -> dict:
     }
 
 
-def base_report(command: str, p: Polytope, f: Fan) -> dict:
+def base_report(command: str, p: Polytope) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "polytope": polytope_echo(p),
-        "fan": fan_summary(f),
+        "fan": fan_summary(p.fan),
         "primitive_collections": [list(c.indices)
-                                  for c in primitive_collections(f)],
-        "kernel": kernel_summary(kernel_lattice(f, p)),
+                                  for c in primitive_collections(p.fan)],
+        "kernel": kernel_summary(kernel_lattice(p.fan, p)),
         "warnings": [],
     }
 

@@ -29,6 +29,20 @@ def run_cli(args, capsys):
     return code, out.out, out.err
 
 
+@pytest.fixture
+def fan_calls(monkeypatch):
+    """The polytopes that lattice.normal_fan is called on."""
+    calls = []
+    normal_fan = lattice.normal_fan
+
+    def counted(p):
+        calls.append(p)
+        return normal_fan(p)
+
+    monkeypatch.setattr(lattice, "normal_fan", counted)
+    return calls
+
+
 def test_dumps_refuses_records():
     assert rep.dumps({"a": (1, [2.5, None])}) == '{"a": [1, [2.5, null]]}\n'
     # a record is a tuple subclass, but has no JSON form
@@ -166,6 +180,34 @@ class TestExitCodes:
         monkeypatch.setattr(lattice, "_enumerate_vertices", counted)
         code, _, _ = run_cli(["critical", poly_path("p2"), "--json"], capsys)
         assert code == 0 and len(calls) == 1
+
+    def test_library_builds_fan_once(self, fan_calls):
+        from toricfloer.floer import balanced_fibers_novikov, hf_rank
+        from toricfloer.discs import FiberPoint
+        from toricfloer.mirror import (build_superpotential, critical_points,
+                                       holonomy_balanced)
+
+        p = lattice.parse_polytope(corpus_text("p2"))
+        rep.base_report("analyze", p)
+        assert hf_rank(p, FiberPoint.rational(3, 3)) == 4
+        assert len(balanced_fibers_novikov(p)) == 1
+        sols, _ = holonomy_balanced(
+            p, critical_points(build_superpotential(p), p))
+        assert len(sols) == 3
+        assert fan_calls == [p]
+
+    @pytest.mark.parametrize("name", ("p2", "f2"))
+    @pytest.mark.parametrize("form", (
+        ["analyze"], ["hf", "--fiber", "1,1"],
+        ["hf", "--fiber", "1,1", "--coefficients", "exp"], ["balanced"],
+        ["balanced", "--mode", "holonomy"], ["critical"]),
+        ids=lambda form: "-".join(form).replace("--", ""))
+    def test_cli_builds_fan_once(self, fan_calls, capsys, name, form):
+        for js in ([], ["--json"]):
+            fan_calls.clear()
+            code, _, _ = run_cli([form[0], poly_path(name), *form[1:], *js],
+                                 capsys)
+            assert code == 0 and len(fan_calls) == 1
 
     @pytest.mark.parametrize("coefficients, want", (("novikov", 4),
                                                     ("exp", 6)))

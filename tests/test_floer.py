@@ -94,6 +94,14 @@ class TestDelta2:
             for v, l in zip(p.normals, [float(x) for x in a.ell(p)]))
         assert np.allclose(d2.specialize(), (-1) ** p.dim * direct)
 
+    def test_exact_levels_sort_exactly(self, corpus):
+        # 1 + 10^-30 and 1 round to the same float; facet 0 is at the
+        # greater level, so a float sort would keep it first
+        x = 1 + Fraction(1, 10 ** 30)
+        d2 = delta2_point(corpus["p2"], FiberPoint.rational(x, 1))
+        assert [t.level for t in d2.terms] == [1, x, 8 - x]
+        assert [t.vector for t in d2.terms] == [(0, 1), (1, 0), (-1, -1)]
+
 
 class TestRank:
     def test_p2_rank_dichotomy(self, corpus):
@@ -112,6 +120,19 @@ class TestRank:
         a = FiberPoint.numeric(*real[0].point.fiber)
         assert hf_rank(p, a, coefficients="exp", tol=1e-8) == 4
         assert hf_rank(p, a, coefficients="novikov") == 0
+
+    @pytest.mark.parametrize("side, fiber, rank", [
+        (100, (30, 30), 0), (100, (Fraction(100, 3),) * 2, 4),
+        (3000, (999, 1000), 0), (3000, (1000, 1000), 4)])
+    def test_exp_mode_deep_inside(self, side, fiber, rank):
+        # every weight e^-ell_j is below 1e-13, and at side 3000 every one
+        # underflows: the test is relative to the largest weight
+        p = parse_polytope(f"dim 2\nnormal 1 0 offset 0\n"
+                           f"normal 0 1 offset 0\n"
+                           f"normal -1 -1 offset -{side}\n")
+        a = FiberPoint.rational(*fiber)
+        assert hf_rank(p, a, coefficients="exp") == rank
+        assert hf_rank(p, a, coefficients="novikov") == rank
 
     def test_non_fano_raises(self, corpus):
         with pytest.raises(UnsupportedRegimeError):

@@ -483,6 +483,39 @@ def test_certified_pass_matches_batched_search(name):
         assert a.residual <= 1e-12
 
 
+@pytest.mark.parametrize("name", CORPUS + ("f4", "planted-3fold"))
+def test_newton_starts_at_cached_centroid(name, monkeypatch):
+    from toricfloer.lattice import _centroid
+
+    p = (corpus_polytope(name) if name in CORPUS
+         else parse_polytope(HARD_INPUTS[name][0]))
+    assert p.centroid == tuple(_centroid(p.vertices()))
+    assert all(isinstance(x, Fraction) for x in p.centroid)
+    assert p.centroid is p.centroid
+    want = [float(x) for x in p.centroid]
+    w = build_superpotential(p)
+    starts = []
+    newton_pure = mirror._newton_pure
+
+    def first_pure(w, z):
+        starts.append([t.real for t in z])
+        return newton_pure(w, z)
+
+    monkeypatch.setattr(mirror, "_newton_pure", first_pure)
+    mirror._certified_pass(w, p, 4, p.kushnirenko_count)
+    assert starts[0] == want
+    scaled = Superpotential.scaled
+
+    def first_batch(self, theta):
+        starts.append(theta.real[0].tolist())
+        return scaled(self, theta)
+
+    monkeypatch.setattr(Superpotential, "scaled", first_batch)
+    starts.clear()
+    mirror._newton_search(w, p, 2, 4)
+    assert starts[0] == want
+
+
 def test_no_certified_pass_with_fewer_starts_than_k(monkeypatch):
     # the 16 primitive normals (a, b) with |a|, |b| <= 2 and offsets
     # -(a^2 + b^2) give K = 28 > 4^2 centroid starts: a pass keeping at
