@@ -93,15 +93,10 @@ def cmd_hf(args, p, r: dict) -> None:
     except SingularFiberError as e:
         raise PolytopeError(str(e)) from None
     d2 = delta2_point(p, fiber, nu)
-    terms = []
-    for t in d2.terms:
-        vec = ([v for v in t.vector] if d2.exact else
-               [[v.real, v.imag] for v in map(complex, t.vector)])
-        terms.append({
-            "level": t.level if d2.exact else float(t.level),
-            "q_power": t.q_power,
-            "vector": vec,
-        })
+    terms = [{"level": t.level, "q_power": t.q_power,
+              "vector": (list(t.vector) if d2.exact else
+                         [[v.real, v.imag] for v in t.vector])}
+             for t in d2.terms]
     # the basic disc through facet j has area 2 pi ell_j(A)
     discs = [{"facet": j, "exponents": list(v),
               "area": 2.0 * math.pi * float(l)}

@@ -34,15 +34,20 @@ class FiberPoint(NamedTuple):
     """Interior point of the moment polytope, exact or floating."""
 
     coords: tuple
-    exact: bool = True
+
+    @property
+    def exact(self) -> bool:
+        """Whether every coordinate is an int or a Fraction, the rule by
+        which Polytope.ell returns Fractions."""
+        return all(isinstance(c, (int, Fraction)) for c in self.coords)
 
     @classmethod
     def rational(cls, *coords) -> "FiberPoint":
-        return cls(tuple(Fraction(c) for c in coords), exact=True)
+        return cls(tuple(Fraction(c) for c in coords))
 
     @classmethod
     def numeric(cls, *coords) -> "FiberPoint":
-        return cls(tuple(float(c) for c in coords), exact=False)
+        return cls(tuple(float(c) for c in coords))
 
     def as_floats(self) -> tuple[float, ...]:
         return tuple(float(c) for c in self.coords)

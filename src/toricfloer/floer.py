@@ -67,35 +67,27 @@ class NovikovVector(NamedTuple):
     exact: bool = False
 
     def merged(self, tol: float = 1e-9) -> "NovikovVector":
-        """Fold coefficients into vectors and combine equal (level, q) terms."""
+        """Fold coefficients into vectors and combine the terms of one q
+        power whose levels lie within tol of the first, dropping vectors
+        whose entries all lie within tol of 0. Exact vectors are summed
+        over Q with tol 0."""
+        num = Fraction if self.exact else complex
+        tol = 0 if self.exact else tol
         groups: list[list[NovikovTerm]] = []
-        for t in sorted(self.terms, key=lambda t: (
-                t.level if self.exact else float(t.level), t.q_power)):
+        for t in sorted(self.terms, key=lambda t: (t.level, t.q_power)):
             for g in groups:
-                same = (g[0].q_power == t.q_power and
-                        (g[0].level == t.level if self.exact
-                         else abs(float(g[0].level) - float(t.level)) <= tol))
-                if same:
+                if (g[0].q_power == t.q_power and
+                        abs(g[0].level - t.level) <= tol):
                     g.append(t)
                     break
             else:
                 groups.append([t])
         out = []
         for g in groups:
-            n = len(g[0].vector)
-            if self.exact:
-                vec = tuple(
-                    sum(Fraction(t.coefficient) * Fraction(t.vector[i])
-                        for t in g) for i in range(n))
-                zero = all(v == 0 for v in vec)
-            else:
-                vec = tuple(
-                    sum(complex(t.coefficient) * complex(t.vector[i])
-                        for t in g) for i in range(n))
-                zero = all(abs(v) <= tol for v in vec)
-            if not zero:
-                out.append(NovikovTerm(1 if self.exact else 1.0 + 0j,
-                                       g[0].level, g[0].q_power, vec))
+            vec = tuple(sum(num(t.coefficient) * num(t.vector[i]) for t in g)
+                        for i in range(len(g[0].vector)))
+            if any(abs(v) > tol for v in vec):
+                out.append(NovikovTerm(num(1), g[0].level, g[0].q_power, vec))
         return NovikovVector(tuple(out), self.exact)
 
     def is_zero(self, tol: float = 1e-10) -> bool:
@@ -103,11 +95,12 @@ class NovikovVector(NamedTuple):
 
     def specialize(self, shift: float = 0.0) -> tuple[complex, ...]:
         """Evaluate at T^{2 pi} = e^{-1}, dropping sign and grading units,
-        and multiply by e^shift."""
+        and multiply by e^shift: the sum of each term's coefficient times
+        e^{shift - level} times its vector."""
         n = len(self.terms[0].vector) if self.terms else 0
         acc = [0j] * n
         for t in self.terms:
-            w = math.exp(shift - float(t.level))
+            w = complex(t.coefficient) * math.exp(shift - float(t.level))
             acc = [a + w * complex(v) for a, v in zip(acc, t.vector)]
         return tuple(acc)
 
@@ -130,30 +123,29 @@ class BalancedDescription(NamedTuple):
     text: str
 
 
+def _disc_terms(p: Polytope, a: FiberPoint, nu: HolonomyVector | None,
+                vectors) -> NovikovVector:
+    """The basic discs beta_j at (A, nu), unmerged: one term per facet with
+    coefficient h^{v_j}, area 2 pi ell_j(A), grading weight q and vector
+    vectors[j]. Exact over Q when A is rational and nu trivial, complex
+    floats otherwise."""
+    ells = a.require_interior(p)
+    exact = a.exact and (nu is None or nu.trivial)
+    if not exact:
+        ells = [float(ell) for ell in ells]
+    return NovikovVector(tuple(
+        NovikovTerm(1 if exact or nu is None else nu.factor(v), ell, 1, vec)
+        for v, ell, vec in zip(p.normals, ells, vectors)), exact)
+
+
 def delta2_point(p: Polytope, a: FiberPoint,
                  nu: HolonomyVector | None = None) -> NovikovVector:
-    """Floer coboundary of the point class, merged by equal area level.
-
-    One term per facet with coefficient (-1)^n h^{v_j}, area 2 pi ell_j(A)
-    and grading weight q; equal-area terms are combined.
+    """Floer coboundary of the point class, merged by equal area level:
+    the basic disc beta_j contributes (-1)^n h^{v_j} T^{2 pi ell_j(A)} q v_j.
     """
-    ells = a.require_interior(p)
-    n = p.dim
-    sign = (-1) ** n
-    exact = a.exact and (nu is None or nu.trivial)
-    terms = []
-    for (v, _), ell in zip(p.facets, ells):
-        if exact:
-            coeff = Fraction(sign)
-            level = Fraction(ell)
-            vec = tuple(Fraction(c) for c in v)
-        else:
-            h = nu.factor(v) if nu is not None else 1.0 + 0j
-            coeff = sign * h
-            level = float(ell)
-            vec = tuple(complex(c) for c in v)
-        terms.append(NovikovTerm(coeff, level, 1, vec))
-    return NovikovVector(tuple(terms), exact).merged()
+    sign = (-1) ** p.dim
+    return _disc_terms(p, a, nu, [tuple(sign * c for c in v)
+                                  for v in p.normals]).merged()
 
 
 def _require_fano(p: Polytope) -> None:
@@ -172,12 +164,14 @@ def delta2_vanishes(p: Polytope, a: FiberPoint, d2: NovikovVector,
                     coefficients: str = "novikov", tol: float = 1e-10
                     ) -> bool:
     """Whether delta_2<pt> = d2 at fiber a vanishes: per area level over the
-    Novikov ring, or at T^{2pi} = e^{-1} ("exp") up to tol times the total
-    weight sum_j e^{-ell_j}. Both sides are divided by the largest weight
+    Novikov ring, where d2 has no term left (delta2_point drops the level
+    vectors with no entry above 1e-9), or at T^{2pi} = e^{-1} ("exp") up
+    to tol times the total weight sum_j e^{-ell_j}. tol is exp mode's
+    relative tolerance. Both sides are divided by the largest weight
     e^{-min ell}, as Superpotential.scaled divides W, so that neither
     underflows deep inside a large polytope."""
     if coefficients == "novikov":
-        return d2.is_zero(tol)
+        return d2.is_zero()
     if coefficients != "exp":
         raise ValueError(f"unknown coefficient mode {coefficients!r}")
     ells = [float(l) for l in a.ell(p)]
@@ -191,7 +185,8 @@ def delta2_vanishes(p: Polytope, a: FiberPoint, d2: NovikovVector,
 
 def hf_rank(p: Polytope, a: FiberPoint, nu: HolonomyVector | None = None,
             coefficients: str = "novikov", tol: float = 1e-10) -> int:
-    """Floer cohomology rank: 2^n when delta_2<pt> vanishes, else 0."""
+    """Floer cohomology rank: 2^n when delta_2<pt> vanishes, else 0; tol
+    is exp mode's relative tolerance, as in delta2_vanishes."""
     _require_fano(p)
     vanish = delta2_vanishes(p, a, delta2_point(p, a, nu), coefficients, tol)
     return 2 ** p.dim if vanish else 0
@@ -293,10 +288,9 @@ def equal_area_certificate(p: Polytope, blocks):
 def _level_partition(p: Polytope, a: FiberPoint, tol: float = 1e-9):
     """Blocks of facets at equal area, lowest level first: a facet joins the
     current block when within tol of its first level (equal, over Q)."""
+    ells = a.ell(p)
     if a.exact:
-        ells, tol = [Fraction(l) for l in a.ell(p)], 0
-    else:
-        ells = [float(l) for l in a.ell(p)]
+        tol = 0
     blocks, levels = [], []
     for j in sorted(range(len(ells)), key=ells.__getitem__):
         if levels and abs(ells[j] - levels[-1]) <= tol:
@@ -345,7 +339,7 @@ def balanced_fibers_novikov(p: Polytope) -> list[BalancedSolution]:
     sol, violations = equal_area_certificate(p, blocks)
     if violations:
         return []
-    point = FiberPoint(tuple(sol.particular), exact=True)
+    point = FiberPoint(tuple(sol.particular))
     if any(l <= 0 for l in point.ell(p)):
         return []
     d2 = delta2_point(p, point, None)

@@ -512,8 +512,8 @@ def primitive_collections(f: Fan) -> list[PrimitiveCollection]:
     return sorted(out, key=lambda c: c.indices)
 
 
-def kernel_lattice(f: Fan, p: Polytope) -> KernelLattice:
-    vt = [[v[i] for v in f.generators] for i in range(f.dim)]
+def kernel_lattice(p: Polytope) -> KernelLattice:
+    vt = [[v[i] for v in p.normals] for i in range(p.dim)]
     basis = _exact.integer_kernel(vt)
     basis.sort(reverse=True)
     levels = tuple(

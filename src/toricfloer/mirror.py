@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .discs import FiberPoint, OverflowGuardError
 from .floer import (AreaPartition, BalancedSolution, HolonomyVector,
-                    NovikovTerm, NovikovVector, _level_partition,
+                    NovikovVector, _disc_terms, _level_partition,
                     _warn_non_fano, delta2_point, equal_area_certificate)
 from .lattice import KernelLattice, Polytope, PolytopeError
 from .solve import TWO_PI, dedup_mod_2pi, sort_key, wrap_angle
@@ -569,7 +569,7 @@ def holonomy_balanced(p: Polytope, cps
             tests.append(LevelTest(a, nu.nu, None, None, None,
                                    "A lies outside the polytope"))
             continue
-        part = _level_partition(p, FiberPoint(a, exact=False), LEVEL_TOL)
+        part = _level_partition(p, FiberPoint(a), LEVEL_TOL)
         sums = []
         for block in part.blocks:
             vec = [sum(nu.factor(p.normals[j]) * p.normals[j][i]
@@ -592,7 +592,7 @@ def holonomy_balanced(p: Polytope, cps
             continue
         resid = math.hypot(*sums)
         point = FiberPoint(tuple(float(x) for x in sol.particular)
-                           if sol.unique else a, exact=False)
+                           if sol.unique else a)
         found.append((len(tests), BalancedSolution(
             point, nu, _level_partition(p, point, LEVEL_TOL), resid)))
         tests.append(LevelTest(a, nu.nu, part, None, resid, ""))
@@ -618,35 +618,28 @@ def balanced_fibers_with_holonomy(p: Polytope) -> list[BalancedSolution]:
 
 def obstruction_class(p: Polytope, a: FiberPoint,
                       nu: HolonomyVector | None = None) -> NovikovVector:
-    """o(L) = sum_j h^{v_j} T^{Area(beta_j)} q, a scalar Novikov element."""
-    ells = a.require_interior(p)
-    exact = a.exact and (nu is None or nu.trivial)
-    terms = []
-    for (v, _), ell in zip(p.facets, ells):
-        h = nu.factor(v) if nu is not None else (
-            Fraction(1) if exact else 1.0 + 0j)
-        level = Fraction(ell) if exact else float(ell)
-        terms.append(NovikovTerm(h, level, 1, (Fraction(1) if exact
-                                               else 1.0 + 0j,)))
-    return NovikovVector(tuple(terms), exact)
+    """o(L) = sum_j h^{v_j} T^{Area(beta_j)} q, a scalar Novikov element,
+    one unmerged term per basic disc."""
+    return _disc_terms(p, a, nu, [(1,)] * p.num_facets)
 
 
 def check_o_equals_W(p: Polytope, a: FiberPoint,
                      nu: HolonomyVector | None = None) -> float:
-    """|o(L) at T^{2pi}=e^{-1} (q dropped) - W(A - i nu)|."""
-    o = obstruction_class(p, a, nu)
-    lhs = complex(sum(complex(t.coefficient) * math.exp(-float(t.level))
-                      for t in o.terms))
-    return abs(lhs - build_superpotential(p).value(_theta(a, nu)))
+    """|o(L) at T^{2pi}=e^{-1} (q dropped) - W(A - i nu)| / e^c, with e^c
+    W's largest weight as in Superpotential.scaled_at, so that neither
+    side underflows deep inside a large polytope."""
+    c, ew, _, _ = build_superpotential(p).scaled_at(_theta(a, nu))
+    return abs(obstruction_class(p, a, nu).specialize(-c)[0] - sum(ew))
 
 
 def check_delta2_equals_gradW(p: Polytope, a: FiberPoint,
                               nu: HolonomyVector | None = None) -> float:
-    """||delta2<pt> at T^{2pi}=e^{-1} (sign, q dropped) + grad W||."""
+    """||delta2<pt> at T^{2pi}=e^{-1} (sign, q dropped) + grad W|| / e^c,
+    as in check_o_equals_W."""
+    c, _, grad, _ = build_superpotential(p).scaled_at(_theta(a, nu))
     # no terms when all area levels cancelled exactly
-    vec = delta2_point(p, a, nu).specialize() or (0j,) * p.dim
+    vec = delta2_point(p, a, nu).specialize(-c) or (0j,) * p.dim
     sign = (-1) ** p.dim
-    grad = build_superpotential(p)._unscaled(_theta(a, nu))[1]
     return _norm([sign * x + g for x, g in zip(vec, grad)])
 
 

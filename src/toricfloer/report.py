@@ -102,23 +102,20 @@ def base_report(command: str, p: Polytope) -> dict:
         "fan": fan_summary(p.fan),
         "primitive_collections": [list(c.indices)
                                   for c in primitive_collections(p.fan)],
-        "kernel": kernel_summary(kernel_lattice(p.fan, p)),
+        "kernel": kernel_summary(kernel_lattice(p)),
         "warnings": [],
     }
 
 
 def balanced_solution_record(s) -> dict:
-    rec = {
-        "point": ([c for c in s.point.coords] if s.point.exact
-                  else [float(c) for c in s.point.coords]),
+    return {
+        "point": list(s.point.coords),
         "exact": s.point.exact,
         "holonomy": (None if s.nu is None else [float(x) for x in s.nu.nu]),
         "partition": [list(b) for b in s.partition.blocks],
-        "levels": [lv if isinstance(lv, Fraction) else float(lv)
-                   for lv in s.partition.levels],
+        "levels": list(s.partition.levels),
         "residual": float(s.residual),
     }
-    return rec
 
 
 def level_test_record(t) -> dict:

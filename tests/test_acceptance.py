@@ -21,7 +21,7 @@ from toricfloer.floer import (HolonomyVector, UnsupportedRegimeWarning,
                               balanced_fibers_novikov,
                               equal_area_certificate, hf_rank,
                               spectral_rank_check)
-from toricfloer.lattice import kernel_lattice, normal_fan
+from toricfloer.lattice import kernel_lattice
 from toricfloer.mirror import (balanced_fibers_with_holonomy,
                                build_superpotential,
                                check_delta2_equals_gradW, check_o_equals_W,
@@ -141,7 +141,7 @@ def test_criterion_06_index_area_properties():
     for _ in range(200):
         name = rng.choice(names)
         p = corpus_polytope(name)
-        k = kernel_lattice(normal_fan(p), p)
+        k = kernel_lattice(p)
         verts = p.vertices()
         a = _random_interior(p, verts, rng)
         d = DiscClass(tuple(rng.randint(0, 2)
@@ -247,7 +247,7 @@ def test_criterion_10_constraint_identity_exact():
     rng = random.Random(99)
     for name in CORPUS:
         p = corpus_polytope(name)
-        k = kernel_lattice(normal_fan(p), p)
+        k = kernel_lattice(p)
         for _ in range(50):
             re = [Fraction(rng.randint(-100, 100), rng.randint(1, 12))
                   for _ in range(p.dim)]

@@ -389,6 +389,12 @@ DATA_FIBERS = {"p2x4": "53/12,29/12,-3/2,-1/2,29/6,-11/12,-2/3,13/3",
                "bl1p2xp2xp2": "5/4,17/4,7/3,-1/3,4/5,59/15"}
 
 
+# hf with holonomy, on the floating-point delta2 path in both coefficient
+# modes: (polytope, fiber, holonomy) for tests/data/{name}_hf_holonomy*.json
+HOLONOMY_FIBERS = {"p2": ("1,3", "3.141592653589793,0"),
+                   "f1": ("0,0", "1.5,1.5")}
+
+
 def golden(name: str) -> str:
     return (resources.files("toricfloer") / "data" / "golden"
             / f"{name}.json").read_text()
@@ -436,6 +442,17 @@ class TestGolden:
         assert code == 0
         suffix = "_hf" if coefficients == "novikov" else "_hf_exp"
         assert out == golden(name + suffix)
+
+    @pytest.mark.parametrize("coefficients", ("novikov", "exp"))
+    @pytest.mark.parametrize("name", HOLONOMY_FIBERS)
+    def test_hf_holonomy_golden(self, name, coefficients, capsys):
+        fiber, holonomy = HOLONOMY_FIBERS[name]
+        code, out, _ = run_cli(
+            ["hf", poly_path(name), "--fiber", fiber, "--holonomy", holonomy,
+             "--coefficients", coefficients, "--json"], capsys)
+        assert code == 0
+        suffix = "" if coefficients == "novikov" else "_exp"
+        assert out == (DATA / f"{name}_hf_holonomy{suffix}.json").read_text()
 
     @pytest.mark.parametrize("command", ("analyze", "balanced", "hf"))
     @pytest.mark.parametrize("name", DATA_FIBERS)

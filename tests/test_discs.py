@@ -92,7 +92,7 @@ class TestIndexArea:
 class TestLift:
     def test_moduli_on_moment_level(self, corpus):
         p = corpus["p2"]
-        k = kernel_lattice(normal_fan(p), p)
+        k = kernel_lattice(p)
         c = lift_fiber(FiberPoint.rational(3, 3), p, k)
         assert np.allclose(c, np.sqrt(6.0))
 
@@ -102,7 +102,7 @@ class TestLift:
 
     def test_boundary_modulus_constant(self, corpus):
         p = corpus["f1"]
-        k = kernel_lattice(normal_fan(p), p)
+        k = kernel_lattice(p)
         a = FiberPoint.rational(Fraction(1, 4), Fraction(1, 3))
         lift = make_lift(DiscClass((2, 1, 0, 1)), a, p, k,
                          phases=(0.3, 0.1, 0.0, 2.2),
@@ -114,7 +114,7 @@ class TestLift:
     def test_winding_matches_index(self, corpus):
         rng = random.Random(7)
         p = corpus["p1xp1"]
-        k = kernel_lattice(normal_fan(p), p)
+        k = kernel_lattice(p)
         a = FiberPoint.rational(Fraction(1, 2), Fraction(3, 2))
         for _ in range(10):
             d = DiscClass(tuple(rng.randint(0, 3) for _ in range(4)))
@@ -126,7 +126,7 @@ class TestLift:
 
     def test_winding_independent_of_phases(self, corpus):
         p = corpus["p2"]
-        k = kernel_lattice(normal_fan(p), p)
+        k = kernel_lattice(p)
         a = FiberPoint.rational(2, 5)
         d = DiscClass((1, 2, 1))
         w0 = winding_maslov(make_lift(d, a, p, k))

@@ -17,18 +17,19 @@ from toricfloer.floer import (AreaPartition, BalancedDescription,
                               NovikovVector, UnsupportedRegimeError,
                               UnsupportedRegimeWarning,
                               balanced_fibers_novikov, delta2_point,
-                              delta_k_vanishing, describe_balanced,
+                              delta2_vanishes, delta_k_vanishing,
+                              describe_balanced,
                               equal_area_certificate, hf_rank,
                               spectral_rank_check)
 from toricfloer.lattice import (FanError, PolytopeError, normal_fan,
                                 parse_polytope)
 from toricfloer.mirror import (balanced_fibers_with_holonomy,
                                build_superpotential, critical_points,
-                               holonomy_balanced)
+                               holonomy_balanced, obstruction_class)
 from toricfloer.oracle import least_squares
 from toricfloer.solve import dedup_mod_2pi, sort_key, wrap_angle
 
-from conftest import assert_record, corpus_polytope
+from conftest import CORPUS, assert_record, corpus_polytope
 
 
 def _solution():
@@ -101,6 +102,67 @@ class TestDelta2:
         d2 = delta2_point(corpus["p2"], FiberPoint.rational(x, 1))
         assert [t.level for t in d2.terms] == [1, x, 8 - x]
         assert [t.vector for t in d2.terms] == [(0, 1), (1, 0), (-1, -1)]
+
+    def test_float_fiber_is_not_exact(self, corpus):
+        # a float coordinate makes the fiber, and delta2 there, floating
+        a = FiberPoint((1.1, 0.9))
+        assert not a.exact and FiberPoint((1, Fraction(1, 2))).exact
+        d2 = delta2_point(corpus["p2"], a)
+        assert not d2.exact and d2.terms
+        assert all(type(t.level) is float for t in d2.terms)
+
+
+def _corpus_fibers(p, rng):
+    """The vertex centroid, a rational point a third of the way to the
+    first vertex, and a random float interior point."""
+    c = p.centroid
+    verts = p.vertices()
+    weights = [rng.random() for _ in verts]
+    x = [sum(w * float(v[i]) for w, v in zip(weights, verts)) / sum(weights)
+         for i in range(p.dim)]
+    return [FiberPoint(c),
+            FiberPoint(tuple((2 * a + b) / 3 for a, b in zip(c, verts[0]))),
+            FiberPoint.numeric(*x)]
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_obstruction_class_specializes_with_holonomy(name):
+    # each basic disc contributes e^{i <nu, v_j>} e^{-ell_j(A)}
+    p = corpus_polytope(name)
+    rng = random.Random(f"obstruction:{name}")
+    for a in _corpus_fibers(p, rng):
+        for _ in range(5):
+            nu = HolonomyVector.of(
+                *[rng.uniform(0, 2 * math.pi) for _ in range(p.dim)])
+            ells = [float(l) for l in a.ell(p)]
+            want = sum(nu.factor(v) * math.exp(-l)
+                       for v, l in zip(p.normals, ells))
+            (got,) = obstruction_class(p, a, nu).specialize()
+            assert abs(got - want) <= 1e-12 * sum(math.exp(-l) for l in ells)
+
+
+@pytest.mark.parametrize("tol", (1e-12, 1e-10, 1e-9))
+@pytest.mark.parametrize("name", CORPUS)
+def test_novikov_vanishing_is_an_empty_merge(name, tol):
+    # over the Novikov ring delta2 vanishes exactly when the merge, which
+    # drops level vectors with no entry above 1e-9, leaves no term, at any
+    # tol: at p1's centre nu = 2.5e-10 gives a level block summing to
+    # 5e-10 i, which the merge drops
+    p = corpus_polytope(name)
+    rng = random.Random(f"novikov:{name}")
+    nus = [None, HolonomyVector.of(*[0.0] * p.dim),
+           HolonomyVector.of(*[2.5e-10] * p.dim),
+           HolonomyVector.of(math.pi, *[0.0] * (p.dim - 1)),
+           HolonomyVector.of(*[rng.uniform(0, 2 * math.pi)
+                               for _ in range(p.dim)])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnsupportedRegimeWarning)
+        balanced = [s.point for s in balanced_fibers_novikov(p)]
+    fibers = _corpus_fibers(p, rng) + balanced
+    for a in fibers:
+        for nu in nus:
+            d2 = delta2_point(p, a, nu)
+            assert delta2_vanishes(p, a, d2, "novikov", tol) == (not d2.terms)
 
 
 class TestRank:
@@ -366,7 +428,7 @@ def _reference_holonomy(p, covers, grid=6, residual_tol=1e-10,
     a_all, nu_all = zip(*found)
     out = []
     for i in dedup_mod_2pi(a_all, nu_all, dedup_tol):
-        point = FiberPoint(a_all[i], exact=False)
+        point = FiberPoint(a_all[i])
         out.append((a_all[i], tuple(float(x) for x in nu_all[i]),
                     floer._level_partition(p, point, tol=1e-7)))
     return sorted(out, key=lambda s: sort_key(s[0] + s[1], dedup_tol))
@@ -380,7 +442,7 @@ def _reference_novikov(p):
         sol, violations = equal_area_certificate(p, blocks)
         if violations or sol.free:
             continue
-        point = FiberPoint(tuple(sol.particular), exact=True)
+        point = FiberPoint(tuple(sol.particular))
         if all(l > 0 for l in point.ell(p)):
             found.setdefault(point.coords, floer._level_partition(p, point))
     return sorted(found.items())

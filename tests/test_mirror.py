@@ -20,8 +20,7 @@ from toricfloer.mirror import (CriticalPoint, LevelTest, MirrorCoordinates,
                                gradient_W, holonomy_balanced,
                                mirror_coordinates, mirror_coordinates_exact,
                                obstruction_class)
-from toricfloer.lattice import (PolytopeError, kernel_lattice, normal_fan,
-                                parse_polytope)
+from toricfloer.lattice import PolytopeError, kernel_lattice, parse_polytope
 
 from conftest import CORPUS, assert_record, corpus_polytope
 
@@ -84,7 +83,7 @@ class TestCoordinates:
         rng = random.Random(5)
         for name in CORPUS:
             p = corpus_polytope(name)
-            k = kernel_lattice(normal_fan(p), p)
+            k = kernel_lattice(p)
             for _ in range(5):
                 re = [Fraction(rng.randint(-50, 50), rng.randint(1, 9))
                       for _ in range(p.dim)]
@@ -609,6 +608,32 @@ class TestCorrespondence:
                     *[rng.uniform(0, 2 * math.pi) for _ in range(p.dim)])
                 assert check_o_equals_W(p, a, nu) < 1e-12
                 assert check_delta2_equals_gradW(p, a, nu) < 1e-12
+
+    def test_checks_are_relative_deep_inside(self, monkeypatch):
+        # at (999, 1000) in P^2 of side 3000 every weight underflows; the
+        # checks divide by the largest, e^-999, and see a relative 1e-6
+        # change of the term at that level
+        p = parse_polytope("dim 2\nnormal 1 0 offset 0\nnormal 0 1 offset 0"
+                           "\nnormal -1 -1 offset -3000\n")
+        a = FiberPoint.rational(999, 1000)
+        assert check_o_equals_W(p, a) < 1e-12
+        assert check_delta2_equals_gradW(p, a) < 1e-12
+
+        def perturbed(make):
+            def wrapped(*args):
+                v = make(*args)
+                t = v.terms[0]
+                assert t.level == 999
+                return v._replace(terms=(t._replace(vector=tuple(
+                    x * (1 + 1e-6) for x in t.vector)),) + v.terms[1:])
+            return wrapped
+
+        monkeypatch.setattr(mirror, "obstruction_class",
+                            perturbed(mirror.obstruction_class))
+        monkeypatch.setattr(mirror, "delta2_point",
+                            perturbed(mirror.delta2_point))
+        assert check_o_equals_W(p, a) > 1e-9
+        assert check_delta2_equals_gradW(p, a) > 1e-9
 
 
 def _random_interior(p, verts, rng):
